@@ -29,6 +29,9 @@ weights = ivs.tilt(ds, lam, direction=ivs.MonotoneDirection.INCREASING)
 print(f"\ntilt objective (0 would be uniform weights): {weights.objective:.6f}")
 print(f"KKT residual of the tilting program: {weights.kkt_residual:.2e}")
 print(f"active constraints at knots: {list(weights.active_constraints)}")
+diag = weights.diagnostics
+print(f"dual working set {[int(k) for k in diag['working_set']]} after {diag['newton_steps']} "
+      f"Newton steps, duality gap {diag['duality_gap']:.1e}")
 print(f"largest and smallest relative weights n*p: "
       f"{(n * weights.p).max():.3f}, {(n * weights.p).min():.3f}")
 

@@ -28,7 +28,6 @@ from .errors import (
 from .kernel import (
     KernelSpec,
     WeightMatrix,
-    build_omega,
     build_weight_matrix,
     kernel_weight,
     moment_criterion,
@@ -56,7 +55,6 @@ __all__ = [
     "write_csv",
     "KernelSpec",
     "WeightMatrix",
-    "build_omega",
     "build_weight_matrix",
     "kernel_weight",
     "moment_criterion",

@@ -59,7 +59,7 @@ class InfeasibleConstraintsError(IvsplineError):
 
 
 class SolverStallError(IvsplineError):
-    """The interior-point solver hit its iteration cap before converging."""
+    """The tilt solver stopped short of convergence (iteration cap, or no ascent step)."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

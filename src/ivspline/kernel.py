@@ -149,11 +149,6 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec) -> WeightMatrix:
     )
 
 
-def build_omega(w: np.ndarray, spec: KernelSpec) -> WeightMatrix:
-    """Alias for :func:`build_weight_matrix` (callers usually pass ``dataset.w``)."""
-    return build_weight_matrix(w, spec)
-
-
 def moment_criterion(residuals: np.ndarray, omega: WeightMatrix) -> float:
     """V-statistic r' Omega r measuring violation of the instrument moment conditions.
 

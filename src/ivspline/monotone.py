@@ -10,13 +10,36 @@ subject to the reweighted fit having correctly signed knot derivatives:
     min  n - sum_i sqrt(n p_i)
     s.t. sum p_i = 1,  p_i >= 0,  s * L (p o Y) >= 0 componentwise,
 
-with s = +1 for increasing and -1 for decreasing.  The program is smooth and
-strictly convex on the simplex, solved here by a primal log-barrier Newton
-method.  The refit replaces each Y_i by its tilted relative weight n p_i
-times Y_i, so uniform weights reproduce the unconstrained fit exactly.
+with s = +1 for increasing and -1 for decreasing.  The refit replaces each
+Y_i by its tilted relative weight n p_i times Y_i, so uniform weights
+reproduce the unconstrained fit exactly.
 
-The solver works in relative weights q = n p (simplex scaled to sum q = n),
-which keeps gradients O(1).
+The solver works in relative weights q = n p (sum q = n) and on the
+normalized nonvanishing rows A of s * L diag(Y).  The Lagrangian is
+stationary in q at
+
+    q_i = 1 / (4 d_i^2),   d = nu - A' mu > 0,
+
+for the simplex multiplier nu and the constraint multipliers mu >= 0, which
+leaves the concave dual
+
+    g(nu, mu) = n - nu n - sum_i 1 / (4 d_i)
+
+(the tilting program of Hall & Huang 2001, Ann. Statist. 29; the dual is
+handled as empirical-likelihood duals are, Owen 2001, ch. 3).  Only the few
+constraints active at the optimum carry nonzero multipliers, so the dual is
+maximized over a working set W of rows: Newton ascent in (nu, mu_W) costs
+O(n |W|^2) per step, a multiplier that reaches zero leaves W, and once the
+ascent on W has converged the most violated row outside W joins it.  A
+final primal polish, the linearized Newton update of q, puts sum q = n and
+A_W q = 0 at roundoff level.
+
+The same iterates certify infeasibility, with no separate feasibility pass.
+An ascent iterate with nu <= 0 (and d > 0, mu >= 0) has A' mu < 0, so
+mu'(A q) < 0 for every q >= 0 on the simplex: by Gordan's alternative no
+feasible weights exist.  More generally every iterate bounds the best
+attainable margin max_q min_j (A q)_j by n max_i (A' mu)_i / sum mu, and the
+program is reported infeasible once that bound reaches ``INFEASIBLE_MARGIN``.
 """
 
 from __future__ import annotations
@@ -25,8 +48,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .datamodel import Dataset
 from .errors import InfeasibleConstraintsError, SolverStallError
@@ -34,12 +55,21 @@ from .kernel import KernelSpec
 from .solver import fit, kkt_solve_columns
 from .spline import SplineFit, build_design
 
-MU_INITIAL = 1.0
-MU_SHRINK = 0.2
-MU_FLOOR = 1e-10
-DECREMENT_TOL = 1e-10
-OUTER_CAP = 200
-INNER_CAP = 50
+# Half the squared Newton decrement estimates the dual's distance to its
+# optimum on W; 1e-20 is far below the 1e-8 objective accuracy the tests
+# certify, and the quadratic convergence of the last steps jumps past it:
+# on 30 draws of the n = 200 g3 design, from up to 5e-10 to below 5e-21.
+DECREMENT_TOL = 1e-20
+# A row outside W is violated when its normalized slack is below -tol.  The
+# polished slacks of W rows (and of exact duplicates of them) are roundoff,
+# about sqrt(n) eps max q.
+VIOLATION_TOL = 1e-13
+# The program counts as infeasible once the dual proves that no weights give
+# every normalized knot slack more than this margin, four orders above the
+# slack roundoff and the margin threshold of the barrier oracle's phase-I.
+INFEASIBLE_MARGIN = 1e-10
+STEP_CAP = 500
+LINE_SEARCH_CAP = 60
 ACTIVE_SLACK_RTOL = 1e-6
 
 
@@ -66,11 +96,17 @@ class TiltWeights:
     """Optimal simplex weights of the tilting program plus optimality certificates.
 
     ``objective`` is n - sum sqrt(n p_i), zero exactly at uniform weights.
-    ``kkt_residual`` is the max of the stationarity residual (with fitted
-    nonnegative multipliers), the complementarity products, and the simplex
-    equality violation, all measured on the sum-q = n normalization.
+    ``kkt_residual`` is read off the dual solution: the max of the
+    stationarity residual |d - 1/(2 sqrt(q))|, any negative multiplier, the
+    complementarity products mu_j * slack_j on the working set, any negative
+    constraint slack, and the simplex violation |sum q - n| / n, all on the
+    sum-q = n normalization.
     ``active_constraints`` lists knot indices whose derivative constraint has
     (relatively) vanishing slack at the optimum.
+    ``diagnostics`` holds ``newton_steps`` (dual Newton steps), ``slack`` (the
+    normalized constraint slacks), ``working_set`` (knot indices of the
+    working set), ``multipliers`` (their mu, in the same order) and
+    ``duality_gap`` (primal objective minus dual value).
     """
 
     p: np.ndarray
@@ -91,152 +127,14 @@ def derivative_smoother_matrix(ds: Dataset, lam: float, spec: KernelSpec = Kerne
     return design.cubic_deriv @ delta_block + design.linear_deriv @ a_block
 
 
-def _phi(fval, mu, slacks):
-    return fval - mu * float(np.sum(np.log(slacks)))
-
-
-def _newton_stage(x, mu, fval, fgrad, fhess, rows, eq, eq_rhs, tol, cap):
-    """Damped Newton on f(x) - mu sum log(rows @ x) over the hyperplane eq'x = eq_rhs.
-
-    ``x`` must be strictly feasible (rows @ x > 0).  Returns the new iterate,
-    whether the stage converged, and the step count.  Convergence means the
-    Newton decrement fell below ``tol``, or the decrement stagnated inside
-    the quadratic region at the float-representable optimum (with nearly
-    active constraints the Hessian stiffness grows like 1/mu and a fixed
-    decrement target becomes unrepresentable).
-    """
-    m = x.size
-    converged = False
-    steps = 0
-    prev_dec = np.inf
-    stagnant = 0
-    for _ in range(cap):
-        s = rows @ x
-        w = mu / s**2
-        hess = fhess(x) + (rows.T * w) @ rows
-        grad = fgrad(x) - rows.T @ (mu / s)
-        try:
-            cho = scipy.linalg.cho_factor(hess)
-            hinv_g = scipy.linalg.cho_solve(cho, grad)
-            hinv_e = scipy.linalg.cho_solve(cho, eq)
-            nu = -float(eq @ hinv_g) / float(eq @ hinv_e)
-            # with the multiplier in hand, solve against the projected
-            # gradient directly: the difference of the two O(1) solves above
-            # cancels catastrophically near convergence
-            projected_grad = grad + nu * eq
-            dx = -scipy.linalg.cho_solve(cho, projected_grad)
-            # refinement passes; late-stage Hessians are stiff enough
-            # (condition ~ 1/mu near active constraints) that the raw solve
-            # error would dominate the Newton decrement
-            for _ in range(3):
-                dx += scipy.linalg.cho_solve(cho, -projected_grad - hess @ dx)
-        except scipy.linalg.LinAlgError:
-            bordered = np.zeros((m + 1, m + 1))
-            bordered[:m, :m] = hess
-            bordered[:m, m] = eq
-            bordered[m, :m] = eq
-            rhs = np.concatenate([-grad, [0.0]])
-            sol = np.linalg.solve(bordered, rhs)
-            dx, nu = sol[:m], float(sol[m])
-            projected_grad = grad + nu * eq
-        dec2 = max(float(-projected_grad @ dx), 0.0)
-        dec = dec2**0.5
-        if dec < tol:
-            converged = True
-            break
-        steps += 1
-
-        ds_dir = rows @ dx
-        alpha = 1.0
-        shrink = ds_dir < 0
-        if shrink.any():
-            alpha = min(alpha, 0.99 * float(np.min(-s[shrink] / ds_dir[shrink])))
-
-        def projected(step):
-            # candidate re-projected onto the equality hyperplane; Newton
-            # preserves it only to solve precision and drift would accumulate
-            cand = x + step * dx
-            return cand + (eq_rhs - eq @ cand) / (eq @ eq) * eq
-
-        if dec < 1e-3:
-            # quadratic region: objective decreases per step are below the
-            # floating-point resolution of phi, so an Armijo test is
-            # meaningless; take damped pure-Newton polish steps and exit
-            # once an already-small decrement stops improving (the
-            # float-representable optimum for this barrier parameter)
-            if dec >= 0.9 * prev_dec:
-                stagnant += 1
-                if stagnant >= 3:
-                    converged = True
-                    break
-            else:
-                stagnant = 0
-            prev_dec = dec
-            step = alpha
-            cand = projected(step)
-            for _ in range(60):
-                if np.all(rows @ cand > 0):
-                    break
-                step *= 0.5
-                cand = projected(step)
-            else:
-                break
-            x = cand
-            continue
-
-        prev_dec = dec
-        phi0 = _phi(fval(x), mu, s)
-        accepted = False
-        step = alpha
-        for _ in range(60):
-            cand = projected(step)
-            s_cand = rows @ cand
-            if np.all(s_cand > 0):
-                phi_cand = _phi(fval(cand), mu, s_cand)
-                if phi_cand <= phi0 - 0.01 * step * dec2:
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            # no measurable decrease; the damped full step is safe in-domain
-            cand = projected(alpha)
-            if not np.all(rows @ cand > 0):
-                break
-        x = cand
-    return x, converged, steps
-
-
-def _barrier_path(x, fval, fgrad, fhess, rows, eq, eq_rhs, mu_floor, final_tol):
-    """Follow the central path mu -> 0; returns (x, mu_final, total steps, stalled).
-
-    A stage that misses its tolerance within the inner cap is retried at the
-    same barrier parameter on the next outer round, so a poorly centered
-    start spends outer budget instead of failing outright.
-    """
-    mu = MU_INITIAL
-    total = 0
-    for _ in range(OUTER_CAP):
-        last = mu < mu_floor
-        tol = final_tol if last else max(final_tol, 1e-3 * mu)
-        x, converged, steps = _newton_stage(
-            x, mu, fval, fgrad, fhess, rows, eq, eq_rhs, tol, INNER_CAP
-        )
-        total += steps
-        if converged:
-            if last:
-                return x, mu, total, False
-            mu *= MU_SHRINK
-        elif steps == 0:
-            break  # line search cannot move; retrying would spin
-    return x, mu, total, True
-
-
 def _drop_null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Remove vanishing constraint rows (0 >= 0 for every p) and normalize the rest.
 
-    Row normalization leaves the feasible set untouched but balances the
-    barrier Hessian: near-interpolating smoothers produce rows of wildly
-    different norms, which otherwise drives the late-stage conditioning.
+    Row normalization leaves the feasible set untouched but puts every slack
+    on one scale: near-interpolating smoothers produce rows of wildly
+    different norms, and unit rows let one violation tolerance and one
+    ``ACTIVE_SLACK_RTOL`` serve them all and keep the dual Newton system
+    balanced.
     """
     if a.size == 0:
         return a, np.array([], dtype=int)
@@ -248,109 +146,24 @@ def _drop_null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kept / np.linalg.norm(kept, axis=1, keepdims=True), keep
 
 
-def _phase_one(a: np.ndarray, eq_rhs: float):
-    """Maximize the minimum slack of A q >= 0 over the scaled simplex.
-
-    Returns a strictly feasible q, or raises naming the most violated
-    constraint if the optimum margin is nonpositive.  Exits as soon as the
-    iterate is comfortably strictly feasible: the margin maximizer itself is
-    badly centered for the main objective (it can zero out coordinates), so
-    an early near-uniform feasible point is the better start.
-    """
-    k, m = a.shape
-    scale = max(1.0, float(np.abs(a).sum(axis=1).max()))
-    q0 = np.ones(m)
-    u0 = float((a @ q0).min()) - 1.0
-    x = np.concatenate([q0, [u0]])
-    rows = np.zeros((m + k, m + 1))
-    rows[:m, :m] = np.eye(m)
-    rows[m:, :m] = a
-    rows[m:, m] = -1.0
-    eq = np.concatenate([np.ones(m), [0.0]])
-
-    grad_vec = np.zeros(m + 1)
-    grad_vec[m] = -1.0
-    zero_hess = np.zeros((m + 1, m + 1))
-    early_exit = 1e-6 * scale
-    mu = MU_INITIAL
-    while mu >= 1e-8:
-        x, _, _ = _newton_stage(
-            x, mu, lambda x: -x[m], lambda x: grad_vec, lambda x: zero_hess,
-            rows, eq, eq_rhs, max(1e-8, 1e-3 * mu), INNER_CAP,
-        )
-        if float((a @ x[:m]).min()) > early_exit:
-            return x[:m]
-        mu *= MU_SHRINK
-
-    q, margin = x[:m], float(x[m])
-    slack = a @ q
-    feas_tol = 1e-10 * scale
-    if margin <= feas_tol or slack.min() <= 0:
-        worst = int(np.argmin(slack))
-        raise InfeasibleConstraintsError(
-            f"monotonicity constraints are infeasible; most violated at knot index {worst} "
-            f"(best attainable margin {margin:.3e})",
-            worst_constraint=worst,
-        )
-    return q
-
-
-def _kkt_certificate(q, mu, a, active):
-    """Optimality certificate: stationarity with fitted nonnegative multipliers,
-    complementarity products, and the equality violation, all max-combined.
-
-    Multipliers on rows that are active or nearly active are refitted by
-    nonnegative least squares (the intercept multiplier enters sign-split);
-    the rest keep their exact barrier values mu/slack.  This reports the
-    certificate a generic NLP solver would, without the floating-point floor
-    of the raw barrier gradient in stiff directions; complementarity keeps
-    the refit honest.
-    """
-    m = q.size
-    grad_f = -0.5 / np.sqrt(q)
-    mult_q = mu / q
-    base = grad_f - mult_q
-    slack = a @ q if a.size else np.zeros(0)
-    barrier_mult = mu / slack if slack.size else np.zeros(0)
-    eq_violation = abs(float(q.sum()) - m) / m
-
-    def score(refit):
-        mult_c = barrier_mult.copy()
-        if refit.size:
-            cols = np.column_stack([-a[refit].T, np.ones(m), -np.ones(m)])
-            sol, _ = scipy.optimize.nnls(cols, -base)
-            mult_c[refit] = sol[:-2]
-            nu = float(sol[-2] - sol[-1])
-        else:
-            nu = -float(base.mean())
-        r_stat = base - (a.T @ mult_c if a.size else 0.0) + nu
-        comp = max(
-            float((mult_q * q).max()),
-            float((mult_c * slack).max()) if slack.size else 0.0,
-        )
-        return max(float(np.abs(r_stat).max()), comp, eq_violation)
-
+def _active(slack: np.ndarray) -> np.ndarray:
+    """Rows whose slack is at most ``ACTIVE_SLACK_RTOL`` relative to the largest."""
     if not slack.size:
-        return score(np.array([], dtype=int))
-    # any nonnegative multiplier vector certifies; report the better of the
-    # active-set and the nearly-active-set fits
-    top = max(1.0, float(slack.max()))
-    return min(
-        score(np.flatnonzero(slack <= rtol * top)) for rtol in (1e-6, 1e-3)
-    )
+        return np.array([], dtype=int)
+    return np.flatnonzero(slack <= ACTIVE_SLACK_RTOL * max(1.0, float(slack.max())))
 
 
-def _uniform_result(n: int, slack: np.ndarray, kept: np.ndarray, diagnostics: dict) -> TiltWeights:
-    active = np.array([], dtype=int)
-    if slack.size:
-        active = kept[np.flatnonzero(slack <= ACTIVE_SLACK_RTOL * max(1.0, float(slack.max())))]
-    return TiltWeights(
-        p=np.full(n, 1.0 / n),
-        objective=0.0,
-        kkt_residual=0.0,
-        active_constraints=active,
-        diagnostics=diagnostics,
-    )
+def _margin_bound(x: np.ndarray, d: np.ndarray) -> float:
+    """Upper bound, certified by the dual point x = (nu, mu), on max_q min_j (A q)_j.
+
+    For mu >= 0 and any q >= 0 with sum q = n, min_j (A q)_j <= mu'A q /
+    sum mu <= n max_i (A' mu)_i / sum mu, and A' mu = nu - d.  Negative
+    whenever nu <= 0, which is Gordan's certificate of infeasibility.
+    """
+    total = float(x[1:].sum())
+    if total <= 0.0:
+        return np.inf
+    return d.size * (float(x[0]) - float(d.min())) / total
 
 
 def tilt(
@@ -358,72 +171,134 @@ def tilt(
     lam: float,
     spec: KernelSpec = KernelSpec(),
     direction: MonotoneDirection = MonotoneDirection.INCREASING,
-    start: np.ndarray | None = None,
 ) -> TiltWeights:
     """Solve the tilting program and return the optimal simplex weights.
 
     If uniform weights already satisfy the sign constraints they are returned
     immediately: uniform maximizes the objective over the whole simplex, so
-    feasibility implies optimality.  Otherwise a phase-I pass (maximizing the
-    minimum slack) finds a strictly feasible start and the log-barrier Newton
-    path is followed to the optimum.
-
-    ``start`` optionally supplies a strictly feasible simplex vector to start
-    the barrier from instead of the phase-I point; the program is strictly
-    convex, so every start reaches the same optimum.
+    feasibility implies optimality.  Otherwise the dual is maximized over a
+    growing working set of constraint rows (see the module docstring).
+    Raises :class:`InfeasibleConstraintsError` when an ascent iterate
+    certifies that no weights are feasible, and :class:`SolverStallError`
+    when the line search finds no ascent step or ``STEP_CAP`` iterations
+    pass without convergence.
     """
     smoother = derivative_smoother_matrix(ds, lam, spec)
-    a_full = direction.sign * smoother * ds.y[None, :]
-    a_rows, kept = _drop_null_rows(a_full)
+    a_rows, kept = _drop_null_rows(direction.sign * smoother * ds.y[None, :])
     n = ds.n
 
-    uniform_slack = a_rows @ np.ones(n) if a_rows.size else np.zeros(0)
-    if a_rows.size == 0 or uniform_slack.min() >= 0.0:
-        return _uniform_result(
-            n, uniform_slack, kept, {"phase1": False, "newton_steps": 0, "mu_final": 0.0}
+    slack = a_rows.sum(axis=1)
+    if a_rows.size == 0 or slack.min() >= 0.0:
+        return TiltWeights(
+            p=np.full(n, 1.0 / n),
+            objective=0.0,
+            kkt_residual=0.0,
+            active_constraints=kept[_active(slack)],
+            diagnostics={
+                "newton_steps": 0,
+                "slack": slack,
+                "working_set": np.array([], dtype=int),
+                "multipliers": np.zeros(0),
+                "duality_gap": 0.0,
+            },
         )
 
-    used_phase1 = False
-    q0 = None
-    if start is not None:
-        cand = n * np.asarray(start, dtype=float).reshape(-1)
-        if cand.size == n and np.all(cand > 0) and np.all(a_rows @ cand > 0):
-            q0 = n * cand / cand.sum()
-    if q0 is None:
-        q0 = _phase_one(a_rows, float(n))
-        used_phase1 = True
+    work: list[int] = []
+    x = np.array([0.5])  # (nu, mu_W); nu = 1/2 with no multipliers gives q = 1
+    steps = 0
+    for _ in range(STEP_CAP):
+        basis = np.column_stack([np.ones(n), -a_rows[work].T])
+        d = basis @ x
+        q = 0.25 / d**2
+        curvature = 0.5 / d**3
+        grad = basis.T @ q
+        grad[0] -= n
+        step = np.linalg.solve((basis.T * curvature) @ basis, grad)
+        dec2 = float(grad @ step)
+        if dec2 <= DECREMENT_TOL:
+            # primal polish: the linearized Newton update of q lands on
+            # sum q = n and A_W q = 0 to roundoff
+            q = q - curvature * (basis @ step)
+            slack = a_rows @ q
+            outside = slack.copy()
+            outside[work] = np.inf
+            worst = int(np.argmin(outside))
+            if outside[worst] >= -VIOLATION_TOL:
+                # the certificate reads the dual after the same final step,
+                # which leaves stationarity second order in its size
+                x = x + step
+                d = basis @ x
+                break
+            work.append(worst)
+            x = np.append(x, 0.0)
+            continue
 
-    rows = np.vstack([np.eye(n), a_rows])
-    q, mu_final, steps, stalled = _barrier_path(
-        q0,
-        fval=lambda q: n - float(np.sum(np.sqrt(q))),
-        fgrad=lambda q: -0.5 / np.sqrt(q),
-        fhess=lambda q: np.diag(0.25 * q**-1.5),
-        rows=rows,
-        eq=np.ones(n),
-        eq_rhs=float(n),
-        mu_floor=MU_FLOOR,
-        final_tol=DECREMENT_TOL,
-    )
-    if stalled:
+        alpha, leaving = 1.0, None
+        d_step = basis @ step
+        falling = np.flatnonzero(step[1:] < 0)
+        if falling.size:
+            ratios = -x[1:][falling] / step[1:][falling]
+            j = int(np.argmin(ratios))
+            if ratios[j] < 1.0:
+                alpha, leaving = float(ratios[j]), int(falling[j])
+        # Armijo test on g(x + alpha step) - g(x) = alpha (sum_i d_step_i /
+        # (4 d_i d_new_i) - n step_nu), a form without the cancellation of
+        # differencing two O(n) dual values; a full Newton step near the
+        # optimum gains dec2 / 2, so it passes at a quarter of that
+        for _ in range(LINE_SEARCH_CAP):
+            cand = x + alpha * step
+            d_new = basis @ cand
+            if d_new.min() > 0.0 and (0.25 / (d * d_new)) @ d_step - n * step[0] >= 0.25 * dec2:
+                break
+            alpha *= 0.5
+            leaving = None
+        else:
+            raise SolverStallError(
+                "tilt line search found no ascent step; the dual bounds the best "
+                f"attainable constraint margin by {_margin_bound(x, d):.3e}",
+                diagnostics={"newton_steps": steps, "working_set": kept[work]},
+            )
+        steps += 1
+        x = cand
+        if leaving is not None:
+            del work[leaving]
+            x = np.delete(x, 1 + leaving)
+        margin = _margin_bound(x, d_new)
+        if margin <= INFEASIBLE_MARGIN:
+            knot = int(kept[work[int(np.argmax(x[1:]))]])
+            raise InfeasibleConstraintsError(
+                "monotonicity constraints are infeasible; the dual certificate "
+                f"puts its largest multiplier on knot index {knot} "
+                f"(best attainable margin at most {margin:.3e})",
+                worst_constraint=knot,
+            )
+    else:
         raise SolverStallError(
             "tilt solver hit its iteration cap before converging",
-            diagnostics={"mu": mu_final, "newton_steps": steps, "q": q},
+            diagnostics={"newton_steps": steps, "working_set": kept[work]},
         )
 
-    slack = a_rows @ q
-    active_local = np.flatnonzero(slack <= ACTIVE_SLACK_RTOL * max(1.0, float(slack.max())))
-    residual = _kkt_certificate(q, mu_final, a_rows, active_local)
+    mu = x[1:]
+    objective = float(n - np.sum(np.sqrt(q)))
+    dual = float(n - x[0] * n - np.sum(0.25 / d))
+    residual = max(
+        abs(float(q.sum()) - n) / n,
+        -float(slack.min(initial=0.0)),
+        -float(mu.min(initial=0.0)),
+        float(np.abs(mu * slack[work]).max(initial=0.0)),
+        float(np.abs(d - 0.5 / np.sqrt(q)).max()),
+    )
     return TiltWeights(
         p=q / n,
-        objective=float(n - np.sum(np.sqrt(q))),
+        objective=objective,
         kkt_residual=residual,
-        active_constraints=kept[active_local],
+        active_constraints=kept[_active(slack)],
         diagnostics={
-            "phase1": used_phase1,
             "newton_steps": steps,
-            "mu_final": mu_final,
             "slack": slack,
+            "working_set": kept[work],
+            "multipliers": mu.copy(),
+            "duality_gap": objective - dual,
         },
     )
 

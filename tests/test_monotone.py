@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 import ivspline as ivs
 from conftest import random_instance, wiggly_instance
+from tilt_oracle import barrier_tilt
 
 INC = ivs.MonotoneDirection.INCREASING
 DEC = ivs.MonotoneDirection.DECREASING
@@ -156,6 +157,8 @@ class TestTilt:
         assert slack.min() >= -1e-12
 
     def test_multi_start_agreement(self):
+        # the barrier oracle, started from two random strictly feasible
+        # points, reaches the dual solver's weights
         ds = wiggly_instance(1)
         lam = 0.05
         base = ivs.tilt(ds, lam)
@@ -166,7 +169,8 @@ class TestTilt:
         while tried < 2:
             cand = rng.dirichlet(np.ones(ds.n))
             if np.all(a @ cand > 0) and np.all(cand > 0):
-                other = ivs.tilt(ds, lam, start=cand)
+                other = barrier_tilt(ds, lam, start=cand)
+                assert not other.diagnostics["phase1"]
                 assert np.abs(other.p - base.p).max() <= 1e-6
                 tried += 1
 
@@ -176,6 +180,27 @@ class TestTilt:
             ivs.tilt(ds, 0.5, direction=INC)
         assert err.value.worst_constraint is not None
         assert "knot index" in str(err.value)
+
+    def test_n200_agrees_with_barrier_oracle(self):
+        # the paper's constrained design at realistic size, where the
+        # generic-solver oracle finds no successful start: the barrier path
+        # is the reference, at the cross-validated lambda and at the grid's
+        # smallest lambda, with the bounds of the n = 8 tests
+        with_active = 0
+        for seed in range(1, 7):
+            cfg = ivs.DgpConfig(n=200, rho_ev=0.5, rho_wz=0.9, g_id="g3", seed=seed)
+            ds = ivs.generate(cfg)["dataset"]
+            lam_cv = ivs.cross_validate(ds, cfg=ivs.CvConfig(seed=seed)).lambda_star
+            for lam in (lam_cv, 1e-5):
+                weights = ivs.tilt(ds, lam)
+                oracle = barrier_tilt(ds, lam)
+                assert list(weights.active_constraints) == list(oracle.active_constraints)
+                assert weights.objective <= oracle.objective + 1e-8
+                slack = ivs.derivative_smoother_matrix(ds, lam) @ (weights.p * ds.y)
+                assert slack.min() >= -1e-12
+                assert weights.p.sum() == pytest.approx(1.0, abs=1e-10)
+                with_active += len(weights.active_constraints) > 0
+        assert with_active >= 10
 
     def test_direction_parsing(self):
         assert ivs.MonotoneDirection.from_string("increasing") is INC
