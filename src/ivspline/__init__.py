@@ -35,7 +35,7 @@ from .kernel import (
 from .monotone import MonotoneDirection, TiltWeights, derivative_smoother_matrix, fit_monotone, tilt
 from .selection import CvConfig, CvResult, cross_validate, default_grid
 from .simlab import DgpConfig, McReport, evaluation_grid, generate, monte_carlo, true_function
-from .solver import BlockSystem, PathSolver, build_block_system, fit, fitted_values, hat_diagnostics
+from .solver import PathSolver, fit, fitted_values
 from .spline import (
     DesignMatrices,
     SplineFit,
@@ -65,12 +65,9 @@ __all__ = [
     "evaluate_derivative",
     "evaluate_second_derivative",
     "roughness",
-    "BlockSystem",
     "PathSolver",
-    "build_block_system",
     "fit",
     "fitted_values",
-    "hat_diagnostics",
     "CvConfig",
     "CvResult",
     "cross_validate",

@@ -134,6 +134,9 @@ def cmd_fit(args) -> int:
         doc["lambda_selected_by"] = "cv"
         doc["cv"] = {
             "lambda_star": result.lambda_star,
+            "lambda_star_index": result.lambda_star_index,
+            "boundary_hit": result.boundary_hit,
+            "invalid_candidates": result.invalid_candidates,
             "folds": 2,
             "criterion_weight_matrix": result.criterion_weight_matrix,
         }
@@ -204,6 +207,7 @@ def cmd_simulate(args) -> int:
             "estimator": report.estimator_tag,
             "replications": report.replications,
             "failures": report.failures,
+            "failure_types": report.failure_types,
             "variance_divisor": report.variance_divisor,
             "bias_sq": report.bias_sq,
             "variance": report.variance,

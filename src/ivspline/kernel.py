@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DegenerateInstrumentError, SingularKernelError
 from .datamodel import standardize_instruments
@@ -28,6 +29,9 @@ from .datamodel import standardize_instruments
 JITTER_START = 1e-10
 JITTER_CAP = 1e-6
 JITTER_GROWTH = 10.0
+# Rows per block when mirroring the inverse's lower triangle into its upper
+# one; a block's transpose is the only temporary, so no n x n copy is made.
+_MIRROR_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,21 @@ class WeightMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """values^-1 @ rhs via the stored Cholesky factor."""
-        return scipy.linalg.cho_solve((self.chol, True), rhs)
-
     def inverse(self) -> np.ndarray:
-        return self.solve(np.eye(self.n))
+        """values^-1 from the stored Cholesky factor (LAPACK dpotri, 2n^3/3 flops).
+
+        dpotri fills the lower triangle; it is mirrored into the upper one,
+        so the result is exactly symmetric.
+        """
+        inv, info = lapack.dpotri(self.chol, lower=1)
+        if info != 0:
+            raise SingularKernelError(f"weight matrix inverse failed (LAPACK info {info})")
+        for i in range(0, self.n, _MIRROR_BLOCK):
+            j = i + _MIRROR_BLOCK
+            inv[i:j, j:] = inv[j:, i:j].T
+            block = inv[i:j, i:j]
+            block[...] = np.tril(block) + np.tril(block, -1).T
+        return inv
 
 
 def kernel_weight(spec: KernelSpec, d) -> float:

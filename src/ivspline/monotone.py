@@ -52,8 +52,8 @@ import numpy as np
 from .datamodel import Dataset
 from .errors import InfeasibleConstraintsError, SolverStallError
 from .kernel import KernelSpec
-from .solver import fit, kkt_solve_columns
-from .spline import SplineFit, build_design
+from .solver import _Factored
+from .spline import SplineFit
 
 # Half the squared Newton decrement estimates the dual's distance to its
 # optimum on W; 1e-20 is far below the 1e-8 objective accuracy the tests
@@ -122,9 +122,12 @@ def derivative_smoother_matrix(ds: Dataset, lam: float, spec: KernelSpec = Kerne
     Built by pushing the n unit outcome vectors through the block solve and
     applying the derivative designs to the resulting coefficients.
     """
-    delta_block, a_block = kkt_solve_columns(ds, lam, spec)
-    design = build_design(ds.z)
-    return design.cubic_deriv @ delta_block + design.linear_deriv @ a_block
+    return _smoother(_Factored(ds, lam, spec))
+
+
+def _smoother(system: _Factored) -> np.ndarray:
+    delta_block, a_block = system.outcome_columns()
+    return system.design.cubic_deriv @ delta_block + system.design.linear_deriv @ a_block
 
 
 def _drop_null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,9 +186,12 @@ def tilt(
     when the line search finds no ascent step or ``STEP_CAP`` iterations
     pass without convergence.
     """
-    smoother = derivative_smoother_matrix(ds, lam, spec)
-    a_rows, kept = _drop_null_rows(direction.sign * smoother * ds.y[None, :])
-    n = ds.n
+    return _tilt(derivative_smoother_matrix(ds, lam, spec), ds.y, direction)
+
+
+def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> TiltWeights:
+    a_rows, kept = _drop_null_rows(direction.sign * smoother * y[None, :])
+    n = y.shape[0]
 
     slack = a_rows.sum(axis=1)
     if a_rows.size == 0 or slack.min() >= 0.0:
@@ -314,10 +320,13 @@ def fit_monotone(
     Each outcome is scaled by its relative weight n p_i (the ratio of the
     tilted weight to the uniform 1/n), so uniform tilting reproduces the
     unconstrained fit exactly and the refit's knot derivatives inherit the
-    sign constraint from the tilting program.
+    sign constraint from the tilting program.  The smoother and the refit
+    share one factorization of the bordered system, so the refit is a
+    single O(n^2) solve.
     """
-    weights = tilt(ds, lam, spec, direction)
-    refit = fit(ds.replace_y(ds.n * weights.p * ds.y), lam, spec)
+    system = _Factored(ds, lam, spec)
+    weights = _tilt(_smoother(system), ds.y, direction)
+    refit = system.fit(ds.n * weights.p * ds.y)
     refit.diagnostics["tilt_objective"] = weights.objective
     refit.diagnostics["tilt_kkt_residual"] = weights.kkt_residual
     refit.diagnostics["tilt_active_constraints"] = [int(i) for i in weights.active_constraints]

@@ -4,12 +4,13 @@ The data are split at random into folds (two by default).  For each
 candidate lambda, a fit on the complement of each fold predicts that fold's
 points; the stitched out-of-fold prediction vector is scored by the moment
 criterion with the full-sample weight matrix, and the minimizing lambda
-wins, ties going to the smallest candidate.
+wins, ties going to the smallest candidate.  Every candidate is handled at
+once: one path solve per fold gives all its coefficient columns, one matrix
+product its out-of-fold predictions, and one more scores them all.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,9 @@ class CvResult:
     lambda_star: float
     curve: np.ndarray  # (grid length, 2) columns (lambda, criterion); invalid lambdas carry inf
     fold_assignment: np.ndarray
+    lambda_star_index: int  # position of lambda_star in the grid
+    boundary_hit: bool  # lambda_star is the grid's first or last candidate
+    invalid_candidates: int  # candidates that could not be solved on some fold
     criterion_weight_matrix: str = "full-sample"
     canonical_two_fold: bool = True
 
@@ -95,7 +99,7 @@ def cross_validate(ds: Dataset, spec: KernelSpec = KernelSpec(), cfg: CvConfig =
     omega_full = build_weight_matrix(ds.w, spec)
 
     grid = cfg.grid
-    tilde = np.zeros((grid.size, ds.n))
+    tilde = np.zeros((ds.n, grid.size))
     valid = np.ones(grid.size, dtype=bool)
     for fold_id in range(cfg.folds):
         held_out = assignment == fold_id
@@ -107,25 +111,18 @@ def cross_validate(ds: Dataset, spec: KernelSpec = KernelSpec(), cfg: CvConfig =
             raise SelectionError(
                 f"fold {fold_id}: training subsample cannot be fitted"
             ) from None
+        delta, a, ok = solver.path(grid)
+        valid &= ok
         z_out = ds.z[held_out]
         basis = np.abs(z_out[:, None] - sub.z[None, :]) ** 3 / 12.0
-        for j, lam in enumerate(grid):
-            if not valid[j]:
-                continue
-            coeffs = solver.coefficients(lam)
-            if coeffs is None:
-                valid[j] = False
-                continue
-            delta, a = coeffs
-            tilde[j, held_out] = a[0] + a[1] * z_out + basis @ delta
+        tilde[held_out] = basis @ delta + a[0] + np.outer(z_out, a[1])
 
     if not valid.any():
         raise SelectionError("every candidate lambda failed on at least one fold")
 
+    residuals = ds.y[:, None] - tilde[:, valid]
     criteria = np.full(grid.size, np.inf)
-    for j in np.flatnonzero(valid):
-        r = ds.y - tilde[j]
-        criteria[j] = float(r @ omega_full.values @ r)
+    criteria[valid] = np.einsum("ig,ig->g", omega_full.values @ residuals, residuals)
 
     # Tie-break toward the smallest lambda, with ties measured against the
     # natural scale of the criterion (y' Omega y) so that pure-roundoff
@@ -138,5 +135,8 @@ def cross_validate(ds: Dataset, spec: KernelSpec = KernelSpec(), cfg: CvConfig =
         lambda_star=float(grid[winner]),
         curve=np.column_stack([grid, criteria]),
         fold_assignment=assignment,
+        lambda_star_index=winner,
+        boundary_hit=winner in (0, grid.size - 1),
+        invalid_candidates=int(grid.size - valid.sum()),
         canonical_two_fold=cfg.canonical_two_fold,
     )

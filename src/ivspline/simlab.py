@@ -15,6 +15,7 @@ normalized to unit variance against a standard Gaussian regressor.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,6 +108,7 @@ class McReport:
     replications: int
     estimator_tag: str
     failures: int = 0
+    failure_types: dict = field(default_factory=dict)  # exception class name -> count
     variance_divisor: str = "R"
 
 
@@ -143,8 +145,8 @@ def monte_carlo(
     self-tests -- a callable mapping (dataset, grid) to fitted grid values.
     Per-replication RNG streams are split off the master seed by a counter
     key, so results are reproducible regardless of execution order.
-    Replication-level fit failures are excluded and counted; more than 5%
-    failures aborts the report.
+    Replication-level fit failures are excluded and counted, by exception
+    type in ``failure_types``; more than 5% failures aborts the report.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
@@ -153,6 +155,7 @@ def monte_carlo(
 
     curves = np.empty((replications, grid.size))
     ok = np.ones(replications, dtype=bool)
+    failure_types: Counter[str] = Counter()
     for rep in range(replications):
         sample = generate(cfg, _rep_rng(cfg.seed, rep))
         try:
@@ -164,13 +167,15 @@ def monte_carlo(
                 curves[rep] = _fit_on_grid(sample["dataset"], grid, spec, cv, rep, True, direction)
             else:
                 raise ValueError(f"unknown estimator {estimator!r}")
-        except (IvsplineError, np.linalg.LinAlgError):
+        except (IvsplineError, np.linalg.LinAlgError) as exc:
             ok[rep] = False
+            failure_types[type(exc).__name__] += 1
 
     failures = int((~ok).sum())
     if failures > MAX_FAILURE_SHARE * replications:
         raise IvsplineError(
-            f"{failures}/{replications} replications failed (> {MAX_FAILURE_SHARE:.0%})"
+            f"{failures}/{replications} replications failed (> {MAX_FAILURE_SHARE:.0%}): "
+            f"{dict(failure_types)}"
         )
     kept = curves[ok]
     mean_curve = kept.mean(axis=0)
@@ -193,6 +198,7 @@ def monte_carlo(
         replications=int(ok.sum()),
         estimator_tag=tag,
         failures=failures,
+        failure_types=dict(sorted(failure_types.items())),
     )
 
 

@@ -19,8 +19,6 @@ rank 2 and the weight matrix is positive definite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
@@ -31,15 +29,11 @@ from .kernel import KernelSpec, WeightMatrix, build_weight_matrix, moment_criter
 from .spline import DesignMatrices, SplineFit, build_design, roughness
 
 _REFINEMENT_STEPS = 2  # fixed-count iterative refinement keeps extreme-lambda solves accurate
-
-
-@dataclass(frozen=True)
-class BlockSystem:
-    """Assembled penalized system: Et = E + lam Omega^-1, the bordered matrix, and (Y; 0)."""
-
-    penalized_cubic: np.ndarray
-    kkt: np.ndarray
-    rhs: np.ndarray
+# Significant digits of the reported condition estimate.  LAPACK's 1-norm
+# estimator (dgecon) is accurate only to within a small factor, so later
+# digits carry no information; they also changed in the last place between
+# repeated fits of one dataset, which made fit artifacts differ.
+CONDITION_DIGITS = 3
 
 
 def _check_lambda(lam: float) -> float:
@@ -56,48 +50,86 @@ def _check_rank(z: np.ndarray) -> None:
         )
 
 
-def _assemble(design: DesignMatrices, omega: WeightMatrix, y: np.ndarray, lam: float) -> BlockSystem:
-    n = y.shape[0]
-    penalized = design.cubic + lam * omega.inverse()
-    penalized = 0.5 * (penalized + penalized.T)
+def _kkt_matrix(design: DesignMatrices, omega: WeightMatrix, lam: float) -> np.ndarray:
+    """The bordered matrix [[E + lam Omega^-1, Z], [Z', 0]], exactly symmetric."""
+    n = design.linear.shape[0]
     kkt = np.zeros((n + 2, n + 2))
-    kkt[:n, :n] = penalized
+    penalized = kkt[:n, :n]
+    penalized[...] = omega.inverse()
+    penalized *= lam
+    penalized += design.cubic
     kkt[:n, n:] = design.linear
     kkt[n:, :n] = design.linear.T
-    rhs = np.zeros(n + 2)
-    rhs[:n] = y
-    return BlockSystem(penalized_cubic=penalized, kkt=kkt, rhs=rhs)
-
-
-def build_block_system(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> BlockSystem:
-    lam = _check_lambda(lam)
-    _check_rank(ds.z)
-    design = build_design(ds.z)
-    omega = build_weight_matrix(ds.w, spec)
-    return _assemble(design, omega, ds.y, lam)
+    return kkt
 
 
 def _condition_estimate(lu: np.ndarray, anorm: float) -> float:
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or rcond <= 0.0:
         return float("inf")
-    return 1.0 / float(rcond)
+    return float(f"{1.0 / rcond:.{CONDITION_DIGITS}g}")
 
 
-def _solve_kkt(system: BlockSystem, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """LU solve with fixed-count refinement; returns (solution, condition estimate)."""
-    lu, piv = scipy.linalg.lu_factor(system.kkt)
-    cond = _condition_estimate(lu, np.linalg.norm(system.kkt, 1))
-    sol = scipy.linalg.lu_solve((lu, piv), rhs)
-    for _ in range(_REFINEMENT_STEPS):
-        residual = rhs - system.kkt @ sol
-        sol = sol + scipy.linalg.lu_solve((lu, piv), residual)
-    if not np.all(np.isfinite(sol)):
-        raise ConditioningError(
-            f"block solve produced non-finite values (condition estimate {cond:.3e})",
-            condition_estimate=cond,
+class _Factored:
+    """The bordered system of one dataset at one lambda, assembled and LU-factored once.
+
+    The fit, the unit-outcome columns behind the derivative smoother and a
+    refit on reweighted outcomes are each one refined O(n^2) solve per
+    right-hand side on the same factorization.
+    """
+
+    def __init__(self, ds: Dataset, lam: float, spec: KernelSpec):
+        self.lam = _check_lambda(lam)
+        _check_rank(ds.z)
+        self.knots = ds.z
+        self.design = build_design(ds.z)
+        self.omega = build_weight_matrix(ds.w, spec)
+        self.kkt = _kkt_matrix(self.design, self.omega, self.lam)
+        self.lu = scipy.linalg.lu_factor(self.kkt)
+        self.condition = _condition_estimate(self.lu[0], np.linalg.norm(self.kkt, 1))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """LU solve with fixed-count refinement, for one or many right-hand sides."""
+        sol = scipy.linalg.lu_solve(self.lu, rhs)
+        for _ in range(_REFINEMENT_STEPS):
+            sol = sol + scipy.linalg.lu_solve(self.lu, rhs - self.kkt @ sol)
+        if not np.all(np.isfinite(sol)):
+            raise ConditioningError(
+                f"block solve produced non-finite values (condition estimate {self.condition:.3e})",
+                condition_estimate=self.condition,
+            )
+        return sol
+
+    def fit(self, y: np.ndarray) -> SplineFit:
+        """The fitted spline for outcome vector y, with :func:`fit`'s diagnostics."""
+        n = y.shape[0]
+        sol = self.solve(np.concatenate([y, np.zeros(2)]))
+        delta, a = sol[:n], sol[n:]
+        residuals = y - self.design.linear @ a - self.design.cubic @ delta
+        rough = roughness(delta, self.design.cubic)
+        crit = moment_criterion(residuals, self.omega)
+        return SplineFit(
+            a=a,
+            delta=delta,
+            knots=self.knots,
+            lam=self.lam,
+            diagnostics={
+                "criterion": crit,
+                "roughness": rough,
+                "objective": crit + self.lam * rough,
+                "constraint_residual": float(np.abs(self.design.linear.T @ delta).max()),
+                "jitter_applied": self.omega.jitter_applied,
+                "kkt_condition_estimate": self.condition,
+            },
         )
-    return sol, cond
+
+    def outcome_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(delta_block, a_block): the coefficients of the fits to the n unit outcome vectors."""
+        n = self.knots.shape[0]
+        rhs = np.zeros((n + 2, n))
+        np.fill_diagonal(rhs, 1.0)
+        sol = self.solve(rhs)
+        return sol[:n], sol[n:]
 
 
 def fit(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> SplineFit:
@@ -105,32 +137,10 @@ def fit(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> SplineFit:
 
     Diagnostics carry the criterion value at the solution, the roughness
     delta' E delta, the natural-spline constraint residual, the weight-matrix
-    jitter, and a 1-norm condition estimate of the bordered system.
+    jitter, and a 1-norm condition estimate of the bordered system, rounded
+    to ``CONDITION_DIGITS`` significant digits.
     """
-    lam = _check_lambda(lam)
-    _check_rank(ds.z)
-    design = build_design(ds.z)
-    omega = build_weight_matrix(ds.w, spec)
-    system = _assemble(design, omega, ds.y, lam)
-    sol, cond = _solve_kkt(system, system.rhs)
-    delta, a = sol[: ds.n], sol[ds.n :]
-    residuals = ds.y - design.linear @ a - design.cubic @ delta
-    rough = roughness(delta, design.cubic)
-    crit = moment_criterion(residuals, omega)
-    return SplineFit(
-        a=a,
-        delta=delta,
-        knots=ds.z,
-        lam=lam,
-        diagnostics={
-            "criterion": crit,
-            "roughness": rough,
-            "objective": crit + lam * rough,
-            "constraint_residual": float(np.abs(design.linear.T @ delta).max()),
-            "jitter_applied": omega.jitter_applied,
-            "kkt_condition_estimate": cond,
-        },
-    )
+    return _Factored(ds, lam, spec).fit(ds.y)
 
 
 def fitted_values(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> np.ndarray:
@@ -144,7 +154,6 @@ def fitted_values(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> n
     design = build_design(ds.z)
     omega = build_weight_matrix(ds.w, spec)
     penalized = design.cubic + lam * omega.inverse()
-    penalized = 0.5 * (penalized + penalized.T)
     try:
         lu = scipy.linalg.lu_factor(penalized)
         einv_z = scipy.linalg.lu_solve(lu, design.linear)
@@ -159,81 +168,15 @@ def fitted_values(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> n
     return ghat
 
 
-def hat_diagnostics(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> dict:
-    """Numerical health check of the bordered system against its analytic inverse.
-
-    The analytic inverse is assembled from the blocks
-
-        [[Et^-1 (I-P),            Et^-1 Z (Z' Et^-1 Z)^-1],
-         [(Z' Et^-1 Z)^-1 Z' Et^-1,   -(Z' Et^-1 Z)^-1   ]]
-
-    and ``block_inverse_check`` reports the max-norm residual of that inverse
-    times the bordered matrix minus the identity.
-    """
-    lam = _check_lambda(lam)
-    _check_rank(ds.z)
-    design = build_design(ds.z)
-    omega = build_weight_matrix(ds.w, spec)
-    system = _assemble(design, omega, ds.y, lam)
-    n = ds.n
-
-    lu, piv = scipy.linalg.lu_factor(system.kkt)
-    cond = _condition_estimate(lu, np.linalg.norm(system.kkt, 1))
-
-    lu_pen = scipy.linalg.lu_factor(system.penalized_cubic)
-    einv = scipy.linalg.lu_solve(lu_pen, np.eye(n))
-    einv = 0.5 * (einv + einv.T)
-    einv_z = einv @ design.linear
-    gram_inv = np.linalg.inv(design.linear.T @ einv_z)
-    inverse = np.zeros((n + 2, n + 2))
-    inverse[:n, :n] = einv - einv_z @ gram_inv @ einv_z.T
-    inverse[:n, n:] = einv_z @ gram_inv
-    inverse[n:, :n] = gram_inv @ einv_z.T
-    inverse[n:, n:] = -gram_inv
-    check = float(np.abs(inverse @ system.kkt - np.eye(n + 2)).max())
-    return {
-        "kkt_condition_estimate": cond,
-        "block_inverse_check": check,
-        "jitter_applied": omega.jitter_applied,
-    }
-
-
-def kkt_solve_columns(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> tuple[np.ndarray, np.ndarray]:
-    """Restriction of the bordered system's inverse to the outcome block.
-
-    Returns (delta_block, a_block): delta_block[:, j] and a_block[:, j] are the
-    coefficients of the fit to the j-th unit outcome vector.  Used to build
-    linear-smoother representations such as the derivative smoother.
-    """
-    lam = _check_lambda(lam)
-    _check_rank(ds.z)
-    design = build_design(ds.z)
-    omega = build_weight_matrix(ds.w, spec)
-    system = _assemble(design, omega, np.zeros(ds.n), lam)
-    rhs = np.zeros((ds.n + 2, ds.n))
-    rhs[: ds.n] = np.eye(ds.n)
-    lu, piv = scipy.linalg.lu_factor(system.kkt)
-    cond = _condition_estimate(lu, np.linalg.norm(system.kkt, 1))
-    sol = scipy.linalg.lu_solve((lu, piv), rhs)
-    for _ in range(_REFINEMENT_STEPS):
-        residual = rhs - system.kkt @ sol
-        sol = sol + scipy.linalg.lu_solve((lu, piv), residual)
-    if not np.all(np.isfinite(sol)):
-        raise ConditioningError(
-            f"multi-column block solve produced non-finite values (condition estimate {cond:.3e})",
-            condition_estimate=cond,
-        )
-    return sol[: ds.n], sol[ds.n :]
-
-
 class PathSolver:
     """Exact coefficients along a lambda path for fixed data.
 
     The change of variables delta = L u with Omega = L L' turns the penalized
     block into (S + lam I) u + Zt a = yt, S = L' E L symmetric, so one
-    eigendecomposition of S gives every lambda in O(n) work.  Algebraically
-    identical to :func:`fit`; used where many lambda values are solved on the
-    same data (cross-validation grids).
+    eigendecomposition of S gives every lambda in O(n) work plus one
+    back-transformation, which :meth:`path` does for a whole grid in one
+    matrix product.  Algebraically identical to :func:`fit`; used where many
+    lambda values are solved on the same data (cross-validation grids).
     """
 
     def __init__(self, ds: Dataset, spec: KernelSpec = KernelSpec()):
@@ -247,25 +190,44 @@ class PathSolver:
         self._evals = evals
         self._zt = vecs.T @ (chol.T @ design.linear)
         self._yt = vecs.T @ (chol.T @ ds.y)
+        zt0, zt1 = self._zt.T
+        # products whose inverse-spectrum-weighted sums give the 2 x 2 Gram
+        # matrix (g00, g01, g11) and its right-hand side (r0, r1)
+        self._moments = np.column_stack(
+            [zt0 * zt0, zt0 * zt1, zt1 * zt1, zt0 * self._yt, zt1 * self._yt]
+        )
         self._map = chol @ vecs  # v -> delta
         self._scale = max(1.0, float(np.abs(evals).max()))
         self.knots = ds.z
         self.jitter_applied = omega.jitter_applied
 
+    def path(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(delta, a, valid) for every lambda of ``grid``: n x G, 2 x G and G columns.
+
+        Column g solves the system at grid[g].  It is invalid (False in
+        ``valid``, NaN in delta and a) when the shifted spectrum is
+        numerically singular at that lambda, when its 2 x 2 Gram matrix is
+        singular, or when its coefficients are not finite.
+        """
+        grid = np.asarray(grid, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(grid) & (grid > 0.0)):
+            raise ValueError("regularization parameters must be positive and finite")
+        shifted = self._evals[:, None] + grid
+        valid = np.abs(shifted).min(axis=0) > 1e-10 * self._scale
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv = 1.0 / shifted
+            g00, g01, g11, r0, r1 = self._moments.T @ inv
+            # Cramer's rule is forward stable for 2 x 2 systems (Higham 2002,
+            # sec. 1.10.1); a singular Gram matrix leaves a non-finite column
+            det = g00 * g11 - g01 * g01
+            a = np.array([g11 * r0 - g01 * r1, g00 * r1 - g01 * r0]) / det
+            delta = self._map @ (inv * (self._yt[:, None] - self._zt @ a))
+        valid &= np.isfinite(delta).all(axis=0) & np.isfinite(a).all(axis=0)
+        delta[:, ~valid] = np.nan
+        a[:, ~valid] = np.nan
+        return delta, a, valid
+
     def coefficients(self, lam: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """(delta, a) at this lambda, or None when the shifted spectrum is numerically singular."""
-        lam = _check_lambda(lam)
-        shifted = self._evals + lam
-        if np.abs(shifted).min() <= 1e-10 * self._scale:
-            return None
-        inv = 1.0 / shifted
-        gram = self._zt.T @ (inv[:, None] * self._zt)
-        try:
-            a = np.linalg.solve(gram, self._zt.T @ (inv * self._yt))
-        except np.linalg.LinAlgError:
-            return None
-        v = inv * (self._yt - self._zt @ a)
-        delta = self._map @ v
-        if not (np.all(np.isfinite(delta)) and np.all(np.isfinite(a))):
-            return None
-        return delta, a
+        """(delta, a) at this lambda, or None where :meth:`path` marks it invalid."""
+        delta, a, valid = self.path([lam])
+        return (delta[:, 0], a[:, 0]) if valid[0] else None

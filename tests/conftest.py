@@ -1,10 +1,21 @@
 """Shared instance factories and independent oracles used across test modules."""
 
-import numpy as np
-import pytest
-import scipy.integrate
+import os
+from types import SimpleNamespace
 
-import ivspline as ivs
+# One BLAS thread unless the caller chose otherwise: the suite's matrices are
+# small (n in the tens to hundreds), where a second OpenBLAS thread costs more
+# in synchronization than it gains.  BLAS reads this when numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+import scipy.integrate  # noqa: E402
+import scipy.linalg  # noqa: E402
+
+import ivspline as ivs  # noqa: E402
+from ivspline.selection import _fold_assignment  # noqa: E402
 
 
 def random_instance(seed, n=8, noise=0.3, instrument_noise=0.6):
@@ -69,6 +80,85 @@ def qp_oracle(ds, lam, spec=None):
     r = ds.y - x_map @ sol[: n + 2]
     objective = float(r @ om.values @ r + lam * delta @ d.cubic @ delta)
     return delta, a, objective
+
+
+def build_block_system(ds, lam, spec=None):
+    """The bordered system assembled from public blocks: penalized_cubic, kkt and rhs.
+
+    penalized_cubic is E + lam Omega^-1, kkt is [[E + lam Omega^-1, Z], [Z', 0]]
+    and rhs is (Y; 0).
+    """
+    spec = spec or ivs.KernelSpec()
+    d = ivs.build_design(ds.z)
+    penalized = d.cubic + lam * ivs.build_weight_matrix(ds.w, spec).inverse()
+    kkt = np.block([[penalized, d.linear], [d.linear.T, np.zeros((2, 2))]])
+    return SimpleNamespace(penalized_cubic=penalized, kkt=kkt, rhs=np.concatenate([ds.y, np.zeros(2)]))
+
+
+def hat_diagnostics(ds, lam, spec=None):
+    """Numerical health of the bordered system against its analytic block inverse.
+
+    The analytic inverse is assembled from the blocks
+
+        [[Et^-1 (I-P),            Et^-1 Z (Z' Et^-1 Z)^-1],
+         [(Z' Et^-1 Z)^-1 Z' Et^-1,   -(Z' Et^-1 Z)^-1   ]]
+
+    with Et = E + lam Omega^-1, and ``block_inverse_check`` is the max-norm
+    residual of that inverse times the bordered matrix minus the identity.
+    The condition estimate and jitter are those ``ivs.fit`` reports.
+    """
+    system = build_block_system(ds, lam, spec)
+    n = ds.n
+    linear = ivs.build_design(ds.z).linear
+    einv = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.penalized_cubic), np.eye(n))
+    einv = 0.5 * (einv + einv.T)
+    einv_z = einv @ linear
+    gram_inv = np.linalg.inv(linear.T @ einv_z)
+    inverse = np.block([
+        [einv - einv_z @ gram_inv @ einv_z.T, einv_z @ gram_inv],
+        [gram_inv @ einv_z.T, -gram_inv],
+    ])
+    diagnostics = ivs.fit(ds, lam, spec or ivs.KernelSpec()).diagnostics
+    return {
+        "kkt_condition_estimate": diagnostics["kkt_condition_estimate"],
+        "block_inverse_check": float(np.abs(inverse @ system.kkt - np.eye(n + 2)).max()),
+        "jitter_applied": diagnostics["jitter_applied"],
+    }
+
+
+def cv_oracle(ds, cfg, spec=None):
+    """Cross-validation curve by brute force: one ``ivs.fit`` per fold and candidate.
+
+    Refits each training fold at every grid lambda, stitches the held-out
+    predictions with ``ivs.evaluate`` and scores each stitched vector against
+    the full-sample weight matrix, one candidate at a time.  Shares only the
+    fold split with ``cross_validate``.
+    """
+    spec = spec or ivs.KernelSpec()
+    assignment = _fold_assignment(ds.n, cfg.folds, cfg.seed)
+    omega = ivs.build_weight_matrix(ds.w, spec).values
+    criteria = np.empty(cfg.grid.size)
+    for j, lam in enumerate(cfg.grid):
+        tilde = np.empty(ds.n)
+        for fold in range(cfg.folds):
+            held = assignment == fold
+            sub = ivs.Dataset(y=ds.y[~held], z=ds.z[~held], w=ds.w[~held])
+            tilde[held] = ivs.evaluate(ivs.fit(sub, lam, spec), ds.z[held])
+        r = ds.y - tilde
+        criteria[j] = r @ omega @ r
+    return criteria
+
+
+def path_spectrum(ds):
+    """Eigenvalues of L' E L (Omega = L L'), the spectrum PathSolver shifts by lambda.
+
+    The cubic design is conditionally positive definite of order two only,
+    so this spectrum has negative eigenvalues, and lambda = -(one of them)
+    makes the shifted system singular.
+    """
+    om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
+    s_mat = om.chol.T @ ivs.build_design(ds.z).cubic @ om.chol
+    return np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))
 
 
 def criterion_quadrature_oracle(residuals, w, variance=1.0):

@@ -75,6 +75,19 @@ class TestFitCommand:
         doc = read_document(out)
         assert doc["lambda_selected_by"] == "cv"
         assert doc["lambda"] == ivs.default_grid()[0]
+        assert doc["cv"]["lambda_star_index"] == 0
+        assert doc["cv"]["boundary_hit"] is True
+        assert doc["cv"]["invalid_candidates"] == 0
+
+    def test_deterministic_byte_identical(self, tmp_path):
+        csv_in = write_fit_csv(tmp_path / "d.csv", n=300, seed=2, noise=0.3,
+                               curve=lambda z: np.sin(3 * z))
+        args = ["fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1", "--cv"]
+        out1, out2 = tmp_path / "fit1.json", tmp_path / "fit2.json"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert "kkt_condition_estimate" in read_document(out1)["diagnostics"]
 
     def test_monotone_fit_emits_nondecreasing_curve(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -176,6 +189,7 @@ class TestSimulateCommand:
         ]) == 0
         doc = read_document(out / "summary.json")
         assert doc["replications"] == 4
+        assert doc["failures"] == 0 and doc["failure_types"] == {}
         assert doc["estimator"] == "unconstrained"
         assert doc["mse"] == pytest.approx(doc["bias_sq"] + doc["variance"], abs=1e-10)
 

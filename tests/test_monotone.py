@@ -219,6 +219,17 @@ class TestFitMonotone:
         assert np.allclose(constrained.delta, plain.delta, atol=1e-10)
 
     @pytest.mark.parametrize("seed", [1, 2, 33])
+    def test_refit_equals_fit_on_tilted_outcomes(self, seed):
+        ds = wiggly_instance(seed)
+        lam = 0.05
+        p = ivs.tilt(ds, lam, direction=INC).p
+        assert np.abs(ds.n * p - 1.0).max() > 1e-3  # the weights really moved
+        mono = ivs.fit_monotone(ds, lam, direction=INC)
+        plain = ivs.fit(ds.replace_y(ds.n * p * ds.y), lam)
+        assert np.abs(mono.a - plain.a).max() <= 1e-10 * np.abs(plain.a).max()
+        assert np.abs(mono.delta - plain.delta).max() <= 1e-10 * np.abs(plain.delta).max()
+
+    @pytest.mark.parametrize("seed", [1, 2, 33])
     def test_knot_derivatives_feasible(self, seed):
         ds = wiggly_instance(seed)
         lam = 0.05

@@ -3,7 +3,7 @@ import pytest
 
 import ivspline as ivs
 import ivspline.selection as selection
-from conftest import random_instance
+from conftest import cv_oracle, path_spectrum, random_instance
 
 
 def linear_noise_free(n=12, seed=0):
@@ -48,6 +48,8 @@ class TestCrossValidate:
     def test_tie_break_on_noise_free_linear(self):
         result = ivs.cross_validate(linear_noise_free(), cfg=ivs.CvConfig(seed=3))
         assert result.lambda_star == ivs.default_grid()[0]
+        assert result.lambda_star_index == 0
+        assert result.boundary_hit
 
     def test_deterministic_given_seed(self):
         ds = random_instance(2, n=16)
@@ -70,6 +72,9 @@ class TestCrossValidate:
         result = ivs.cross_validate(ds, cfg=ivs.CvConfig(seed=5))
         assert result.lambda_star in ivs.default_grid()
         assert result.lambda_star == result.curve[np.argmin(result.curve[:, 1]), 0]
+        assert result.lambda_star == ivs.default_grid()[result.lambda_star_index]
+        assert result.boundary_hit == (result.lambda_star_index in (0, 399))
+        assert result.invalid_candidates == int(np.isinf(result.curve[:, 1]).sum())
 
     def test_result_records_weight_matrix_choice(self):
         ds = random_instance(9, n=12)
@@ -118,3 +123,45 @@ class TestCrossValidate:
         result = ivs.cross_validate(ds, cfg=cfg)
         assert result.lambda_star in (0.01, 0.1, 1.0)
         assert result.curve.shape == (3, 2)
+
+    def test_interior_winner_is_not_a_boundary_hit(self):
+        ds = random_instance(10, n=40)
+        cfg = ivs.CvConfig(grid=np.logspace(-5, 1, 40), seed=2)
+        result = ivs.cross_validate(ds, cfg=cfg)
+        assert 0 < result.lambda_star_index < 39
+        assert not result.boundary_hit
+        assert result.invalid_candidates == 0
+
+    def test_singular_candidate_counted_invalid(self):
+        # a candidate equal to minus a negative eigenvalue of one fold's path
+        # spectrum cannot be solved on that fold; the others still compete
+        ds = random_instance(11, n=30)
+        cfg = ivs.CvConfig(seed=4)
+        held = ivs.cross_validate(ds, cfg=cfg).fold_assignment == 0
+        sub = ivs.Dataset(y=ds.y[~held], z=ds.z[~held], w=ds.w[~held])
+        singular = -path_spectrum(sub).min()
+        assert singular > 0
+        result = ivs.cross_validate(ds, cfg=ivs.CvConfig(grid=[0.01, singular, 1.0], seed=4))
+        assert result.invalid_candidates == 1
+        assert np.isinf(result.curve[1, 1])
+        assert result.lambda_star in (0.01, 1.0)
+
+
+class TestBatchedScanAgainstOracle:
+    """The batched path scan against one ivs.fit per fold and candidate."""
+
+    def test_custom_grid_n40(self):
+        ds = random_instance(12, n=40)
+        cfg = ivs.CvConfig(grid=np.logspace(-5, 1, 40), seed=3)
+        self.check(ds, cfg)
+
+    def test_default_grid_n16(self):
+        self.check(random_instance(13, n=16), ivs.CvConfig(seed=8))
+
+    @staticmethod
+    def check(ds, cfg):
+        result = ivs.cross_validate(ds, cfg=cfg)
+        oracle = cv_oracle(ds, cfg)
+        assert np.all(np.isfinite(result.curve[:, 1]))
+        assert np.allclose(result.curve[:, 1], oracle, rtol=1e-8, atol=0)
+        assert result.lambda_star_index == int(np.argmin(oracle))

@@ -127,6 +127,23 @@ class TestMonteCarlo:
         with pytest.raises(ivs.IvsplineError, match="failed"):
             ivs.monte_carlo(cfg, lambda ds, g: flaky(ds, g, fail_every=3), replications=50)
 
+    def test_failure_types_counted_by_exception_class(self):
+        cfg = ivs.DgpConfig(n=30, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=6)
+        calls = {"count": 0}
+
+        def flaky(ds, grid):
+            calls["count"] += 1
+            if calls["count"] in (7, 19):
+                raise ivs.SolverStallError("synthetic stall")
+            if calls["count"] == 31:
+                raise ivs.ConditioningError("synthetic conditioning failure")
+            return ivs.true_function("g1", grid)
+
+        report = ivs.monte_carlo(cfg, flaky, replications=60)
+        assert report.failures == 3
+        assert report.failure_types == {"ConditioningError": 1, "SolverStallError": 2}
+        assert list(report.failure_types) == sorted(report.failure_types)
+
     def test_replication_validation(self):
         cfg = ivs.DgpConfig(n=30, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=6)
         with pytest.raises(ValueError):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import ivspline as ivs
-from conftest import qp_oracle, random_instance, separated_instance
+from conftest import (
+    build_block_system,
+    hat_diagnostics,
+    path_spectrum,
+    qp_oracle,
+    random_instance,
+    separated_instance,
+)
 
 
 def linear_dataset(seed=0, n=10, intercept=1.0, slope=2.0):
@@ -174,14 +181,14 @@ class TestFittedValues:
 class TestHatDiagnostics:
     def test_block_inverse_residual_small(self):
         ds = separated_instance(5, n=5)
-        diag = ivs.hat_diagnostics(ds, 0.1)
+        diag = hat_diagnostics(ds, 0.1)
         assert diag["block_inverse_check"] < 1e-8
         assert diag["jitter_applied"] == 0.0
 
     def test_bottom_right_block_is_negative_gram_inverse(self):
         ds = random_instance(21, n=6)
         lam = 0.15
-        system = ivs.build_block_system(ds, lam)
+        system = build_block_system(ds, lam)
         dense_inverse = np.linalg.inv(system.kkt)
         d = ivs.build_design(ds.z)
         gram = d.linear.T @ np.linalg.solve(system.penalized_cubic, d.linear)
@@ -191,7 +198,7 @@ class TestHatDiagnostics:
         z = np.array([0.0, 0.5, 1.0, 1.5])
         w = np.array([0.0, 1.0, 1.0, 2.0])
         ds = ivs.Dataset(y=[0.1, 0.4, 0.5, 0.9], z=z, w=w)
-        diag = ivs.hat_diagnostics(ds, 0.1)
+        diag = hat_diagnostics(ds, 0.1)
         assert diag["jitter_applied"] > 0
         assert diag["kkt_condition_estimate"] > 1e6
 
@@ -199,7 +206,7 @@ class TestHatDiagnostics:
 class TestBlockSystem:
     def test_shapes_and_symmetry(self):
         ds = random_instance(31, n=7)
-        system = ivs.build_block_system(ds, 0.3)
+        system = build_block_system(ds, 0.3)
         assert system.kkt.shape == (9, 9)
         assert system.rhs.shape == (9,)
         assert np.array_equal(system.penalized_cubic, system.penalized_cubic.T)
@@ -210,7 +217,7 @@ class TestBlockSystem:
         # the cubic design alone is indefinite; adding the scaled inverse
         # weight matrix makes it definite on the constraint null space
         ds = random_instance(32, n=10)
-        system = ivs.build_block_system(ds, 0.05)
+        system = build_block_system(ds, 0.05)
         d = ivs.build_design(ds.z)
         q, _ = np.linalg.qr(np.column_stack([np.ones(ds.n), ds.z]))
         basis = np.linalg.svd(np.eye(ds.n) - q @ q.T)[0][:, : ds.n - 2]
@@ -227,3 +234,33 @@ class TestPathSolver:
         fit = ivs.fit(ds, lam)
         assert np.allclose(a, fit.a, rtol=1e-8, atol=1e-10)
         assert np.allclose(delta, fit.delta, rtol=1e-8, atol=1e-8 * (1 + np.abs(fit.delta).max()))
+
+    def test_coefficients_is_one_column_of_path(self):
+        ds = random_instance(45, n=20)
+        solver = ivs.PathSolver(ds)
+        grid = ivs.default_grid()[::40]
+        delta, a, valid = solver.path(grid)
+        assert delta.shape == (20, grid.size) and a.shape == (2, grid.size)
+        assert valid.all()
+        for g, lam in enumerate(grid):
+            d1, a1 = solver.coefficients(lam)
+            assert np.allclose(d1, delta[:, g], rtol=1e-12, atol=1e-12 * np.abs(delta[:, g]).max())
+            assert np.allclose(a1, a[:, g], rtol=1e-12, atol=1e-12 * np.abs(a[:, g]).max())
+
+    def test_singular_shift_invalid_in_path_and_coefficients(self):
+        ds = random_instance(46, n=20)
+        spectrum = path_spectrum(ds)
+        assert spectrum.min() < 0
+        lam = -spectrum.min()
+        solver = ivs.PathSolver(ds)
+        assert solver.coefficients(lam) is None
+        delta, a, valid = solver.path([0.5 * lam, lam, 2.0 * lam])
+        assert valid.tolist() == [True, False, True]
+        assert np.all(np.isnan(delta[:, 1])) and np.all(np.isnan(a[:, 1]))
+        assert np.all(np.isfinite(delta[:, [0, 2]]))
+
+    def test_path_rejects_nonpositive_lambda(self):
+        solver = ivs.PathSolver(random_instance(47, n=10))
+        for bad in ([0.1, 0.0], [-1.0], [np.nan]):
+            with pytest.raises(ValueError):
+                solver.path(bad)
