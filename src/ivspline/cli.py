@@ -26,10 +26,10 @@ from .errors import (
     SizeError,
 )
 from .kernel import KernelSpec
-from .monotone import MonotoneDirection, fit_monotone
-from .selection import CvConfig, cross_validate
+from .monotone import MonotoneDirection, _fit_monotone
+from .selection import CvConfig, _cross_validate
 from .simlab import DgpConfig, monte_carlo, write_report_csv
-from .solver import fit
+from .solver import _Factored
 from .spline import evaluate, evaluate_derivative
 
 CURVE_SAMPLES = 200
@@ -72,7 +72,9 @@ def _emit(value, indent: int) -> str:
             return "NaN"
         if np.isinf(value):
             return "Infinity" if value > 0 else "-Infinity"
-        return format(value, ".17g")
+        text = format(value, ".17g")
+        # an integral value gets a decimal point, so JSON readers load a float
+        return text if any(c in text for c in ".eni") else text + ".0"
     return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -128,8 +130,9 @@ def cmd_fit(args) -> int:
             "standardize": spec.standardize,
         },
     }
+    omega = None  # with --cv, the full-sample weight matrix built by CV, reused by the fit
     if args.cv:
-        result = cross_validate(ds, spec, CvConfig(seed=args.seed))
+        result, omega = _cross_validate(ds, spec, CvConfig(seed=args.seed))
         lam = result.lambda_star
         doc["lambda_selected_by"] = "cv"
         doc["cv"] = {
@@ -148,10 +151,10 @@ def cmd_fit(args) -> int:
     doc["lambda"] = float(lam)
 
     if args.monotone == "none":
-        model = fit(ds, lam, spec)
+        model = _Factored(ds, lam, spec, omega).fit(ds.y)
     else:
         direction = MonotoneDirection.from_string(args.monotone)
-        model = fit_monotone(ds, lam, spec, direction)
+        model = _fit_monotone(_Factored(ds, lam, spec, omega), ds.y, direction)
         doc["tilt"] = {
             "objective": model.diagnostics["tilt_objective"],
             "kkt_residual": model.diagnostics["tilt_kkt_residual"],
@@ -176,6 +179,15 @@ def cmd_fit(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _lambda_star_summary(lambda_stars: np.ndarray, grid: np.ndarray) -> dict:
+    """Range and median of the finite selected lambdas, and how many sit on the grid's edge."""
+    finite = lambda_stars[np.isfinite(lambda_stars)]
+    if not finite.size:
+        return dict.fromkeys(("min", "median", "max", "boundary_hits"))
+    return {"min": float(finite.min()), "median": float(np.median(finite)), "max": float(finite.max()),
+            "boundary_hits": int(np.isin(finite, grid[[0, -1]]).sum())}
+
+
 def cmd_simulate(args) -> int:
     for name, rho in (("--rho-ev", args.rho_ev), ("--rho-wz", args.rho_wz)):
         if not (np.isfinite(rho) and abs(rho) < 1.0):
@@ -184,7 +196,8 @@ def cmd_simulate(args) -> int:
         raise ValueError("--reps must be at least 2")
     cfg = DgpConfig(n=args.n, rho_ev=args.rho_ev, rho_wz=args.rho_wz, g_id=f"g{args.g}", seed=args.seed)
     estimator = "constrained" if args.constrained else "unconstrained"
-    report = monte_carlo(cfg, estimator, args.reps, cv=CvConfig(seed=args.seed))
+    cv = CvConfig(seed=args.seed)
+    report = monte_carlo(cfg, estimator, args.reps, cv=cv)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,6 +221,7 @@ def cmd_simulate(args) -> int:
             "replications": report.replications,
             "failures": report.failures,
             "failure_types": report.failure_types,
+            "lambda_star": _lambda_star_summary(report.lambda_stars, cv.grid),
             "variance_divisor": report.variance_divisor,
             "bias_sq": report.bias_sq,
             "variance": report.variance,

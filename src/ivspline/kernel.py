@@ -101,11 +101,19 @@ def kernel_weight(spec: KernelSpec, d) -> float:
 
 
 def _pairwise_weights(w: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    # n^-2 omega(W_i - W_j) in one n x n buffer; |w_i - w_j| and |w_j - w_i|
+    # round identically, so it is exactly symmetric without averaging
     b = spec.scale
-    total = np.zeros((w.shape[0], w.shape[0]))
-    for k in range(w.shape[1]):
-        total += np.abs(w[:, k, None] - w[None, :, k])
-    return np.exp(-total / b) / (2.0 * b) ** w.shape[1]
+    n, p = w.shape
+    values = np.abs(np.subtract.outer(w[:, 0], w[:, 0]))
+    for k in range(1, p):
+        values += np.abs(np.subtract.outer(w[:, k], w[:, k]))
+    np.negative(values, out=values)
+    values /= b
+    np.exp(values, out=values)
+    values /= (2.0 * b) ** p
+    values /= n**2
+    return values
 
 
 def _attempt_cholesky(values: np.ndarray):
@@ -140,8 +148,7 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec) -> WeightMatrix:
     n = w.shape[0]
     if spec.standardize and n >= 2:
         w = standardize_instruments(w).w_std
-    values = _pairwise_weights(w, spec) / n**2
-    values = 0.5 * (values + values.T)
+    values = _pairwise_weights(w, spec)
 
     chol = _attempt_cholesky(values)
     if chol is not None:

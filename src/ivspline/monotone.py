@@ -119,15 +119,16 @@ class TiltWeights:
 def derivative_smoother_matrix(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> np.ndarray:
     """n x n matrix L with L @ Y = fitted first derivative at every knot.
 
-    Built by pushing the n unit outcome vectors through the block solve and
-    applying the derivative designs to the resulting coefficients.
+    With K the bordered matrix and B = [cubic_deriv, linear_deriv], L = B K^-1 [I; 0].
+    K is symmetric, so L' is the first n rows of one refined solve against B',
+    which also makes L reproduce linear outcomes (L 1 = 0, L z = 1).
     """
     return _smoother(_Factored(ds, lam, spec))
 
 
 def _smoother(system: _Factored) -> np.ndarray:
-    delta_block, a_block = system.outcome_columns()
-    return system.design.cubic_deriv @ delta_block + system.design.linear_deriv @ a_block
+    rhs = np.vstack([system.design.cubic_deriv.T, system.design.linear_deriv.T])
+    return system.solve(rhs)[: system.knots.shape[0]].T
 
 
 def _drop_null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,9 +325,12 @@ def fit_monotone(
     share one factorization of the bordered system, so the refit is a
     single O(n^2) solve.
     """
-    system = _Factored(ds, lam, spec)
-    weights = _tilt(_smoother(system), ds.y, direction)
-    refit = system.fit(ds.n * weights.p * ds.y)
+    return _fit_monotone(_Factored(ds, lam, spec), ds.y, direction)
+
+
+def _fit_monotone(system: _Factored, y: np.ndarray, direction: MonotoneDirection) -> SplineFit:
+    weights = _tilt(_smoother(system), y, direction)
+    refit = system.fit(y.shape[0] * weights.p * y)
     refit.diagnostics["tilt_objective"] = weights.objective
     refit.diagnostics["tilt_kkt_residual"] = weights.kkt_residual
     refit.diagnostics["tilt_active_constraints"] = [int(i) for i in weights.active_constraints]

@@ -17,8 +17,9 @@ import numpy as np
 
 from .datamodel import Dataset
 from .errors import IvsplineError, SelectionError, SizeError
-from .kernel import KernelSpec, build_weight_matrix
+from .kernel import KernelSpec, WeightMatrix, build_weight_matrix
 from .solver import PathSolver
+from .spline import _radial_cubic
 
 GRID_SIZE = 400
 GRID_P_LOW = 1e-5
@@ -91,6 +92,11 @@ def cross_validate(ds: Dataset, spec: KernelSpec = KernelSpec(), cfg: CvConfig =
     fold-level solve failure marks that lambda invalid; if every lambda is
     invalid a :class:`SelectionError` is raised.
     """
+    return _cross_validate(ds, spec, cfg)[0]
+
+
+def _cross_validate(ds: Dataset, spec: KernelSpec, cfg: CvConfig) -> tuple[CvResult, WeightMatrix]:
+    """:func:`cross_validate`, also handing back the full-sample weight matrix for the fit."""
     if ds.n < 3 * cfg.folds:
         raise SizeError(
             f"cross-validation with {cfg.folds} folds needs at least {3 * cfg.folds} rows, got {ds.n}"
@@ -114,8 +120,7 @@ def cross_validate(ds: Dataset, spec: KernelSpec = KernelSpec(), cfg: CvConfig =
         delta, a, ok = solver.path(grid)
         valid &= ok
         z_out = ds.z[held_out]
-        basis = np.abs(z_out[:, None] - sub.z[None, :]) ** 3 / 12.0
-        tilde[held_out] = basis @ delta + a[0] + np.outer(z_out, a[1])
+        tilde[held_out] = _radial_cubic(z_out, sub.z) @ delta + a[0] + np.outer(z_out, a[1])
 
     if not valid.any():
         raise SelectionError("every candidate lambda failed on at least one fold")
@@ -139,4 +144,4 @@ def cross_validate(ds: Dataset, spec: KernelSpec = KernelSpec(), cfg: CvConfig =
         boundary_hit=winner in (0, grid.size - 1),
         invalid_candidates=int(grid.size - valid.sum()),
         canonical_two_fold=cfg.canonical_two_fold,
-    )
+    ), omega_full

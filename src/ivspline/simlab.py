@@ -23,9 +23,9 @@ import numpy as np
 from .datamodel import Dataset
 from .errors import IvsplineError
 from .kernel import KernelSpec
-from .monotone import MonotoneDirection, fit_monotone
-from .selection import CvConfig, CvResult, cross_validate
-from .solver import fit
+from .monotone import MonotoneDirection, _fit_monotone
+from .selection import CvConfig, _cross_validate
+from .solver import _Factored, fit  # noqa: F401  (simlab.fit is read by bench/test_bench.py)
 from .spline import evaluate
 
 GRID_POINTS = 100
@@ -107,6 +107,7 @@ class McReport:
     per_point: dict = field(repr=False)
     replications: int
     estimator_tag: str
+    lambda_stars: np.ndarray = field(repr=False)  # per requested replication; NaN if failed or callable
     failures: int = 0
     failure_types: dict = field(default_factory=dict)  # exception class name -> count
     variance_divisor: str = "R"
@@ -121,14 +122,13 @@ def _rep_cv_seed(cv_seed: int, rep: int) -> int:
 
 
 def _fit_on_grid(ds: Dataset, grid, spec, cv: CvConfig, rep: int, constrained: bool,
-                 direction: MonotoneDirection) -> np.ndarray:
+                 direction: MonotoneDirection) -> tuple[np.ndarray, float]:
+    """Fitted grid values and the selected lambda; CV and fit share one weight matrix."""
     rep_cv = CvConfig(folds=cv.folds, grid=cv.grid, seed=_rep_cv_seed(cv.seed, rep))
-    lam = cross_validate(ds, spec, rep_cv).lambda_star
-    if constrained:
-        model = fit_monotone(ds, lam, spec, direction)
-    else:
-        model = fit(ds, lam, spec)
-    return evaluate(model, grid)
+    result, omega = _cross_validate(ds, spec, rep_cv)
+    system = _Factored(ds, result.lambda_star, spec, omega)
+    model = _fit_monotone(system, ds.y, direction) if constrained else system.fit(ds.y)
+    return evaluate(model, grid), result.lambda_star
 
 
 def monte_carlo(
@@ -154,6 +154,7 @@ def monte_carlo(
     truth = true_function(cfg.g_id, grid)
 
     curves = np.empty((replications, grid.size))
+    lambda_stars = np.full(replications, np.nan)
     ok = np.ones(replications, dtype=bool)
     failure_types: Counter[str] = Counter()
     for rep in range(replications):
@@ -161,10 +162,10 @@ def monte_carlo(
         try:
             if callable(estimator):
                 curves[rep] = np.asarray(estimator(sample["dataset"], grid), dtype=float)
-            elif estimator == "unconstrained":
-                curves[rep] = _fit_on_grid(sample["dataset"], grid, spec, cv, rep, False, direction)
-            elif estimator == "constrained":
-                curves[rep] = _fit_on_grid(sample["dataset"], grid, spec, cv, rep, True, direction)
+            elif estimator in ("unconstrained", "constrained"):
+                curves[rep], lambda_stars[rep] = _fit_on_grid(
+                    sample["dataset"], grid, spec, cv, rep, estimator == "constrained", direction
+                )
             else:
                 raise ValueError(f"unknown estimator {estimator!r}")
         except (IvsplineError, np.linalg.LinAlgError) as exc:
@@ -199,6 +200,7 @@ def monte_carlo(
         estimator_tag=tag,
         failures=failures,
         failure_types=dict(sorted(failure_types.items())),
+        lambda_stars=lambda_stars,
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .datamodel import Dataset
 from .errors import CollinearityError, ConditioningError
@@ -73,20 +73,21 @@ def _condition_estimate(lu: np.ndarray, anorm: float) -> float:
 class _Factored:
     """The bordered system of one dataset at one lambda, assembled and LU-factored once.
 
-    The fit, the unit-outcome columns behind the derivative smoother and a
-    refit on reweighted outcomes are each one refined O(n^2) solve per
-    right-hand side on the same factorization.
+    The fit, the derivative smoother and a refit on reweighted outcomes are
+    each one refined O(n^2) solve per right-hand side on the same
+    factorization.  ``omega`` passes in a weight matrix built earlier (by CV).
     """
 
-    def __init__(self, ds: Dataset, lam: float, spec: KernelSpec):
+    def __init__(self, ds: Dataset, lam: float, spec: KernelSpec, omega: WeightMatrix | None = None):
         self.lam = _check_lambda(lam)
         _check_rank(ds.z)
         self.knots = ds.z
         self.design = build_design(ds.z)
-        self.omega = build_weight_matrix(ds.w, spec)
+        self.omega = build_weight_matrix(ds.w, spec) if omega is None else omega
         self.kkt = _kkt_matrix(self.design, self.omega, self.lam)
         self.lu = scipy.linalg.lu_factor(self.kkt)
-        self.condition = _condition_estimate(self.lu[0], np.linalg.norm(self.kkt, 1))
+        # the 1-norm as the inf-norm of the F-ordered transpose: no copy, no |kkt| temporary
+        self.condition = _condition_estimate(self.lu[0], lapack.dlange("I", self.kkt.T))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """LU solve with fixed-count refinement, for one or many right-hand sides."""
@@ -122,14 +123,6 @@ class _Factored:
                 "kkt_condition_estimate": self.condition,
             },
         )
-
-    def outcome_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(delta_block, a_block): the coefficients of the fits to the n unit outcome vectors."""
-        n = self.knots.shape[0]
-        rhs = np.zeros((n + 2, n))
-        np.fill_diagonal(rhs, 1.0)
-        sol = self.solve(rhs)
-        return sol[:n], sol[n:]
 
 
 def fit(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> SplineFit:
@@ -173,10 +166,10 @@ class PathSolver:
 
     The change of variables delta = L u with Omega = L L' turns the penalized
     block into (S + lam I) u + Zt a = yt, S = L' E L symmetric, so one
-    eigendecomposition of S gives every lambda in O(n) work plus one
-    back-transformation, which :meth:`path` does for a whole grid in one
-    matrix product.  Algebraically identical to :func:`fit`; used where many
-    lambda values are solved on the same data (cross-validation grids).
+    eigendecomposition of S (divide and conquer) gives every lambda in O(n)
+    work plus one back-transformation, which :meth:`path` does for a whole
+    grid in one matrix product.  Algebraically identical to :func:`fit`; used
+    where many lambda values are solved on the same data (CV grids).
     """
 
     def __init__(self, ds: Dataset, spec: KernelSpec = KernelSpec()):
@@ -184,9 +177,11 @@ class PathSolver:
         design = build_design(ds.z)
         omega = build_weight_matrix(ds.w, spec)
         chol = omega.chol
-        s_mat = chol.T @ design.cubic @ chol
-        s_mat = 0.5 * (s_mat + s_mat.T)
-        evals, vecs = scipy.linalg.eigh(s_mat)
+        # L'EL by triangular products (half the flops of general ones); E is exactly
+        # symmetric, so its F-ordered transpose passes uncopied; eigh reads the lower half
+        s_mat = blas.dtrmm(1.0, chol, design.cubic.T, side=1, lower=1)
+        s_mat = blas.dtrmm(1.0, chol, s_mat, lower=1, trans_a=1, overwrite_b=1)
+        evals, vecs = scipy.linalg.eigh(s_mat, driver="evd", overwrite_a=True)
         self._evals = evals
         self._zt = vecs.T @ (chol.T @ design.linear)
         self._yt = vecs.T @ (chol.T @ ds.y)
@@ -196,7 +191,7 @@ class PathSolver:
         self._moments = np.column_stack(
             [zt0 * zt0, zt0 * zt1, zt1 * zt1, zt0 * self._yt, zt1 * self._yt]
         )
-        self._map = chol @ vecs  # v -> delta
+        self._map = blas.dtrmm(1.0, chol, vecs, lower=1)  # v -> delta
         self._scale = max(1.0, float(np.abs(evals).max()))
         self.knots = ds.z
         self.jitter_applied = omega.jitter_applied

@@ -14,6 +14,7 @@ matrices and the instrument weight matrix trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,15 @@ def _sign_plus(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0, -1.0)
 
 
+def _radial_cubic(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The len(u) x len(v) matrix |u_i - v_j|^3 / 12, cubed by multiplication."""
+    d = np.abs(np.subtract.outer(u, v))
+    cubic = d * d
+    cubic *= d
+    cubic /= 12.0
+    return cubic
+
+
 @dataclass(frozen=True)
 class DesignMatrices:
     """Design blocks built once per z vector, rows in dataset order.
@@ -33,12 +43,21 @@ class DesignMatrices:
     cubic        n x n, entries |z_i - z_j|^3 / 12          (value map and roughness form)
     cubic_deriv  n x n, entries sign(z_i - z_j) (z_i - z_j)^2 / 4   (derivative map)
     linear_deriv n x 2, rows (0, 1)
+
+    Only the derivative smoother reads the derivative blocks; they are built on first access.
     """
 
     linear: np.ndarray
     cubic: np.ndarray
-    cubic_deriv: np.ndarray
-    linear_deriv: np.ndarray
+
+    @cached_property
+    def cubic_deriv(self) -> np.ndarray:
+        diff = np.subtract.outer(self.linear[:, 1], self.linear[:, 1])
+        return _sign_plus(diff) * diff**2 / 4.0
+
+    @cached_property
+    def linear_deriv(self) -> np.ndarray:
+        return np.tile([0.0, 1.0], (self.linear.shape[0], 1))
 
 
 def build_design(z: np.ndarray) -> DesignMatrices:
@@ -46,13 +65,7 @@ def build_design(z: np.ndarray) -> DesignMatrices:
     n = z.shape[0]
     if n < 3:
         raise SizeError(f"design matrices need at least 3 knots, got {n}")
-    diff = z[:, None] - z[None, :]
-    return DesignMatrices(
-        linear=np.column_stack([np.ones(n), z]),
-        cubic=np.abs(diff) ** 3 / 12.0,
-        cubic_deriv=_sign_plus(diff) * diff**2 / 4.0,
-        linear_deriv=np.column_stack([np.zeros(n), np.ones(n)]),
-    )
+    return DesignMatrices(linear=np.column_stack([np.ones(n), z]), cubic=_radial_cubic(z, z))
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,32 @@ class TestFitCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert "kkt_condition_estimate" in read_document(out1)["diagnostics"]
 
+    def test_cv_artifact_equals_public_cv_then_fit(self, tmp_path):
+        # the CLI's fit reuses the weight matrix built by CV; the public route
+        # builds it twice, and both must give the same bits
+        csv_in = write_fit_csv(tmp_path / "d.csv", n=150, seed=4, noise=0.3,
+                               curve=lambda z: np.sin(3 * z))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
+                     "--cv", "--seed", "9", "--out", str(out)]) == 0
+        doc = read_document(out)
+        ds = ivs.load_csv(csv_in, y="y", z="z", w="w1")
+        fit = ivs.fit(ds, ivs.cross_validate(ds, cfg=ivs.CvConfig(seed=9)).lambda_star)
+        assert np.array_equal(np.array(doc["a"]), fit.a)
+        assert np.array_equal(np.array(doc["delta"]), fit.delta)
+
+    def test_integral_floats_load_as_floats(self, tmp_path):
+        csv_in = write_fit_csv(tmp_path / "d.csv", n=10, noise=0.1)
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
+                     "--lambda", "2", "--seed", "3", "--out", str(out)]) == 0
+        doc = read_document(out)
+        assert isinstance(doc["lambda"], float) and doc["lambda"] == 2.0
+        # rounded to 3 significant digits, the estimate has an integral value
+        estimate = doc["diagnostics"]["kkt_condition_estimate"]
+        assert isinstance(estimate, float) and estimate == round(estimate)
+        assert isinstance(doc["provenance"]["seed"], int)
+
     def test_monotone_fit_emits_nondecreasing_curve(self, tmp_path):
         rng = np.random.default_rng(0)
         n = 25
@@ -192,6 +218,23 @@ class TestSimulateCommand:
         assert doc["failures"] == 0 and doc["failure_types"] == {}
         assert doc["estimator"] == "unconstrained"
         assert doc["mse"] == pytest.approx(doc["bias_sq"] + doc["variance"], abs=1e-10)
+
+    def test_summary_lambda_star_block(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main([
+            "simulate", "--g", "1", "--n", "40", "--rho-ev", "0.5", "--rho-wz", "0.9",
+            "--reps", "4", "--seed", "2", "--out-dir", str(out),
+        ]) == 0
+        block = read_document(out / "summary.json")["lambda_star"]
+        cfg = ivs.DgpConfig(n=40, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=2)
+        stars = ivs.monte_carlo(cfg, "unconstrained", 4, cv=ivs.CvConfig(seed=2)).lambda_stars
+        grid = ivs.default_grid()
+        assert block == {
+            "min": stars.min(),
+            "median": np.median(stars),
+            "max": stars.max(),
+            "boundary_hits": int(np.isin(stars, [grid[0], grid[-1]]).sum()),
+        }
 
     def test_rho_validation_exit_code(self, tmp_path):
         code = main([

@@ -71,6 +71,16 @@ class TestBuildWeightMatrix:
         om = ivs.build_weight_matrix(rng.standard_normal((9, 2)), ivs.KernelSpec())
         assert np.array_equal(om.values, om.values.T)
 
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_exactly_symmetric_for_three_instruments_and_rounded_values(self, rng, rounded):
+        # |w_i - w_j| and |w_j - w_i| round identically, so the build needs no
+        # averaging with the transpose; rounded instruments add exact ties
+        w = rng.standard_normal((300, 3 if not rounded else 1))
+        if rounded:
+            w = np.round(w, 1)
+        om = ivs.build_weight_matrix(w, ivs.KernelSpec())
+        assert np.array_equal(om.values, om.values.T)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_positive_definite_on_random_instances(self, seed):
         rng = np.random.default_rng(seed)

@@ -77,6 +77,18 @@ class TestDerivativeSmoother:
             assert np.allclose(smoother[:, j], ivs.evaluate_derivative(fit_j, ds.z), atol=1e-9)
 
 
+    @pytest.mark.parametrize("lam", [1e-5, 1e-2, 2.3])
+    def test_reproduces_linear_outcomes_on_rounded_instrument(self, lam):
+        # the fit to y = c + s z is exactly the line, so L 1 = 0 and L z = 1;
+        # the rounded instrument puts the bordered system's condition at 1e11-1e18
+        ds = ivs.generate(ivs.DgpConfig(n=500, rho_ev=0.5, rho_wz=0.9, g_id="g3", seed=0))["dataset"]
+        ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
+        smoother = ivs.derivative_smoother_matrix(ds, lam)
+        scale = np.abs(smoother).max() * max(1.0, np.abs(ds.z).max())
+        assert np.abs(smoother @ np.ones(ds.n)).max() <= 1e-10 * scale
+        assert np.abs(smoother @ ds.z - 1.0).max() <= 1e-10 * scale
+
+
 class TestTilt:
     def test_uniform_when_already_monotone(self):
         ds = increasing_dataset(4)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import ivspline as ivs
+from ivspline import simlab
+from ivspline.simlab import _rep_cv_seed, _rep_rng
 
 
 class TestTrueFunction:
@@ -160,6 +162,57 @@ class TestMonteCarlo:
         assert lines[0] == "z,bias_sq,variance,mse"
         assert len(lines) == 102  # header + 100 grid rows + summary
         assert lines[-1].startswith("ALL,")
+
+    def test_lambda_stars_on_custom_grid(self):
+        cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=9)
+        grid = [1e-4, 1e-2, 1.0]
+        report = ivs.monte_carlo(cfg, "unconstrained", 4, cv=ivs.CvConfig(seed=1, grid=grid))
+        assert report.lambda_stars.shape == (4,)
+        assert np.isin(report.lambda_stars, grid).all()
+
+    def test_lambda_stars_nan_for_callable_estimator(self):
+        cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=9)
+        report = ivs.monte_carlo(cfg, lambda ds, grid: np.zeros_like(grid), replications=3)
+        assert report.lambda_stars.shape == (3,)
+        assert np.isnan(report.lambda_stars).all()
+
+    def test_lambda_star_nan_where_replication_failed(self, monkeypatch):
+        # CV succeeds in every replication; the fit after it fails once
+        cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=9)
+        calls = {"count": 0}
+        original = simlab._Factored
+
+        def flaky(*args):
+            calls["count"] += 1
+            if calls["count"] == 5:
+                raise ivs.ConditioningError("synthetic conditioning failure")
+            return original(*args)
+
+        monkeypatch.setattr(simlab, "_Factored", flaky)
+        report = ivs.monte_carlo(cfg, "unconstrained", 21, cv=ivs.CvConfig(seed=1, grid=[1e-3, 1e-1]))
+        assert report.failures == 1
+        assert np.flatnonzero(np.isnan(report.lambda_stars)).tolist() == [4]
+
+    def test_constrained_report_equals_public_pipeline(self):
+        # the replication loop shares one weight matrix between CV and the
+        # fit; the public functions build it twice, with the same bits
+        cfg = ivs.DgpConfig(n=60, rho_ev=0.5, rho_wz=0.9, g_id="g3", seed=12)
+        cv = ivs.CvConfig(seed=5)
+        report = ivs.monte_carlo(cfg, "constrained", 4, cv=cv)
+        grid = ivs.evaluation_grid()
+        curves, stars = [], []
+        for rep in range(4):
+            ds = ivs.generate(cfg, _rep_rng(cfg.seed, rep))["dataset"]
+            lam = ivs.cross_validate(ds, cfg=ivs.CvConfig(seed=_rep_cv_seed(cv.seed, rep))).lambda_star
+            curves.append(ivs.evaluate(ivs.fit_monotone(ds, lam), grid))
+            stars.append(lam)
+        curves = np.array(curves)
+        mean_curve = curves.mean(axis=0)
+        assert report.failures == 0
+        assert np.array_equal(report.lambda_stars, stars)
+        assert np.array_equal(report.per_point["mean_curve"], mean_curve)
+        assert report.variance == float(((curves - mean_curve) ** 2).mean(axis=0).mean())
+        assert report.bias_sq == float(((mean_curve - ivs.true_function("g3", grid)) ** 2).mean())
 
     def test_small_pipeline_run(self):
         # end-to-end check of the real estimator path at toy scale
