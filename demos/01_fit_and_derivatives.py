@@ -43,9 +43,7 @@ outside = np.array([z.min() - 1.0, z.max() + 1.0])
 print("\nsecond derivative outside the knot range:",
       np.abs(ivs.evaluate_second_derivative(fit, outside)).max())
 
-# the two solution routes (bordered solve vs hat matrix) agree
-design = ivs.build_design(ds.z)
-from_coefficients = design.linear @ fit.a + design.cubic @ fit.delta
-closed_form = ivs.fitted_values(ds, lam)
-print("max gap between the two fitted-value routes:",
-      np.abs(from_coefficients - closed_form).max())
+# the two solution routes (bordered LU solve vs the spectral path solver) agree
+path_delta, path_a = ivs.PathSolver(ds).coefficients(lam)
+print("max gap between the two coefficient routes:",
+      max(np.abs(fit.delta - path_delta).max(), np.abs(fit.a - path_a).max()))

@@ -16,7 +16,7 @@ ds = ivs.generate(cfg)["dataset"]
 result = ivs.cross_validate(ds, cfg=ivs.CvConfig(seed=3))
 print(f"selected lambda: {result.lambda_star:.6g}")
 print(f"fold sizes: {np.bincount(result.fold_assignment)}")
-print(f"criterion weight matrix: {result.criterion_weight_matrix}")
+print(f"lambda* index: {result.lambda_star_index} (on the grid's edge: {result.boundary_hit})")
 
 # a slice through the criterion curve
 curve = result.curve

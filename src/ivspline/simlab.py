@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datamodel import Dataset
-from .errors import IvsplineError
+from .errors import IvsplineError, SizeError
 from .kernel import KernelSpec
-from .monotone import MonotoneDirection, _fit_monotone
-from .selection import CvConfig, _cross_validate
-from .solver import _Factored, fit  # noqa: F401  (simlab.fit is read by bench/test_bench.py)
+from .monotone import MonotoneDirection
+from .selection import CvConfig, _fit_selected
+from .solver import fit  # noqa: F401  (simlab.fit is read by bench/test_bench.py)
 from .spline import evaluate
 
 GRID_POINTS = 100
@@ -110,7 +110,6 @@ class McReport:
     lambda_stars: np.ndarray = field(repr=False)  # per requested replication; NaN if failed or callable
     failures: int = 0
     failure_types: dict = field(default_factory=dict)  # exception class name -> count
-    variance_divisor: str = "R"
 
 
 def _rep_rng(master_seed: int, rep: int) -> np.random.Generator:
@@ -123,11 +122,9 @@ def _rep_cv_seed(cv_seed: int, rep: int) -> int:
 
 def _fit_on_grid(ds: Dataset, grid, spec, cv: CvConfig, rep: int, constrained: bool,
                  direction: MonotoneDirection) -> tuple[np.ndarray, float]:
-    """Fitted grid values and the selected lambda; CV and fit share one weight matrix."""
+    """Fitted grid values and the selected lambda."""
     rep_cv = CvConfig(folds=cv.folds, grid=cv.grid, seed=_rep_cv_seed(cv.seed, rep))
-    result, omega = _cross_validate(ds, spec, rep_cv)
-    system = _Factored(ds, result.lambda_star, spec, omega)
-    model = _fit_monotone(system, ds.y, direction) if constrained else system.fit(ds.y)
+    model, result = _fit_selected(ds, spec, rep_cv, direction if constrained else None)
     return evaluate(model, grid), result.lambda_star
 
 
@@ -150,6 +147,10 @@ def monte_carlo(
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
+    if estimator in ("unconstrained", "constrained") and cfg.n < 3 * cv.folds:
+        raise SizeError(
+            f"cross-validation with {cv.folds} folds needs at least {3 * cv.folds} rows, got n = {cfg.n}"
+        )
     grid = evaluation_grid()
     truth = true_function(cfg.g_id, grid)
 

@@ -1,14 +1,11 @@
-"""Penalized criterion solver: block linear system and closed-form fitted values.
+"""Penalized criterion solver: the bordered block system and its lambda path.
 
 Minimizing  (Y - Za - E delta)' Omega (Y - Za - E delta) + lam * delta' E delta
 over the natural-spline constraint Z' delta = 0 reduces to one linear solve:
 
-    [[E + lam Omega^-1, Z], [Z', 0]] (delta; a) = (Y; 0),
+    [[Et, Z], [Z', 0]] (delta; a) = (Y; 0),   Et = E + lam Omega^-1,
 
-where Z is the n x 2 linear design and E the cubic design.  Fitted values
-also have a closed hat-matrix form through the oblique projection
-P = Z (Z' Et^-1 Z)^-1 Z' Et^-1 with Et = E + lam Omega^-1; the two routes are
-kept as independent code paths so they can cross-check each other.
+where Z is the n x 2 linear design and E the cubic design.
 
 Note Et is symmetric but in general indefinite: the cubic design is positive
 semidefinite only on the constraint subspace (order-2 conditional positive
@@ -134,31 +131,6 @@ def fit(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> SplineFit:
     to ``CONDITION_DIGITS`` significant digits.
     """
     return _Factored(ds, lam, spec).fit(ds.y)
-
-
-def fitted_values(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> np.ndarray:
-    """Fitted values by the closed hat-matrix form [P + E Et^-1 (I - P)] Y.
-
-    Independent of :func:`fit`'s bordered solve; the two agree to solver
-    precision and are cross-checked in the test suite.
-    """
-    lam = _check_lambda(lam)
-    _check_rank(ds.z)
-    design = build_design(ds.z)
-    omega = build_weight_matrix(ds.w, spec)
-    penalized = design.cubic + lam * omega.inverse()
-    try:
-        lu = scipy.linalg.lu_factor(penalized)
-        einv_z = scipy.linalg.lu_solve(lu, design.linear)
-        einv_y = scipy.linalg.lu_solve(lu, ds.y)
-        gram = design.linear.T @ einv_z
-        proj_y = design.linear @ np.linalg.solve(gram, design.linear.T @ einv_y)
-        ghat = proj_y + design.cubic @ scipy.linalg.lu_solve(lu, ds.y - proj_y)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise ConditioningError(f"closed-form solve failed: {exc}") from exc
-    if not np.all(np.isfinite(ghat)):
-        raise ConditioningError("closed-form solve produced non-finite fitted values")
-    return ghat
 
 
 class PathSolver:

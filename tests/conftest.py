@@ -95,6 +95,33 @@ def build_block_system(ds, lam, spec=None):
     return SimpleNamespace(penalized_cubic=penalized, kkt=kkt, rhs=np.concatenate([ds.y, np.zeros(2)]))
 
 
+def fitted_values(ds, lam, spec=None):
+    """Fitted values by the closed hat-matrix form [P + E Et^-1 (I - P)] Y.
+
+    P = Z (Z' Et^-1 Z)^-1 Z' Et^-1 is the oblique projection onto the linear
+    design, with Et = E + lam Omega^-1.  Independent of ``ivs.fit``'s bordered
+    solve: it factors Et alone and eliminates the linear part in closed form.
+    """
+    design = ivs.build_design(ds.z)
+    lu = scipy.linalg.lu_factor(build_block_system(ds, lam, spec).penalized_cubic)
+    einv_z = scipy.linalg.lu_solve(lu, design.linear)
+    einv_y = scipy.linalg.lu_solve(lu, ds.y)
+    gram = design.linear.T @ einv_z
+    proj_y = design.linear @ np.linalg.solve(gram, design.linear.T @ einv_y)
+    return proj_y + design.cubic @ scipy.linalg.lu_solve(lu, ds.y - proj_y)
+
+
+def kernel_weight(spec, d):
+    """Weight omega(d) for an instrument difference d (length-p vector or scalar).
+
+    Product of univariate Laplace densities over the components:
+    prod_k (1/(2b)) exp(-|d_k| / b) with b = sqrt(variance / 2).
+    """
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    b = np.sqrt(spec.variance / 2.0)
+    return float(np.prod(np.exp(-np.abs(d) / b) / (2.0 * b)))
+
+
 def hat_diagnostics(ds, lam, spec=None):
     """Numerical health of the bordered system against its analytic block inverse.
 

@@ -14,6 +14,7 @@ from scipy.optimize import minimize
 import ivspline as ivs
 from conftest import (
     criterion_quadrature_oracle,
+    fitted_values,
     qp_oracle,
     random_instance,
     roughness_exact_integral,
@@ -93,7 +94,7 @@ def test_criterion_4_closed_form_cross_check():
         fit = ivs.fit(ds, lam)
         design = ivs.build_design(ds.z)
         block_path = design.linear @ fit.a + design.cubic @ fit.delta
-        closed_path = ivs.fitted_values(ds, lam)
+        closed_path = fitted_values(ds, lam)
         rel = np.abs(closed_path - block_path).max() / (1 + np.abs(block_path).max())
         worst = max(worst, rel)
         if trial % 10 == 0:

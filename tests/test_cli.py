@@ -115,6 +115,19 @@ class TestFitCommand:
         assert isinstance(estimate, float) and estimate == round(estimate)
         assert isinstance(doc["provenance"]["seed"], int)
 
+    def test_control_characters_in_names_round_trip(self, tmp_path):
+        # a quoted CSV header may hold a tab, which JSON strings must escape
+        rng = np.random.default_rng(1)
+        z = np.linspace(-1, 1, 10) + rng.uniform(-0.03, 0.03, 10)
+        w = z + 0.4 * rng.standard_normal(10)
+        rows = "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in zip(1.0 + 2.0 * z, z, w))
+        csv_in = tmp_path / "tab.csv"
+        csv_in.write_text('"out\tcome",z,w1\n' + rows, encoding="utf-8")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(csv_in), "--y", "out\tcome", "--z", "z", "--w", "w1",
+                     "--lambda", "0.1", "--out", str(out)]) == 0
+        assert read_document(out)["provenance"]["columns"]["y"] == "out\tcome"
+
     def test_monotone_fit_emits_nondecreasing_curve(self, tmp_path):
         rng = np.random.default_rng(0)
         n = 25
@@ -235,6 +248,14 @@ class TestSimulateCommand:
             "max": stars.max(),
             "boundary_hits": int(np.isin(stars, [grid[0], grid[-1]]).sum()),
         }
+
+    def test_too_few_rows_for_cv_is_input_error(self, tmp_path):
+        args = ["simulate", "--g", "1", "--n", "5", "--rho-ev", "0.5", "--rho-wz", "0.9",
+                "--reps", "3", "--seed", "1", "--out-dir", str(tmp_path / "x")]
+        assert main(args) == 2
+        cfg = ivs.DgpConfig(n=5, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=1)
+        with pytest.raises(ivs.SizeError):
+            ivs.monte_carlo(cfg, "unconstrained", 3)
 
     def test_rho_validation_exit_code(self, tmp_path):
         code = main([

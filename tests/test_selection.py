@@ -33,10 +33,8 @@ class TestCvConfig:
             ivs.CvConfig(grid=[0.1, -0.2])
         with pytest.raises(ValueError):
             ivs.CvConfig(folds=1)
-
-    def test_canonical_two_fold_flag(self):
-        assert ivs.CvConfig().canonical_two_fold
-        assert not ivs.CvConfig(folds=3).canonical_two_fold
+        with pytest.raises(ValueError):
+            ivs.CvConfig(folds=2.5)
 
 
 class TestCrossValidate:
@@ -76,12 +74,6 @@ class TestCrossValidate:
         assert result.boundary_hit == (result.lambda_star_index in (0, 399))
         assert result.invalid_candidates == int(np.isinf(result.curve[:, 1]).sum())
 
-    def test_result_records_weight_matrix_choice(self):
-        ds = random_instance(9, n=12)
-        result = ivs.cross_validate(ds, cfg=ivs.CvConfig(seed=1))
-        assert result.criterion_weight_matrix == "full-sample"
-        assert result.canonical_two_fold
-
     def test_curve_invariant_to_fold_relabeling(self, monkeypatch):
         ds = random_instance(5, n=14)
         base = ivs.cross_validate(ds, cfg=ivs.CvConfig(seed=7))
@@ -96,7 +88,6 @@ class TestCrossValidate:
     def test_three_folds_supported_but_flagged(self):
         ds = random_instance(6, n=18)
         result = ivs.cross_validate(ds, cfg=ivs.CvConfig(folds=3, seed=2))
-        assert not result.canonical_two_fold
         assert result.lambda_star in ivs.default_grid()
 
     def test_criterion_matches_manual_assembly(self):

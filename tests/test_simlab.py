@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ivspline as ivs
-from ivspline import simlab
+from ivspline import selection
 from ivspline.simlab import _rep_cv_seed, _rep_rng
 
 
@@ -180,7 +180,7 @@ class TestMonteCarlo:
         # CV succeeds in every replication; the fit after it fails once
         cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=9)
         calls = {"count": 0}
-        original = simlab._Factored
+        original = selection._Factored
 
         def flaky(*args):
             calls["count"] += 1
@@ -188,7 +188,7 @@ class TestMonteCarlo:
                 raise ivs.ConditioningError("synthetic conditioning failure")
             return original(*args)
 
-        monkeypatch.setattr(simlab, "_Factored", flaky)
+        monkeypatch.setattr(selection, "_Factored", flaky)
         report = ivs.monte_carlo(cfg, "unconstrained", 21, cv=ivs.CvConfig(seed=1, grid=[1e-3, 1e-1]))
         assert report.failures == 1
         assert np.flatnonzero(np.isnan(report.lambda_stars)).tolist() == [4]

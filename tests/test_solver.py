@@ -4,6 +4,7 @@ import pytest
 import ivspline as ivs
 from conftest import (
     build_block_system,
+    fitted_values,
     hat_diagnostics,
     path_spectrum,
     qp_oracle,
@@ -95,7 +96,7 @@ class TestFit:
         delta, a, objective = qp_oracle(ds, lam)
         assert fit.diagnostics["objective"] == pytest.approx(objective, rel=1e-8)
         assert np.allclose(fit.delta, delta, atol=1e-7 * (1 + np.abs(delta).max()))
-        closed = ivs.fitted_values(ds, lam)
+        closed = fitted_values(ds, lam)
         d = ivs.build_design(ds.z)
         assert np.allclose(closed, d.linear @ a + d.cubic @ delta, atol=1e-8)
 
@@ -120,8 +121,8 @@ class TestFit:
         assert np.allclose(scaled.delta, 3.0 * base.delta, rtol=1e-10,
                            atol=1e-10 * np.abs(base.delta).max())
         assert np.allclose(
-            ivs.fitted_values(ds.replace_y(3.0 * ds.y), 0.08),
-            3.0 * ivs.fitted_values(ds, 0.08),
+            fitted_values(ds.replace_y(3.0 * ds.y), 0.08),
+            3.0 * fitted_values(ds, 0.08),
             rtol=1e-10, atol=1e-12,
         )
 
@@ -165,16 +166,16 @@ class TestFittedValues:
         fit = ivs.fit(ds, lam)
         d = ivs.build_design(ds.z)
         from_fit = d.linear @ fit.a + d.cubic @ fit.delta
-        closed = ivs.fitted_values(ds, lam)
+        closed = fitted_values(ds, lam)
         assert np.abs(closed - from_fit).max() <= 1e-8 * (1 + np.abs(from_fit).max())
 
     def test_exact_linear_reproduces_y(self):
         ds = linear_dataset(seed=8, n=7)
-        assert np.abs(ivs.fitted_values(ds, 0.2) - ds.y).max() <= 1e-9
+        assert np.abs(fitted_values(ds, 0.2) - ds.y).max() <= 1e-9
 
     def test_near_interpolation_limit(self):
         ds = separated_instance(4, n=5)
-        ghat = ivs.fitted_values(ds, 1e-10)
+        ghat = fitted_values(ds, 1e-10)
         assert np.abs(ghat - ds.y).max() <= 1e-4 * max(1.0, np.abs(ds.y).max())
 
 
