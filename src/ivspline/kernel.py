@@ -14,6 +14,12 @@ density itself as ``omega``, a product over the instrument columns,
 (for the default unit variance the corresponding measure is a Cauchy
 distribution with scale sqrt(2)); multiplicative constants in ``omega`` only
 rescale the criterion and are absorbed by the regularization parameter.
+
+For a scalar instrument the matrix is an Ornstein-Uhlenbeck covariance,
+whose inverse is tridiagonal in sorted order; with distinct values it is
+held as a closed-form bidiagonal factor in O(n) storage.  Several
+instruments, or tied and nearly tied values, keep the dense matrix and its
+Cholesky factor.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import SingularKernelError
 from .datamodel import standardize_instruments
@@ -54,15 +60,35 @@ class KernelSpec:
         return float(np.sqrt(self.variance / 2.0))
 
 
-@dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric positive-definite matrix with entries n^-2 omega(W_i - W_j).
+    """Symmetric positive-definite matrix Omega with entries n^-2 omega(W_i - W_j).
 
-    ``values`` includes any diagonal jitter that was needed to make the
-    Cholesky factorization succeed; ``jitter_applied`` records the amount
-    added to each diagonal entry (zero in the regular case).  ``chol`` is the
-    lower-triangular Cholesky factor of ``values``.
+    Omega is held through a factor L with L L' = Omega, in one of two
+    representations that :func:`build_weight_matrix` picks from the
+    instrument alone: a closed-form bidiagonal inverse factor for a scalar
+    instrument with distinct values (O(n) storage, no jitter), or the dense
+    matrix with its Cholesky factor otherwise.  The package reaches Omega
+    only through four operations that both implement: ``_apply_lt`` (L'm),
+    ``_apply_l`` (Lm), ``_add_inverse`` (mat += lam Omega^-1) and
+    ``_quadratic`` (columnwise r' Omega r = ||L'r||^2).  ``values`` and
+    ``inverse()`` give the dense matrix and its inverse, building them when
+    asked on the bidiagonal route.  ``values`` includes any diagonal jitter
+    that was needed to make the Cholesky factorization succeed;
+    ``jitter_applied`` records the amount added to each diagonal entry
+    (zero in the regular case).
     """
+
+    jitter_applied: float
+
+    def _quadratic(self, r: np.ndarray) -> np.ndarray:
+        """r' Omega r for a vector, or for each column of a matrix, as ||L'r||^2."""
+        lt = self._apply_lt(r)
+        return np.einsum("i...,i...->...", lt, lt)
+
+
+@dataclass(frozen=True)
+class _DenseWeightMatrix(WeightMatrix):
+    """Omega in full with its lower Cholesky factor ``chol``: any instrument dimension, ties included."""
 
     values: np.ndarray
     jitter_applied: float
@@ -87,6 +113,78 @@ class WeightMatrix:
             block = inv[i:j, i:j]
             block[...] = np.tril(block) + np.tril(block, -1).T
         return inv
+
+    def _apply_lt(self, m: np.ndarray) -> np.ndarray:
+        cols = m.reshape(m.shape[0], -1)
+        return blas.dtrmm(1.0, self.chol, cols, lower=1, trans_a=1).reshape(m.shape)
+
+    def _apply_l(self, m: np.ndarray) -> np.ndarray:
+        cols = m.reshape(m.shape[0], -1)
+        return blas.dtrmm(1.0, self.chol, cols, lower=1).reshape(m.shape)
+
+    def _add_inverse(self, mat: np.ndarray, lam: float) -> None:
+        inv = self.inverse()
+        inv *= lam
+        mat += inv
+
+
+@dataclass(frozen=True)
+class _BidiagonalWeightMatrix(WeightMatrix):
+    """Omega for a scalar instrument with distinct values, through a closed-form factor.
+
+    Sorted by w, Omega = c K with c = 1/(2b n^2), and K_ij = exp(-|w_i - w_j|/b)
+    is the covariance of an Ornstein-Uhlenbeck process at the sorted points.
+    By the process's Markov property K = Ls Ls' with Ls^-1 lower bidiagonal:
+    with gaps D_i, a_i = exp(-D_i/b) and s_i = sqrt(1 - a_i^2), its diagonal
+    is (1, 1/s_1, ..., 1/s_{n-1}) and its subdiagonal -a_i/s_i (Rasmussen &
+    Williams 2006, Gaussian Processes for Machine Learning, app. B).
+    ``band`` holds B = Ls^-1/sqrt(c) in LAPACK lower band storage (row 0 the
+    diagonal, row 1 the subdiagonal) and ``order`` the sorting permutation
+    P, so Omega^-1 = P'B'BP and L = P'B^-1 is a factor of Omega.  Each
+    operation is O(n) per column.
+    """
+
+    w: np.ndarray = field(repr=False)  # the (standardized) instrument, n x 1, in row order
+    spec: KernelSpec
+    order: np.ndarray = field(repr=False)
+    band: np.ndarray = field(repr=False)
+    jitter_applied = 0.0
+
+    @property
+    def n(self) -> int:
+        return self.order.size
+
+    @property
+    def values(self) -> np.ndarray:
+        return _pairwise_weights(self.w, self.spec)
+
+    def inverse(self) -> np.ndarray:
+        inv = np.zeros((self.n, self.n))
+        self._add_inverse(inv, 1.0)
+        return inv
+
+    def _apply_lt(self, m: np.ndarray) -> np.ndarray:
+        x, _ = lapack.dtbtrs(self.band, _rows(m, self.order), uplo="L", trans="T", overwrite_b=1)
+        return x.reshape(m.shape)
+
+    def _apply_l(self, m: np.ndarray) -> np.ndarray:
+        x, _ = lapack.dtbtrs(self.band, m.reshape(m.shape[0], -1), uplo="L", trans="N")
+        return _rows(x, np.argsort(self.order)).reshape(m.shape)
+
+    def _add_inverse(self, mat: np.ndarray, lam: float) -> None:
+        # B'B is tridiagonal: with beta the band's diagonal and gamma its subdiagonal,
+        # diagonal beta_i^2 + gamma_i^2 and off-diagonal gamma_i beta_{i+1}
+        diag, sub = self.band
+        rows = self.order
+        mat[rows, rows] += lam * (diag * diag + sub * sub)
+        off = lam * (sub[:-1] * diag[1:])
+        mat[rows[:-1], rows[1:]] += off
+        mat[rows[1:], rows[:-1]] += off
+
+
+def _rows(m: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """m[index] as an F-ordered n x k array (k = 1 for a vector), the layout LAPACK reads uncopied."""
+    return np.take(m.reshape(m.shape[0], -1).T, index, axis=1).T
 
 
 def _pairwise_weights(w: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -122,14 +220,38 @@ def _attempt_cholesky(values: np.ndarray):
     return chol
 
 
+def _bidiagonal(w: np.ndarray, spec: KernelSpec) -> _BidiagonalWeightMatrix | None:
+    """The closed-form factor of a scalar instrument, or None where its values tie or nearly tie.
+
+    1 - a_i^2 are the Cholesky pivots of K in sorted order, so this is the
+    relative pivot screen of :func:`_attempt_cholesky`.
+    """
+    n = w.shape[0]
+    b = spec.scale
+    order = np.argsort(w[:, 0], kind="stable")
+    gaps = np.diff(w[order, 0])
+    pivots = -np.expm1(-2.0 * gaps / b)
+    if not np.all(pivots > n * np.finfo(float).eps):
+        return None
+    s = np.sqrt(pivots)
+    band = np.zeros((2, n))
+    band[0, 0] = 1.0
+    band[0, 1:] = 1.0 / s
+    band[1, :-1] = -np.exp(-gaps / b) / s
+    band *= n * np.sqrt(2.0 * b)  # 1/sqrt(c)
+    return _BidiagonalWeightMatrix(w=w, spec=spec, order=order, band=band)
+
+
 def build_weight_matrix(w: np.ndarray, spec: KernelSpec) -> WeightMatrix:
     """Assemble the criterion's weight matrix for an n x p instrument array.
 
     With ``spec.standardize`` the columns are centered and scaled first
-    (skipped for a single row, where no dispersion measure exists).  If the
-    matrix is not numerically positive definite -- instrument rows coincide
-    or nearly coincide -- escalating diagonal jitter is applied; past the cap
-    a :class:`SingularKernelError` is raised.
+    (skipped for a single row, where no dispersion measure exists).  A
+    scalar instrument whose sorted values pass the Cholesky pivot screen
+    gets the closed-form bidiagonal factor.  Otherwise the dense matrix is
+    built; if it is not numerically positive definite -- instrument rows
+    coincide or nearly coincide -- escalating diagonal jitter is applied;
+    past the cap a :class:`SingularKernelError` is raised.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim == 1:
@@ -137,11 +259,15 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec) -> WeightMatrix:
     n = w.shape[0]
     if spec.standardize and n >= 2:
         w = standardize_instruments(w).w_std
+    if w.shape[1] == 1:
+        scalar = _bidiagonal(w, spec)
+        if scalar is not None:
+            return scalar
     values = _pairwise_weights(w, spec)
 
     chol = _attempt_cholesky(values)
     if chol is not None:
-        return WeightMatrix(values=values, jitter_applied=0.0, chol=chol)
+        return _DenseWeightMatrix(values=values, jitter_applied=0.0, chol=chol)
 
     base = values.trace() / n
     tau = JITTER_START
@@ -150,7 +276,7 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec) -> WeightMatrix:
         candidate = values + jitter * np.eye(n)
         chol = _attempt_cholesky(candidate)
         if chol is not None:
-            return WeightMatrix(values=candidate, jitter_applied=float(jitter), chol=chol)
+            return _DenseWeightMatrix(values=candidate, jitter_applied=float(jitter), chol=chol)
         tau *= JITTER_GROWTH
     raise SingularKernelError(
         "weight matrix is singular beyond the jitter cap; "
@@ -161,9 +287,9 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec) -> WeightMatrix:
 def moment_criterion(residuals: np.ndarray, omega: WeightMatrix) -> float:
     """V-statistic r' Omega r measuring violation of the instrument moment conditions.
 
-    Nonnegative up to roundoff whenever the weight matrix is PSD.
+    Computed as ||L'r||^2 with Omega = L L', so it is never negative.
     """
     r = np.asarray(residuals, dtype=float).reshape(-1)
     if r.shape[0] != omega.n:
         raise ValueError(f"residual length {r.shape[0]} != matrix order {omega.n}")
-    return float(r @ omega.values @ r)
+    return float(omega._quadratic(r))

@@ -6,7 +6,8 @@ points; the stitched out-of-fold prediction vector is scored by the moment
 criterion with the full-sample weight matrix, and the minimizing lambda
 wins, ties going to the smallest candidate.  Every candidate is handled at
 once: one path solve per fold gives all its coefficient columns, one matrix
-product its out-of-fold predictions, and one more scores them all.
+product its out-of-fold predictions, and one application of the weight
+matrix's factor scores them all as ||L'r||^2.
 """
 
 from __future__ import annotations
@@ -123,12 +124,12 @@ def _cross_validate(ds: Dataset, spec: KernelSpec, cfg: CvConfig) -> tuple[CvRes
 
     residuals = ds.y[:, None] - tilde[:, valid]
     criteria = np.full(grid.size, np.inf)
-    criteria[valid] = np.einsum("ig,ig->g", omega_full.values @ residuals, residuals)
+    criteria[valid] = omega_full._quadratic(residuals)
 
     # Tie-break toward the smallest lambda, with ties measured against the
     # natural scale of the criterion (y' Omega y) so that pure-roundoff
     # criteria on noise-free data resolve deterministically.
-    scale = float(ds.y @ omega_full.values @ ds.y)
+    scale = float(omega_full._quadratic(ds.y))
     best = criteria.min()
     winner = int(np.flatnonzero(criteria <= best + TIE_RTOL * max(1.0, scale, best))[0])
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .datamodel import Dataset
 from .errors import CollinearityError, ConditioningError
@@ -51,10 +51,8 @@ def _kkt_matrix(design: DesignMatrices, omega: WeightMatrix, lam: float) -> np.n
     """The bordered matrix [[E + lam Omega^-1, Z], [Z', 0]], exactly symmetric."""
     n = design.linear.shape[0]
     kkt = np.zeros((n + 2, n + 2))
-    penalized = kkt[:n, :n]
-    penalized[...] = omega.inverse()
-    penalized *= lam
-    penalized += design.cubic
+    kkt[:n, :n] = design.cubic
+    omega._add_inverse(kkt[:n, :n], lam)
     kkt[:n, n:] = design.linear
     kkt[n:, :n] = design.linear.T
     return kkt
@@ -136,8 +134,9 @@ def fit(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> SplineFit:
 class PathSolver:
     """Exact coefficients along a lambda path for fixed data.
 
-    The change of variables delta = L u with Omega = L L' turns the penalized
-    block into (S + lam I) u + Zt a = yt, S = L' E L symmetric, so one
+    The change of variables delta = L u with Omega = L L' (any factor: they
+    all give the same spectrum) turns the penalized block into
+    (S + lam I) u + Zt a = yt, S = L' E L symmetric, so one
     eigendecomposition of S (divide and conquer) gives every lambda in O(n)
     work plus one back-transformation, which :meth:`path` does for a whole
     grid in one matrix product.  Algebraically identical to :func:`fit`; used
@@ -148,22 +147,20 @@ class PathSolver:
         _check_rank(ds.z)
         design = build_design(ds.z)
         omega = build_weight_matrix(ds.w, spec)
-        chol = omega.chol
-        # L'EL by triangular products (half the flops of general ones); E is exactly
-        # symmetric, so its F-ordered transpose passes uncopied; eigh reads the lower half
-        s_mat = blas.dtrmm(1.0, chol, design.cubic.T, side=1, lower=1)
-        s_mat = blas.dtrmm(1.0, chol, s_mat, lower=1, trans_a=1, overwrite_b=1)
+        # L'EL = L'(L'E)' since E is exactly symmetric, so its F-ordered transpose
+        # passes for E; eigh reads the lower half
+        s_mat = omega._apply_lt(omega._apply_lt(design.cubic.T).T)
         evals, vecs = scipy.linalg.eigh(s_mat, driver="evd", overwrite_a=True)
         self._evals = evals
-        self._zt = vecs.T @ (chol.T @ design.linear)
-        self._yt = vecs.T @ (chol.T @ ds.y)
+        self._zt = vecs.T @ omega._apply_lt(design.linear)
+        self._yt = vecs.T @ omega._apply_lt(ds.y)
         zt0, zt1 = self._zt.T
         # products whose inverse-spectrum-weighted sums give the 2 x 2 Gram
         # matrix (g00, g01, g11) and its right-hand side (r0, r1)
         self._moments = np.column_stack(
             [zt0 * zt0, zt0 * zt1, zt1 * zt1, zt0 * self._yt, zt1 * self._yt]
         )
-        self._map = blas.dtrmm(1.0, chol, vecs, lower=1)  # v -> delta
+        self._map = omega._apply_l(vecs)  # v -> delta
         self._scale = max(1.0, float(np.abs(evals).max()))
         self.knots = ds.z
         self.jitter_applied = omega.jitter_applied

@@ -183,8 +183,8 @@ def path_spectrum(ds):
     so this spectrum has negative eigenvalues, and lambda = -(one of them)
     makes the shifted system singular.
     """
-    om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
-    s_mat = om.chol.T @ ivs.build_design(ds.z).cubic @ om.chol
+    chol = np.linalg.cholesky(ivs.build_weight_matrix(ds.w, ivs.KernelSpec()).values)
+    s_mat = chol.T @ ivs.build_design(ds.z).cubic @ chol
     return np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))
 
 

@@ -1,10 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import ivspline as ivs
-from conftest import criterion_quadrature_oracle, kernel_weight, random_instance
+from conftest import (
+    build_block_system,
+    criterion_quadrature_oracle,
+    kernel_weight,
+    path_spectrum,
+    random_instance,
+)
+from ivspline.cli import main, read_document
+from ivspline.kernel import _BidiagonalWeightMatrix, _DenseWeightMatrix
+from ivspline.solver import _Factored
 
 SQRT2 = math.sqrt(2.0)
 
@@ -156,3 +167,142 @@ class TestMomentCriterion:
         d = ivs.build_design(ds.z)
         r = ds.y - d.linear @ f.a - d.cubic @ f.delta
         assert ivs.moment_criterion(r, om) == pytest.approx(f.diagnostics["criterion"], rel=1e-12)
+
+
+def g1_draw(n, seed):
+    return ivs.generate(ivs.DgpConfig(n=n, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=seed))["dataset"]
+
+
+def dpotri_inverse(values):
+    """Inverse of a dense SPD matrix by LAPACK dpotrf + dpotri, mirrored to full."""
+    chol, info = lapack.dpotrf(values, lower=1)
+    assert info == 0
+    inv, info = lapack.dpotri(chol, lower=1)
+    assert info == 0
+    return np.tril(inv) + np.tril(inv, -1).T
+
+
+class TestClosedFormRoute:
+    """A scalar instrument with distinct values: the bidiagonal factor of the OU covariance."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inverse_residual_at_n200_no_worse_than_dpotri(self, seed):
+        # At n = 200 both residuals against the double-rounded matrix sit at its
+        # rounding floor, so each inverse is scored against the kernel evaluated
+        # in extended precision, the matrix the criterion defines.
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("needs an extended-precision long double")
+        ds = g1_draw(200, seed)
+        om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
+        assert isinstance(om, _BidiagonalWeightMatrix)
+        closed, dense = om.inverse(), dpotri_inverse(om.values)
+        w = ivs.standardize_instruments(ds.w).w_std[:, 0].astype(np.longdouble)
+        b = np.sqrt(np.longdouble(0.5))
+        exact = np.exp(-np.abs(w[:, None] - w[None, :]) / b) / (2 * b * 200**2)
+        eye = np.eye(200)
+        residual_closed = np.abs(exact @ closed.astype(np.longdouble) - eye).max()
+        residual_dense = np.abs(exact @ dense.astype(np.longdouble) - eye).max()
+        assert residual_closed <= residual_dense
+        assert np.abs(closed - dense).max() <= 1e-9 * np.abs(closed).max()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_inverse_residual_at_n2000_no_worse_than_dpotri(self, seed):
+        ds = g1_draw(2000, seed)
+        om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
+        assert isinstance(om, _BidiagonalWeightMatrix)
+        values = om.values
+        closed, dense = om.inverse(), dpotri_inverse(values)
+        eye = np.eye(2000)
+        assert np.abs(values @ closed - eye).max() <= np.abs(values @ dense - eye).max()
+        assert np.abs(closed - dense).max() <= 1e-9 * np.abs(closed).max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_path_spectrum_same_as_dense_cholesky(self, seed):
+        # any factor with L L' = Omega gives L'EL the same eigenvalues
+        ds = g1_draw(200, seed)
+        om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
+        cubic = ivs.build_design(ds.z).cubic
+        s_mat = om._apply_lt(om._apply_lt(cubic).T)
+        closed = np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))
+        reference = path_spectrum(ds)
+        assert np.abs(closed - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_near_tie_keeps_full_relative_accuracy(self):
+        # a gap of 1e-9 passes the pivot screen; 1 - a^2 comes from expm1, not
+        # from cancellation, so every entry of the inverse stays accurate to
+        # roundoff against the closed form evaluated in extended precision
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("needs an extended-precision long double")
+        w = np.array([[0.0], [1e-9], [1.0]])
+        om = ivs.build_weight_matrix(w, ivs.KernelSpec(standardize=False))
+        assert isinstance(om, _BidiagonalWeightMatrix)
+        b = np.sqrt(np.longdouble(0.5))
+        gaps = np.diff(w[:, 0]).astype(np.longdouble)
+        one_minus_a2, a = -np.expm1(-2 * gaps / b), np.exp(-gaps / b)
+        c = 1 / (2 * b * 9)
+        diag = np.array([1 / one_minus_a2[0], 1 / one_minus_a2[0] + 1 / one_minus_a2[1] - 1,
+                         1 / one_minus_a2[1]]) / c
+        off = -a / one_minus_a2 / c
+        expected = (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)).astype(float)
+        np.testing.assert_allclose(om.inverse(), expected, rtol=1e-12)
+
+    def test_tie_free_scalar_instrument_needs_no_jitter(self, rng):
+        om = ivs.build_weight_matrix(rng.standard_normal((500, 1)), ivs.KernelSpec())
+        assert isinstance(om, _BidiagonalWeightMatrix)
+        assert om.jitter_applied == 0.0
+
+    def test_build_stores_no_dense_matrix(self, rng):
+        w = rng.standard_normal((2000, 1))
+        tracemalloc.start()
+        try:
+            ivs.build_weight_matrix(w, ivs.KernelSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # one dense 2000 x 2000 matrix is 32 MB
+
+    def test_operations_match_dense_matrix(self, rng):
+        w = rng.standard_normal((60, 1))
+        om = ivs.build_weight_matrix(w, ivs.KernelSpec())
+        values = om.values
+        m = rng.standard_normal((60, 4))
+        lt = om._apply_lt(m)
+        assert np.allclose(lt.T @ lt, m.T @ values @ m, rtol=1e-10)
+        l_mat = om._apply_l(np.eye(60))
+        assert np.allclose(l_mat @ l_mat.T, values, rtol=1e-10, atol=1e-14 * values.max())
+        assert np.allclose(om._quadratic(m), np.einsum("ig,ig->g", values @ m, m), rtol=1e-10)
+        mat = np.ones((60, 60))
+        om._add_inverse(mat, 0.5)
+        assert np.allclose(mat - 1.0, 0.5 * np.linalg.inv(values), rtol=1e-8, atol=1e-8 * np.abs(mat).max())
+
+    @pytest.mark.parametrize("two_instruments", [False, True])
+    def test_ties_and_two_instruments_keep_the_dense_route(self, rng, two_instruments):
+        ds = random_instance(7, n=300)
+        w = np.column_stack([ds.w[:, 0], rng.standard_normal(300)]) if two_instruments else np.round(ds.w, 1)
+        ds = ivs.Dataset(y=ds.y, z=ds.z, w=w)
+        assert isinstance(ivs.build_weight_matrix(ds.w, ivs.KernelSpec()), _DenseWeightMatrix)
+        # the bordered matrix is E + lam Omega^-1 with dpotri's inverse, bit for bit
+        for lam in (1e-4, 1e-2):
+            system = _Factored(ds, lam, ivs.KernelSpec())
+            assert np.array_equal(system.kkt, build_block_system(ds, lam).kkt)
+
+    def test_fit_cv_answers_agree_with_dense_route(self, tmp_path, monkeypatch):
+        ds = g1_draw(2000, 3)
+        csv_in = tmp_path / "d.csv"
+        ivs.write_csv(ds, csv_in)
+        args = ["fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1", "--cv", "--seed", "1"]
+        assert main(args + ["--out", str(tmp_path / "closed.json")]) == 0
+
+        def dense(w, spec):
+            values = ivs.kernel.build_weight_matrix(w, spec).values
+            return _DenseWeightMatrix(values=values, jitter_applied=0.0, chol=np.linalg.cholesky(values))
+
+        monkeypatch.setattr(ivs.selection, "build_weight_matrix", dense)
+        monkeypatch.setattr(ivs.solver, "build_weight_matrix", dense)
+        assert main(args + ["--out", str(tmp_path / "dense.json")]) == 0
+        closed, reference = (read_document(tmp_path / f"{k}.json") for k in ("closed", "dense"))
+        assert closed["lambda"] == reference["lambda"]
+        assert closed["diagnostics"]["objective"] == pytest.approx(
+            reference["diagnostics"]["objective"], rel=1e-9)
+        delta, delta_ref = np.array(closed["delta"]), np.array(reference["delta"])
+        assert np.abs(delta - delta_ref).max() <= 1e-8 * np.abs(delta_ref).max()
