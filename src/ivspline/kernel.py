@@ -18,8 +18,8 @@ rescale the criterion and are absorbed by the regularization parameter.
 For a scalar instrument the matrix is an Ornstein-Uhlenbeck covariance,
 whose inverse is tridiagonal in sorted order; with distinct values it is
 held as a closed-form bidiagonal factor in O(n) storage.  Several
-instruments, or tied and nearly tied values, keep the dense matrix and its
-Cholesky factor.
+instruments, or tied and nearly tied values, keep the dense Cholesky factor
+only: the matrix is factored in place and rebuilt when asked for.
 """
 
 from __future__ import annotations
@@ -60,25 +60,37 @@ class KernelSpec:
         return float(np.sqrt(self.variance / 2.0))
 
 
+@dataclass(frozen=True)
 class WeightMatrix:
     """Symmetric positive-definite matrix Omega with entries n^-2 omega(W_i - W_j).
 
-    Omega is held through a factor L with L L' = Omega, in one of two
-    representations that :func:`build_weight_matrix` picks from the
-    instrument alone: a closed-form bidiagonal inverse factor for a scalar
-    instrument with distinct values (O(n) storage, no jitter), or the dense
-    matrix with its Cholesky factor otherwise.  The package reaches Omega
-    only through four operations that both implement: ``_apply_lt`` (L'm),
-    ``_apply_l`` (Lm), ``_add_inverse`` (mat += lam Omega^-1) and
-    ``_quadratic`` (columnwise r' Omega r = ||L'r||^2).  ``values`` and
-    ``inverse()`` give the dense matrix and its inverse, building them when
-    asked on the bidiagonal route.  ``values`` includes any diagonal jitter
-    that was needed to make the Cholesky factorization succeed;
-    ``jitter_applied`` records the amount added to each diagonal entry
-    (zero in the regular case).
+    Held as the (standardized) instrument ``w``, the ``jitter_applied`` to
+    each diagonal entry (zero unless the Cholesky factorization needed it)
+    and a factor L with L L' = Omega, whose representation is a subclass's.
+    The package reaches Omega only through ``_apply_lt`` (L'm), ``_apply_l``
+    (Lm), ``_add_inverse`` (mat += lam Omega^-1) and ``_quadratic``
+    (columnwise r' Omega r = ||L'r||^2).  ``values`` and ``inverse()``
+    rebuild the dense matrix, jitter included, and its inverse when asked.
     """
 
+    w: np.ndarray = field(repr=False)
+    spec: KernelSpec
     jitter_applied: float
+
+    @property
+    def n(self) -> int:
+        return self.w.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        values = _pairwise_weights(self.w, self.spec)
+        values[np.diag_indices(self.n)] += self.jitter_applied
+        return values
+
+    def inverse(self) -> np.ndarray:
+        inv = np.zeros((self.n, self.n))
+        self._add_inverse(inv, 1.0)
+        return inv
 
     def _quadratic(self, r: np.ndarray) -> np.ndarray:
         """r' Omega r for a vector, or for each column of a matrix, as ||L'r||^2."""
@@ -88,31 +100,9 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class _DenseWeightMatrix(WeightMatrix):
-    """Omega in full with its lower Cholesky factor ``chol``: any instrument dimension, ties included."""
+    """Omega through its lower Cholesky factor ``chol``: any instrument dimension, ties included."""
 
-    values: np.ndarray
-    jitter_applied: float
     chol: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def inverse(self) -> np.ndarray:
-        """values^-1 from the stored Cholesky factor (LAPACK dpotri, 2n^3/3 flops).
-
-        dpotri fills the lower triangle; it is mirrored into the upper one,
-        so the result is exactly symmetric.
-        """
-        inv, info = lapack.dpotri(self.chol, lower=1)
-        if info != 0:
-            raise SingularKernelError(f"weight matrix inverse failed (LAPACK info {info})")
-        for i in range(0, self.n, _MIRROR_BLOCK):
-            j = i + _MIRROR_BLOCK
-            inv[i:j, j:] = inv[j:, i:j].T
-            block = inv[i:j, i:j]
-            block[...] = np.tril(block) + np.tril(block, -1).T
-        return inv
 
     def _apply_lt(self, m: np.ndarray) -> np.ndarray:
         cols = m.reshape(m.shape[0], -1)
@@ -123,7 +113,16 @@ class _DenseWeightMatrix(WeightMatrix):
         return blas.dtrmm(1.0, self.chol, cols, lower=1).reshape(m.shape)
 
     def _add_inverse(self, mat: np.ndarray, lam: float) -> None:
-        inv = self.inverse()
+        # Omega^-1 from the factor by LAPACK dpotri (2n^3/3 flops), which fills
+        # the lower triangle; mirroring it makes the inverse exactly symmetric
+        inv, info = lapack.dpotri(self.chol, lower=1)
+        if info != 0:
+            raise SingularKernelError(f"weight matrix inverse failed (LAPACK info {info})")
+        for i in range(0, self.n, _MIRROR_BLOCK):
+            j = i + _MIRROR_BLOCK
+            inv[i:j, j:] = inv[j:, i:j].T
+            block = inv[i:j, i:j]
+            block[...] = np.tril(block) + np.tril(block, -1).T
         inv *= lam
         mat += inv
 
@@ -144,24 +143,8 @@ class _BidiagonalWeightMatrix(WeightMatrix):
     operation is O(n) per column.
     """
 
-    w: np.ndarray = field(repr=False)  # the (standardized) instrument, n x 1, in row order
-    spec: KernelSpec
     order: np.ndarray = field(repr=False)
     band: np.ndarray = field(repr=False)
-    jitter_applied = 0.0
-
-    @property
-    def n(self) -> int:
-        return self.order.size
-
-    @property
-    def values(self) -> np.ndarray:
-        return _pairwise_weights(self.w, self.spec)
-
-    def inverse(self) -> np.ndarray:
-        inv = np.zeros((self.n, self.n))
-        self._add_inverse(inv, 1.0)
-        return inv
 
     def _apply_lt(self, m: np.ndarray) -> np.ndarray:
         x, _ = lapack.dtbtrs(self.band, _rows(m, self.order), uplo="L", trans="T", overwrite_b=1)
@@ -194,28 +177,30 @@ def _pairwise_weights(w: np.ndarray, spec: KernelSpec) -> np.ndarray:
     n, p = w.shape
     values = np.abs(np.subtract.outer(w[:, 0], w[:, 0]))
     for k in range(1, p):
-        values += np.abs(np.subtract.outer(w[:, k], w[:, k]))
-    np.negative(values, out=values)
-    values /= b
+        d = np.subtract.outer(w[:, k], w[:, k])
+        values += np.abs(d, out=d)
+    values /= -b
     np.exp(values, out=values)
     values /= (2.0 * b) ** p
     values /= n**2
     return values
 
 
-def _attempt_cholesky(values: np.ndarray):
-    """Lower Cholesky factor, or None if the matrix is numerically not PD.
+def _attempt_cholesky(values: np.ndarray, jitter: float):
+    """Lower Cholesky factor of values + jitter I, or None if that is numerically not PD.
 
-    LAPACK accepts factors whose trailing pivots are pure roundoff (e.g. for
-    exactly duplicated instrument rows), so a successful factorization is
-    additionally screened with a relative pivot threshold.
+    One copy takes the jitter and is factored in place (its transpose is F-ordered).
+    LAPACK accepts trailing pivots of pure roundoff (e.g. for exactly duplicated
+    instrument rows), so a relative pivot threshold screens the factor as well.
     """
+    candidate = values.copy()
+    candidate[np.diag_indices_from(candidate)] += jitter
+    threshold = values.shape[0] * np.finfo(float).eps * candidate.diagonal().max()
     try:
-        chol = scipy.linalg.cholesky(values, lower=True)
+        chol = scipy.linalg.cholesky(candidate.T, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError:
         return None
-    pivots = np.diag(chol) ** 2
-    if pivots.min() <= values.shape[0] * np.finfo(float).eps * values.diagonal().max():
+    if (np.diag(chol) ** 2).min() <= threshold:
         return None
     return chol
 
@@ -239,7 +224,7 @@ def _bidiagonal(w: np.ndarray, spec: KernelSpec) -> _BidiagonalWeightMatrix | No
     band[0, 1:] = 1.0 / s
     band[1, :-1] = -np.exp(-gaps / b) / s
     band *= n * np.sqrt(2.0 * b)  # 1/sqrt(c)
-    return _BidiagonalWeightMatrix(w=w, spec=spec, order=order, band=band)
+    return _BidiagonalWeightMatrix(w=w, spec=spec, jitter_applied=0.0, order=order, band=band)
 
 
 def build_weight_matrix(w: np.ndarray, spec: KernelSpec) -> WeightMatrix:
@@ -248,36 +233,27 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec) -> WeightMatrix:
     With ``spec.standardize`` the columns are centered and scaled first
     (skipped for a single row, where no dispersion measure exists).  A
     scalar instrument whose sorted values pass the Cholesky pivot screen
-    gets the closed-form bidiagonal factor.  Otherwise the dense matrix is
-    built; if it is not numerically positive definite -- instrument rows
-    coincide or nearly coincide -- escalating diagonal jitter is applied;
-    past the cap a :class:`SingularKernelError` is raised.
+    gets the closed-form bidiagonal factor.  Otherwise a copy of the dense
+    matrix is factored in place, with escalating diagonal jitter while it is
+    not numerically positive definite (instrument rows coincide or nearly
+    coincide), and only the factor is kept; past the cap a
+    :class:`SingularKernelError` is raised.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w.reshape(-1, 1)
+    w = np.asarray(w, dtype=float).reshape(len(w), -1)
     n = w.shape[0]
     if spec.standardize and n >= 2:
         w = standardize_instruments(w).w_std
-    if w.shape[1] == 1:
-        scalar = _bidiagonal(w, spec)
-        if scalar is not None:
-            return scalar
+    scalar = _bidiagonal(w, spec) if w.shape[1] == 1 else None
+    if scalar is not None:
+        return scalar
     values = _pairwise_weights(w, spec)
-
-    chol = _attempt_cholesky(values)
-    if chol is not None:
-        return _DenseWeightMatrix(values=values, jitter_applied=0.0, chol=chol)
-
-    base = values.trace() / n
-    tau = JITTER_START
+    base, tau = values.trace() / n, 0.0
     while tau <= JITTER_CAP * (1.0 + 1e-12):
         jitter = tau * base
-        candidate = values + jitter * np.eye(n)
-        chol = _attempt_cholesky(candidate)
+        chol = _attempt_cholesky(values, jitter)
         if chol is not None:
-            return _DenseWeightMatrix(values=candidate, jitter_applied=float(jitter), chol=chol)
-        tau *= JITTER_GROWTH
+            return _DenseWeightMatrix(w=w, spec=spec, jitter_applied=float(jitter), chol=chol)
+        tau = tau * JITTER_GROWTH if tau else JITTER_START
     raise SingularKernelError(
         "weight matrix is singular beyond the jitter cap; "
         "instrument rows are effectively duplicated"

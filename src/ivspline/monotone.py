@@ -34,12 +34,12 @@ ascent on W has converged the most violated row outside W joins it.  A
 final primal polish, the linearized Newton update of q, puts sum q = n and
 A_W q = 0 at roundoff level.
 
-The same iterates certify infeasibility, with no separate feasibility pass.
-An ascent iterate with nu <= 0 (and d > 0, mu >= 0) has A' mu < 0, so
-mu'(A q) < 0 for every q >= 0 on the simplex: by Gordan's alternative no
-feasible weights exist.  More generally every iterate bounds the best
-attainable margin max_q min_j (A q)_j by n max_i (A' mu)_i / sum mu, and the
-program is reported infeasible once that bound reaches ``INFEASIBLE_MARGIN``.
+The same iterates certify infeasibility; a separate feasibility pass runs
+only on an answer they leave uncertified.  An iterate with nu <= 0 (and
+d > 0, mu >= 0) has A' mu < 0, so mu'(A q) < 0 for every q >= 0 on the
+simplex: by Gordan's alternative no feasible weights exist.  Every iterate
+bounds the best attainable margin max_q min_j (A q)_j by n max_i (A' mu)_i /
+sum mu; the program is infeasible once that bound reaches INFEASIBLE_MARGIN.
 """
 
 from __future__ import annotations
@@ -64,10 +64,12 @@ DECREMENT_TOL = 1e-20
 # polished slacks of W rows (and of exact duplicates of them) are roundoff,
 # about sqrt(n) eps max q.
 VIOLATION_TOL = 1e-13
-# The program counts as infeasible once the dual proves that no weights give
-# every normalized knot slack more than this margin, four orders above the
-# slack roundoff and the margin threshold of the barrier oracle's phase-I.
+# The program counts as infeasible once the dual or the phase-I program shows that
+# no weights give every normalized knot slack more than this margin, four orders
+# above the slack roundoff and the margin threshold of the barrier oracle's phase-I.
 INFEASIBLE_MARGIN = 1e-10
+# The tests' bound on a returned KKT residual; certified answers read below 1e-10.
+KKT_TOL = 1e-8
 STEP_CAP = 500
 LINE_SEARCH_CAP = 60
 ACTIVE_SLACK_RTOL = 1e-6
@@ -170,6 +172,27 @@ def _margin_bound(x: np.ndarray, d: np.ndarray) -> float:
     return d.size * (float(x[0]) - float(d.min())) / total
 
 
+def _infeasible(source: str, knot, margin: float) -> InfeasibleConstraintsError:
+    return InfeasibleConstraintsError(
+        f"monotonicity constraints are infeasible; {source} puts its largest multiplier on knot "
+        f"index {knot} (best attainable margin at most {margin:.3e})", worst_constraint=int(knot))
+
+
+def _phase_one(a: np.ndarray) -> tuple[float, int]:
+    """max_q min_j (A q)_j over q >= 0, sum q = n, and the row with the largest multiplier.
+
+    HiGHS solves it at feasibility tolerances of ``INFEASIBLE_MARGIN``, the margin's scale.
+    """
+    from scipy.optimize import linprog  # a second to import; only uncertified answers get here
+
+    k, n = a.shape
+    tol = {f"{kind}_feasibility_tolerance": INFEASIBLE_MARGIN for kind in ("primal", "dual")}
+    res = linprog(np.append(np.zeros(n), -1.0), A_ub=np.column_stack([-a, np.ones(k)]), b_ub=np.zeros(k),
+                  A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[n],
+                  bounds=[(0.0, None)] * n + [(None, None)], options=tol)
+    return (-res.fun, int(np.argmax(np.abs(res.ineqlin.marginals)))) if res.success else (np.nan, 0)
+
+
 def tilt(
     ds: Dataset,
     lam: float,
@@ -182,10 +205,11 @@ def tilt(
     immediately: uniform maximizes the objective over the whole simplex, so
     feasibility implies optimality.  Otherwise the dual is maximized over a
     growing working set of constraint rows (see the module docstring).
-    Raises :class:`InfeasibleConstraintsError` when an ascent iterate
-    certifies that no weights are feasible, and :class:`SolverStallError`
-    when the line search finds no ascent step or ``STEP_CAP`` iterations
-    pass without convergence.
+    Raises :class:`InfeasibleConstraintsError` when an ascent iterate or,
+    for an answer whose KKT residual exceeds ``KKT_TOL``, a phase-I linear
+    program certifies that no weights are feasible, and
+    :class:`SolverStallError` when the line search finds no ascent step,
+    ``STEP_CAP`` iterations pass, or that answer is feasible but uncertified.
     """
     return _tilt(derivative_smoother_matrix(ds, lam, spec), ds.y, direction)
 
@@ -272,13 +296,7 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
             x = np.delete(x, 1 + leaving)
         margin = _margin_bound(x, d_new)
         if margin <= INFEASIBLE_MARGIN:
-            knot = int(kept[work[int(np.argmax(x[1:]))]])
-            raise InfeasibleConstraintsError(
-                "monotonicity constraints are infeasible; the dual certificate "
-                f"puts its largest multiplier on knot index {knot} "
-                f"(best attainable margin at most {margin:.3e})",
-                worst_constraint=knot,
-            )
+            raise _infeasible("the dual certificate", kept[work[int(np.argmax(x[1:]))]], margin)
     else:
         raise SolverStallError(
             "tilt solver hit its iteration cap before converging",
@@ -295,6 +313,14 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
         float(np.abs(mu * slack[work]).max(initial=0.0)),
         float(np.abs(d - 0.5 / np.sqrt(q)).max()),
     )
+    if residual > KKT_TOL:
+        margin, worst = _phase_one(a_rows)
+        if margin <= INFEASIBLE_MARGIN:
+            raise _infeasible("the phase-I program", kept[worst], margin)
+        raise SolverStallError(
+            f"tilt stopped at KKT residual {residual:.3e}; weights with margin {margin:.3e} exist",
+            diagnostics={"newton_steps": steps, "working_set": kept[work]},
+        )
     return TiltWeights(
         p=q / n,
         objective=objective,

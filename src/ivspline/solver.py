@@ -162,8 +162,6 @@ class PathSolver:
         )
         self._map = omega._apply_l(vecs)  # v -> delta
         self._scale = max(1.0, float(np.abs(evals).max()))
-        self.knots = ds.z
-        self.jitter_applied = omega.jitter_applied
 
     def path(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(delta, a, valid) for every lambda of ``grid``: n x G, 2 x G and G columns.

@@ -191,6 +191,20 @@ class TestFitCommand:
         ])
         assert code == 4
 
+    def test_near_infeasible_tilt_exit_code(self, tmp_path):
+        # a program whose best margin is roundoff exits 4 instead of writing
+        # weights with a KKT residual near 1e7
+        cfg = ivs.DgpConfig(n=50, rho_ev=0.5, rho_wz=0.9, g_id="g2", seed=1011)
+        csv_in = tmp_path / "g2.csv"
+        ivs.write_csv(ivs.generate(cfg)["dataset"], csv_in)
+        code = main([
+            "fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
+            "--lambda", "1e-5", "--monotone", "increasing",
+            "--out", str(tmp_path / "o.json"),
+        ])
+        assert code == 4
+        assert not (tmp_path / "o.json").exists()
+
     def test_lambda_and_cv_mutually_exclusive(self, tmp_path):
         csv_in = write_fit_csv(tmp_path / "d.csv")
         code = main([

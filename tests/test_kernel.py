@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import lapack
 
 import ivspline as ivs
@@ -14,7 +16,7 @@ from conftest import (
     random_instance,
 )
 from ivspline.cli import main, read_document
-from ivspline.kernel import _BidiagonalWeightMatrix, _DenseWeightMatrix
+from ivspline.kernel import _BidiagonalWeightMatrix, _DenseWeightMatrix, _pairwise_weights
 from ivspline.solver import _Factored
 
 SQRT2 = math.sqrt(2.0)
@@ -121,6 +123,47 @@ class TestBuildWeightMatrix:
     def test_solve_matches_inverse(self, rng):
         om = ivs.build_weight_matrix(rng.standard_normal((7, 1)), ivs.KernelSpec())
         assert np.allclose(om.values @ om.inverse(), np.eye(7), atol=1e-10)
+
+    def test_jitter_escalates_tenfold_until_the_factor_passes(self, monkeypatch):
+        # exact duplicates fail the unjittered factorization; from a start far
+        # below the pivot screen the jitter climbs rung by rung, one Cholesky
+        # call each, and a cap one rung below the rung that passed is fatal
+        w = np.repeat([[0.0], [1.0], [2.0]], 2, axis=0)
+        spec = ivs.KernelSpec(standardize=False)
+        calls = []
+        cholesky = scipy.linalg.cholesky
+        monkeypatch.setattr(scipy.linalg, "cholesky", lambda *a, **k: calls.append(1) or cholesky(*a, **k))
+        monkeypatch.setattr(ivs.kernel, "JITTER_START", 1e-20)
+        om = ivs.build_weight_matrix(w, spec)
+        base = _pairwise_weights(om.w, spec).trace() / 6
+        rungs = round(math.log10(om.jitter_applied / base / 1e-20))
+        assert rungs >= 2
+        assert om.jitter_applied == pytest.approx(1e-20 * 10.0**rungs * base, rel=1e-12)
+        assert len(calls) == rungs + 2
+        assert np.array_equal(om.values, _pairwise_weights(om.w, spec) + om.jitter_applied * np.eye(6))
+        monkeypatch.setattr(ivs.kernel, "JITTER_CAP", 1e-20 * 10.0 ** (rungs - 1))
+        calls.clear()
+        with pytest.raises(ivs.SingularKernelError, match="jitter cap"):
+            ivs.build_weight_matrix(w, spec)
+        assert len(calls) == rungs + 1
+
+    @pytest.mark.parametrize("kind", ["rounded", "two instruments"])
+    def test_dense_route_holds_only_its_factor(self, rng, kind):
+        # one n x n array stays (the factor), and the build peaks at the
+        # matrix plus the one copy that is factored in place
+        n = 2000
+        w = np.round(rng.standard_normal((n, 1)), 1) if kind == "rounded" else rng.standard_normal((n, 2))
+        tracemalloc.start()
+        try:
+            om = ivs.build_weight_matrix(w, ivs.KernelSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(om, _DenseWeightMatrix)
+        held = sum(getattr(om, f.name).nbytes for f in dataclasses.fields(om)
+                   if isinstance(getattr(om, f.name), np.ndarray))
+        assert held <= 8 * (n * n + 10 * n)
+        assert peak <= 2.2 * n * n * 8
 
 
 class TestMomentCriterion:
@@ -294,8 +337,8 @@ class TestClosedFormRoute:
         assert main(args + ["--out", str(tmp_path / "closed.json")]) == 0
 
         def dense(w, spec):
-            values = ivs.kernel.build_weight_matrix(w, spec).values
-            return _DenseWeightMatrix(values=values, jitter_applied=0.0, chol=np.linalg.cholesky(values))
+            om = ivs.kernel.build_weight_matrix(w, spec)
+            return _DenseWeightMatrix(w=om.w, spec=spec, jitter_applied=0.0, chol=np.linalg.cholesky(om.values))
 
         monkeypatch.setattr(ivs.selection, "build_weight_matrix", dense)
         monkeypatch.setattr(ivs.solver, "build_weight_matrix", dense)

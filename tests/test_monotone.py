@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 import ivspline as ivs
+from ivspline import monotone
 from conftest import random_instance, wiggly_instance
 from tilt_oracle import barrier_tilt
 
@@ -25,6 +26,11 @@ def decreasing_dataset(seed=0, n=6):
     rng.shuffle(z)
     w = z + 0.3 * rng.standard_normal(n)
     return ivs.Dataset(y=-2.0 * z + 0.1 * rng.standard_normal(n), z=z, w=w)
+
+
+def paper_draw(g_id, seed):
+    cfg = ivs.DgpConfig(n=50, rho_ev=0.5, rho_wz=0.9, g_id=g_id, seed=seed)
+    return ivs.generate(cfg)["dataset"]
 
 
 def slsqp_oracle(ds, lam, direction=INC, starts=5):
@@ -219,6 +225,25 @@ class TestTilt:
         assert ivs.MonotoneDirection.from_string("decreasing") is DEC
         with pytest.raises(ValueError):
             ivs.MonotoneDirection.from_string("sideways")
+
+    def test_near_infeasible_program_raises_instead_of_returning(self):
+        # the dual ascent converges here to weights with a KKT residual near
+        # 1e7; the phase-I program puts the best margin at roundoff level
+        ds = paper_draw("g2", 1011)
+        with pytest.raises(ivs.InfeasibleConstraintsError) as err:
+            ivs.tilt(ds, 1e-5, direction=INC)
+        assert err.value.worst_constraint is not None
+        assert "phase-I" in str(err.value)
+
+    def test_feasible_program_the_dual_cannot_certify_stalls(self):
+        # feasible at margin 1.2e-6, yet the dual's answer reads a KKT residual
+        # near 7e4: a stall, not an answer and not an infeasibility
+        ds = paper_draw("g3", 1015)
+        a_rows, _ = monotone._drop_null_rows(DEC.sign * ivs.derivative_smoother_matrix(ds, 1e-5) * ds.y)
+        margin, _ = monotone._phase_one(a_rows)
+        assert margin > 1e-7
+        with pytest.raises(ivs.SolverStallError, match="KKT residual"):
+            ivs.tilt(ds, 1e-5, direction=DEC)
 
 
 class TestFitMonotone:
