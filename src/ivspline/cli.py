@@ -26,7 +26,6 @@ from .errors import (
     SchemaError,
     SizeError,
 )
-from .kernel import KernelSpec
 from .monotone import MonotoneDirection, fit_monotone
 from .selection import CvConfig, _fit_selected
 from .simlab import DgpConfig, monte_carlo, write_report_csv
@@ -77,7 +76,6 @@ def _write_curve_csv(path, curve: dict) -> None:
 
 def cmd_fit(args) -> int:
     ds = load_csv(args.input, y=args.y, z=args.z, w=[c.strip() for c in args.w.split(",")])
-    spec = KernelSpec()
     doc: dict = {
         "format": "ivspline-fit",
         "version": 1,
@@ -89,15 +87,11 @@ def cmd_fit(args) -> int:
             "monotone": args.monotone,
             "seed": args.seed,
         },
-        "kernel": {
-            "family": "laplace",
-            "variance": spec.variance,
-            "standardize": spec.standardize,
-        },
+        "kernel": {"family": "laplace", "variance": 1.0, "standardize": True},
     }
     direction = None if args.monotone == "none" else MonotoneDirection.from_string(args.monotone)
     if args.cv:
-        model, result = _fit_selected(ds, spec, CvConfig(seed=args.seed), direction)
+        model, result = _fit_selected(ds, CvConfig(seed=args.seed), direction)
         doc["lambda_selected_by"] = "cv"
         doc["cv"] = {
             "lambda_star": result.lambda_star,
@@ -112,9 +106,9 @@ def cmd_fit(args) -> int:
             raise ValueError(f"--lambda must be positive, got {args.lam}")
         doc["lambda_selected_by"] = "flag"
         if direction is None:
-            model = fit(ds, args.lam, spec)
+            model = fit(ds, args.lam)
         else:
-            model = fit_monotone(ds, args.lam, spec, direction)
+            model = fit_monotone(ds, args.lam, direction)
     doc["lambda"] = model.lam
 
     if direction is not None:
@@ -315,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rho-wz", type=float, required=True, help="instrument strength in (-1,1)")
     p_sim.add_argument("--reps", type=int, required=True, help="number of replications")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--constrained", action="store_true", help="use the monotone estimator")
+    p_sim.add_argument("--constrained", action="store_true", help="use the monotone (increasing) estimator")
     p_sim.add_argument("--out-dir", required=True, help="directory for mcreport.csv and summary.json")
     p_sim.set_defaults(func=cmd_simulate)
 

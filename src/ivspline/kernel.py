@@ -227,9 +227,11 @@ def _bidiagonal(w: np.ndarray, spec: KernelSpec) -> _BidiagonalWeightMatrix | No
     return _BidiagonalWeightMatrix(w=w, spec=spec, jitter_applied=0.0, order=order, band=band)
 
 
-def build_weight_matrix(w: np.ndarray, spec: KernelSpec) -> WeightMatrix:
+def build_weight_matrix(w: np.ndarray, spec: KernelSpec = KernelSpec()) -> WeightMatrix:
     """Assemble the criterion's weight matrix for an n x p instrument array.
 
+    The estimator always uses the default ``spec``, the paper's weight
+    function; other values serve studies of the weight matrix itself.
     With ``spec.standardize`` the columns are centered and scaled first
     (skipped for a single row, where no dispersion measure exists).  A
     scalar instrument whose sorted values pass the Cholesky pivot screen

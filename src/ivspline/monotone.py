@@ -51,7 +51,6 @@ import numpy as np
 
 from .datamodel import Dataset
 from .errors import InfeasibleConstraintsError, SolverStallError
-from .kernel import KernelSpec
 from .solver import _Factored
 from .spline import SplineFit
 
@@ -118,14 +117,14 @@ class TiltWeights:
     diagnostics: dict = field(default_factory=dict)
 
 
-def derivative_smoother_matrix(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> np.ndarray:
+def derivative_smoother_matrix(ds: Dataset, lam: float) -> np.ndarray:
     """n x n matrix L with L @ Y = fitted first derivative at every knot.
 
     With K the bordered matrix and B = [cubic_deriv, linear_deriv], L = B K^-1 [I; 0].
     K is symmetric, so L' is the first n rows of one refined solve against B',
     which also makes L reproduce linear outcomes (L 1 = 0, L z = 1).
     """
-    return _smoother(_Factored(ds, lam, spec))
+    return _smoother(_Factored(ds, lam))
 
 
 def _smoother(system: _Factored) -> np.ndarray:
@@ -193,12 +192,8 @@ def _phase_one(a: np.ndarray) -> tuple[float, int]:
     return (-res.fun, int(np.argmax(np.abs(res.ineqlin.marginals)))) if res.success else (np.nan, 0)
 
 
-def tilt(
-    ds: Dataset,
-    lam: float,
-    spec: KernelSpec = KernelSpec(),
-    direction: MonotoneDirection = MonotoneDirection.INCREASING,
-) -> TiltWeights:
+def tilt(ds: Dataset, lam: float,
+         direction: MonotoneDirection = MonotoneDirection.INCREASING) -> TiltWeights:
     """Solve the tilting program and return the optimal simplex weights.
 
     If uniform weights already satisfy the sign constraints they are returned
@@ -211,7 +206,7 @@ def tilt(
     :class:`SolverStallError` when the line search finds no ascent step,
     ``STEP_CAP`` iterations pass, or that answer is feasible but uncertified.
     """
-    return _tilt(derivative_smoother_matrix(ds, lam, spec), ds.y, direction)
+    return _tilt(derivative_smoother_matrix(ds, lam), ds.y, direction)
 
 
 def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> TiltWeights:
@@ -336,12 +331,8 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
     )
 
 
-def fit_monotone(
-    ds: Dataset,
-    lam: float,
-    spec: KernelSpec = KernelSpec(),
-    direction: MonotoneDirection = MonotoneDirection.INCREASING,
-) -> SplineFit:
+def fit_monotone(ds: Dataset, lam: float,
+                 direction: MonotoneDirection = MonotoneDirection.INCREASING) -> SplineFit:
     """Tilt the observation weights, then refit with the reweighted outcomes.
 
     Each outcome is scaled by its relative weight n p_i (the ratio of the
@@ -351,7 +342,7 @@ def fit_monotone(
     share one factorization of the bordered system, so the refit is a
     single O(n^2) solve.
     """
-    return _fit_monotone(_Factored(ds, lam, spec), ds.y, direction)
+    return _fit_monotone(_Factored(ds, lam), ds.y, direction)
 
 
 def _fit_monotone(system: _Factored, y: np.ndarray, direction: MonotoneDirection) -> SplineFit:

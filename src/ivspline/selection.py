@@ -18,7 +18,7 @@ import numpy as np
 
 from .datamodel import Dataset
 from .errors import IvsplineError, SelectionError, SizeError
-from .kernel import KernelSpec, WeightMatrix, build_weight_matrix
+from .kernel import WeightMatrix, build_weight_matrix
 from .monotone import MonotoneDirection, _fit_monotone
 from .solver import PathSolver, _Factored
 from .spline import SplineFit, _radial_cubic
@@ -71,17 +71,13 @@ class CvResult:
 
 def _fold_assignment(n: int, folds: int, seed: int) -> np.ndarray:
     """Seeded random partition; the first ceil(n/folds) permuted rows go to fold 0, and so on."""
-    perm = np.random.default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=int)
-    sizes = [(n + folds - 1 - k) // folds for k in range(folds)]
-    start = 0
-    for fold_id, size in enumerate(sizes):
-        assignment[perm[start : start + size]] = fold_id
-        start += size
+    for fold_id, rows in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), folds)):
+        assignment[rows] = fold_id
     return assignment
 
 
-def cross_validate(ds: Dataset, spec: KernelSpec = KernelSpec(), cfg: CvConfig = CvConfig()) -> CvResult:
+def cross_validate(ds: Dataset, cfg: CvConfig = CvConfig()) -> CvResult:
     """Score every grid lambda by 2-fold (or k-fold) cross-validation and return the winner.
 
     Each fold fit uses the fold's own weight matrix, but the out-of-fold
@@ -89,17 +85,17 @@ def cross_validate(ds: Dataset, spec: KernelSpec = KernelSpec(), cfg: CvConfig =
     fold-level solve failure marks that lambda invalid; if every lambda is
     invalid a :class:`SelectionError` is raised.
     """
-    return _cross_validate(ds, spec, cfg)[0]
+    return _cross_validate(ds, cfg)[0]
 
 
-def _cross_validate(ds: Dataset, spec: KernelSpec, cfg: CvConfig) -> tuple[CvResult, WeightMatrix]:
+def _cross_validate(ds: Dataset, cfg: CvConfig) -> tuple[CvResult, WeightMatrix]:
     """:func:`cross_validate`, also handing back the full-sample weight matrix for the fit."""
     if ds.n < 3 * cfg.folds:
         raise SizeError(
             f"cross-validation with {cfg.folds} folds needs at least {3 * cfg.folds} rows, got {ds.n}"
         )
     assignment = _fold_assignment(ds.n, cfg.folds, cfg.seed)
-    omega_full = build_weight_matrix(ds.w, spec)
+    omega_full = build_weight_matrix(ds.w)
 
     grid = cfg.grid
     tilde = np.zeros((ds.n, grid.size))
@@ -109,7 +105,7 @@ def _cross_validate(ds: Dataset, spec: KernelSpec, cfg: CvConfig) -> tuple[CvRes
         train = ~held_out
         sub = Dataset(y=ds.y[train], z=ds.z[train], w=ds.w[train])
         try:
-            solver = PathSolver(sub, spec)
+            solver = PathSolver(sub)
         except IvsplineError:
             raise SelectionError(
                 f"fold {fold_id}: training subsample cannot be fitted"
@@ -143,13 +139,13 @@ def _cross_validate(ds: Dataset, spec: KernelSpec, cfg: CvConfig) -> tuple[CvRes
     ), omega_full
 
 
-def _fit_selected(ds: Dataset, spec: KernelSpec, cfg: CvConfig,
+def _fit_selected(ds: Dataset, cfg: CvConfig,
                   direction: MonotoneDirection | None = None) -> tuple[SplineFit, CvResult]:
     """Cross-validate lambda, then fit at lambda* (monotone-tilted if ``direction`` is set).
 
     The fit factors the full-sample weight matrix that scored the CV criterion.
     """
-    result, omega = _cross_validate(ds, spec, cfg)
-    system = _Factored(ds, result.lambda_star, spec, omega)
+    result, omega = _cross_validate(ds, cfg)
+    system = _Factored(ds, result.lambda_star, omega)
     model = system.fit(ds.y) if direction is None else _fit_monotone(system, ds.y, direction)
     return model, result

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .datamodel import Dataset
 from .errors import IvsplineError, SizeError
-from .kernel import KernelSpec
 from .monotone import MonotoneDirection
 from .selection import CvConfig, _fit_selected
 from .solver import fit  # noqa: F401  (simlab.fit is read by bench/test_bench.py)
@@ -120,11 +119,10 @@ def _rep_cv_seed(cv_seed: int, rep: int) -> int:
     return int(np.random.SeedSequence(entropy=cv_seed, spawn_key=(rep, 1)).generate_state(1)[0])
 
 
-def _fit_on_grid(ds: Dataset, grid, spec, cv: CvConfig, rep: int, constrained: bool,
-                 direction: MonotoneDirection) -> tuple[np.ndarray, float]:
-    """Fitted grid values and the selected lambda."""
-    rep_cv = CvConfig(folds=cv.folds, grid=cv.grid, seed=_rep_cv_seed(cv.seed, rep))
-    model, result = _fit_selected(ds, spec, rep_cv, direction if constrained else None)
+def _fit_on_grid(ds: Dataset, grid, cv: CvConfig, rep: int, constrained: bool) -> tuple[np.ndarray, float]:
+    """Fitted grid values and the selected lambda; the constrained fit is increasing."""
+    rep_cv = replace(cv, seed=_rep_cv_seed(cv.seed, rep))
+    model, result = _fit_selected(ds, rep_cv, MonotoneDirection.INCREASING if constrained else None)
     return evaluate(model, grid), result.lambda_star
 
 
@@ -133,12 +131,11 @@ def monte_carlo(
     estimator,
     replications: int,
     cv: CvConfig = CvConfig(),
-    spec: KernelSpec = KernelSpec(),
-    direction: MonotoneDirection = MonotoneDirection.INCREASING,
 ) -> McReport:
     """Replicate the draw/select/fit/evaluate pipeline and aggregate grid errors.
 
-    ``estimator`` is "unconstrained", "constrained", or -- for harness
+    ``estimator`` is "unconstrained", "constrained" (monotone increasing,
+    the shape of the one monotone test curve, g3), or -- for harness
     self-tests -- a callable mapping (dataset, grid) to fitted grid values.
     Per-replication RNG streams are split off the master seed by a counter
     key, so results are reproducible regardless of execution order.
@@ -165,7 +162,7 @@ def monte_carlo(
                 curves[rep] = np.asarray(estimator(sample["dataset"], grid), dtype=float)
             elif estimator in ("unconstrained", "constrained"):
                 curves[rep], lambda_stars[rep] = _fit_on_grid(
-                    sample["dataset"], grid, spec, cv, rep, estimator == "constrained", direction
+                    sample["dataset"], grid, cv, rep, estimator == "constrained"
                 )
             else:
                 raise ValueError(f"unknown estimator {estimator!r}")

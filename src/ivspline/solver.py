@@ -22,7 +22,7 @@ from scipy.linalg import lapack
 
 from .datamodel import Dataset
 from .errors import CollinearityError, ConditioningError
-from .kernel import KernelSpec, WeightMatrix, build_weight_matrix, moment_criterion
+from .kernel import WeightMatrix, build_weight_matrix, moment_criterion
 from .spline import DesignMatrices, SplineFit, build_design, roughness
 
 _REFINEMENT_STEPS = 2  # fixed-count iterative refinement keeps extreme-lambda solves accurate
@@ -70,15 +70,16 @@ class _Factored:
 
     The fit, the derivative smoother and a refit on reweighted outcomes are
     each one refined O(n^2) solve per right-hand side on the same
-    factorization.  ``omega`` passes in a weight matrix built earlier (by CV).
+    factorization.  ``omega`` passes in the dataset's weight matrix built
+    earlier (by CV); by default it is built here.
     """
 
-    def __init__(self, ds: Dataset, lam: float, spec: KernelSpec, omega: WeightMatrix | None = None):
+    def __init__(self, ds: Dataset, lam: float, omega: WeightMatrix | None = None):
         self.lam = _check_lambda(lam)
         _check_rank(ds.z)
         self.knots = ds.z
         self.design = build_design(ds.z)
-        self.omega = build_weight_matrix(ds.w, spec) if omega is None else omega
+        self.omega = build_weight_matrix(ds.w) if omega is None else omega
         self.kkt = _kkt_matrix(self.design, self.omega, self.lam)
         self.lu = scipy.linalg.lu_factor(self.kkt)
         # the 1-norm as the inf-norm of the F-ordered transpose: no copy, no |kkt| temporary
@@ -120,22 +121,24 @@ class _Factored:
         )
 
 
-def fit(ds: Dataset, lam: float, spec: KernelSpec = KernelSpec()) -> SplineFit:
+def fit(ds: Dataset, lam: float) -> SplineFit:
     """Solve the penalized program and return the fitted natural cubic spline.
 
-    Diagnostics carry the criterion value at the solution, the roughness
-    delta' E delta, the natural-spline constraint residual, the weight-matrix
-    jitter, and a 1-norm condition estimate of the bordered system, rounded
-    to ``CONDITION_DIGITS`` significant digits.
+    ``lam`` is the estimator's only tuning parameter: the criterion's weight
+    matrix is always ``build_weight_matrix(ds.w)``.  Diagnostics carry the
+    criterion value at the solution, the roughness delta' E delta, the
+    natural-spline constraint residual, the weight-matrix jitter, and a
+    1-norm condition estimate of the bordered system, rounded to
+    ``CONDITION_DIGITS`` significant digits.
     """
-    return _Factored(ds, lam, spec).fit(ds.y)
+    return _Factored(ds, lam).fit(ds.y)
 
 
 class PathSolver:
     """Exact coefficients along a lambda path for fixed data.
 
     The change of variables delta = L u with Omega = L L' (any factor: they
-    all give the same spectrum) turns the penalized block into
+    all give the same eigenvalues) turns the penalized block into
     (S + lam I) u + Zt a = yt, S = L' E L symmetric, so one
     eigendecomposition of S (divide and conquer) gives every lambda in O(n)
     work plus one back-transformation, which :meth:`path` does for a whole
@@ -143,10 +146,10 @@ class PathSolver:
     where many lambda values are solved on the same data (CV grids).
     """
 
-    def __init__(self, ds: Dataset, spec: KernelSpec = KernelSpec()):
+    def __init__(self, ds: Dataset):
         _check_rank(ds.z)
         design = build_design(ds.z)
-        omega = build_weight_matrix(ds.w, spec)
+        omega = build_weight_matrix(ds.w)
         # L'EL = L'(L'E)' since E is exactly symmetric, so its F-ordered transpose
         # passes for E; eigh reads the lower half
         s_mat = omega._apply_lt(omega._apply_lt(design.cubic.T).T)
@@ -155,7 +158,7 @@ class PathSolver:
         self._zt = vecs.T @ omega._apply_lt(design.linear)
         self._yt = vecs.T @ omega._apply_lt(ds.y)
         zt0, zt1 = self._zt.T
-        # products whose inverse-spectrum-weighted sums give the 2 x 2 Gram
+        # products whose inverse-eigenvalue-weighted sums give the 2 x 2 Gram
         # matrix (g00, g01, g11) and its right-hand side (r0, r1)
         self._moments = np.column_stack(
             [zt0 * zt0, zt0 * zt1, zt1 * zt1, zt0 * self._yt, zt1 * self._yt]
@@ -167,8 +170,8 @@ class PathSolver:
         """(delta, a, valid) for every lambda of ``grid``: n x G, 2 x G and G columns.
 
         Column g solves the system at grid[g].  It is invalid (False in
-        ``valid``, NaN in delta and a) when the shifted spectrum is
-        numerically singular at that lambda, when its 2 x 2 Gram matrix is
+        ``valid``, NaN in delta and a) when a shifted eigenvalue is
+        numerically zero at that lambda, when its 2 x 2 Gram matrix is
         singular, or when its coefficients are not finite.
         """
         grid = np.asarray(grid, dtype=float).reshape(-1)

@@ -52,7 +52,7 @@ def wiggly_instance(seed, n=8, slope=0.6, noise=0.8):
     return ivs.Dataset(y=y, z=z, w=w)
 
 
-def qp_oracle(ds, lam, spec=None):
+def qp_oracle(ds, lam):
     """Solve the penalized program by its direct first-order system.
 
     Assembles the quadratic form of the original objective in (delta, a) --
@@ -60,8 +60,7 @@ def qp_oracle(ds, lam, spec=None):
     solves the stationarity-plus-constraints system in one dense solve.
     Shares no code path with the production solver.
     """
-    spec = spec or ivs.KernelSpec()
-    om = ivs.build_weight_matrix(ds.w, spec)
+    om = ivs.build_weight_matrix(ds.w)
     d = ivs.build_design(ds.z)
     n = ds.n
     x_map = np.hstack([d.cubic, d.linear])
@@ -82,20 +81,19 @@ def qp_oracle(ds, lam, spec=None):
     return delta, a, objective
 
 
-def build_block_system(ds, lam, spec=None):
+def build_block_system(ds, lam):
     """The bordered system assembled from public blocks: penalized_cubic, kkt and rhs.
 
     penalized_cubic is E + lam Omega^-1, kkt is [[E + lam Omega^-1, Z], [Z', 0]]
     and rhs is (Y; 0).
     """
-    spec = spec or ivs.KernelSpec()
     d = ivs.build_design(ds.z)
-    penalized = d.cubic + lam * ivs.build_weight_matrix(ds.w, spec).inverse()
+    penalized = d.cubic + lam * ivs.build_weight_matrix(ds.w).inverse()
     kkt = np.block([[penalized, d.linear], [d.linear.T, np.zeros((2, 2))]])
     return SimpleNamespace(penalized_cubic=penalized, kkt=kkt, rhs=np.concatenate([ds.y, np.zeros(2)]))
 
 
-def fitted_values(ds, lam, spec=None):
+def fitted_values(ds, lam):
     """Fitted values by the closed hat-matrix form [P + E Et^-1 (I - P)] Y.
 
     P = Z (Z' Et^-1 Z)^-1 Z' Et^-1 is the oblique projection onto the linear
@@ -103,7 +101,7 @@ def fitted_values(ds, lam, spec=None):
     solve: it factors Et alone and eliminates the linear part in closed form.
     """
     design = ivs.build_design(ds.z)
-    lu = scipy.linalg.lu_factor(build_block_system(ds, lam, spec).penalized_cubic)
+    lu = scipy.linalg.lu_factor(build_block_system(ds, lam).penalized_cubic)
     einv_z = scipy.linalg.lu_solve(lu, design.linear)
     einv_y = scipy.linalg.lu_solve(lu, ds.y)
     gram = design.linear.T @ einv_z
@@ -122,7 +120,7 @@ def kernel_weight(spec, d):
     return float(np.prod(np.exp(-np.abs(d) / b) / (2.0 * b)))
 
 
-def hat_diagnostics(ds, lam, spec=None):
+def hat_diagnostics(ds, lam):
     """Numerical health of the bordered system against its analytic block inverse.
 
     The analytic inverse is assembled from the blocks
@@ -134,7 +132,7 @@ def hat_diagnostics(ds, lam, spec=None):
     residual of that inverse times the bordered matrix minus the identity.
     The condition estimate and jitter are those ``ivs.fit`` reports.
     """
-    system = build_block_system(ds, lam, spec)
+    system = build_block_system(ds, lam)
     n = ds.n
     linear = ivs.build_design(ds.z).linear
     einv = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.penalized_cubic), np.eye(n))
@@ -145,7 +143,7 @@ def hat_diagnostics(ds, lam, spec=None):
         [einv - einv_z @ gram_inv @ einv_z.T, einv_z @ gram_inv],
         [gram_inv @ einv_z.T, -gram_inv],
     ])
-    diagnostics = ivs.fit(ds, lam, spec or ivs.KernelSpec()).diagnostics
+    diagnostics = ivs.fit(ds, lam).diagnostics
     return {
         "kkt_condition_estimate": diagnostics["kkt_condition_estimate"],
         "block_inverse_check": float(np.abs(inverse @ system.kkt - np.eye(n + 2)).max()),
@@ -153,7 +151,7 @@ def hat_diagnostics(ds, lam, spec=None):
     }
 
 
-def cv_oracle(ds, cfg, spec=None):
+def cv_oracle(ds, cfg):
     """Cross-validation curve by brute force: one ``ivs.fit`` per fold and candidate.
 
     Refits each training fold at every grid lambda, stitches the held-out
@@ -161,16 +159,15 @@ def cv_oracle(ds, cfg, spec=None):
     the full-sample weight matrix, one candidate at a time.  Shares only the
     fold split with ``cross_validate``.
     """
-    spec = spec or ivs.KernelSpec()
     assignment = _fold_assignment(ds.n, cfg.folds, cfg.seed)
-    omega = ivs.build_weight_matrix(ds.w, spec).values
+    omega = ivs.build_weight_matrix(ds.w).values
     criteria = np.empty(cfg.grid.size)
     for j, lam in enumerate(cfg.grid):
         tilde = np.empty(ds.n)
         for fold in range(cfg.folds):
             held = assignment == fold
             sub = ivs.Dataset(y=ds.y[~held], z=ds.z[~held], w=ds.w[~held])
-            tilde[held] = ivs.evaluate(ivs.fit(sub, lam, spec), ds.z[held])
+            tilde[held] = ivs.evaluate(ivs.fit(sub, lam), ds.z[held])
         r = ds.y - tilde
         criteria[j] = r @ omega @ r
     return criteria
@@ -183,7 +180,7 @@ def path_spectrum(ds):
     so this spectrum has negative eigenvalues, and lambda = -(one of them)
     makes the shifted system singular.
     """
-    chol = np.linalg.cholesky(ivs.build_weight_matrix(ds.w, ivs.KernelSpec()).values)
+    chol = np.linalg.cholesky(ivs.build_weight_matrix(ds.w).values)
     s_mat = chol.T @ ivs.build_design(ds.z).cubic @ chol
     return np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))
 

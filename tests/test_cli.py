@@ -102,6 +102,10 @@ class TestFitCommand:
         fit = ivs.fit(ds, ivs.cross_validate(ds, cfg=ivs.CvConfig(seed=9)).lambda_star)
         assert np.array_equal(np.array(doc["a"]), fit.a)
         assert np.array_equal(np.array(doc["delta"]), fit.delta)
+        # the weight function is fixed, and the artifact names it with these types
+        kernel = doc["kernel"]
+        assert kernel == {"family": "laplace", "variance": 1.0, "standardize": True}
+        assert type(kernel["variance"]) is float and type(kernel["standardize"]) is bool
 
     def test_integral_floats_load_as_floats(self, tmp_path):
         csv_in = write_fit_csv(tmp_path / "d.csv", n=10, noise=0.1)

@@ -326,7 +326,7 @@ class TestClosedFormRoute:
         assert isinstance(ivs.build_weight_matrix(ds.w, ivs.KernelSpec()), _DenseWeightMatrix)
         # the bordered matrix is E + lam Omega^-1 with dpotri's inverse, bit for bit
         for lam in (1e-4, 1e-2):
-            system = _Factored(ds, lam, ivs.KernelSpec())
+            system = _Factored(ds, lam)
             assert np.array_equal(system.kkt, build_block_system(ds, lam).kkt)
 
     def test_fit_cv_answers_agree_with_dense_route(self, tmp_path, monkeypatch):
@@ -336,7 +336,7 @@ class TestClosedFormRoute:
         args = ["fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1", "--cv", "--seed", "1"]
         assert main(args + ["--out", str(tmp_path / "closed.json")]) == 0
 
-        def dense(w, spec):
+        def dense(w, spec=ivs.KernelSpec()):
             om = ivs.kernel.build_weight_matrix(w, spec)
             return _DenseWeightMatrix(w=om.w, spec=spec, jitter_applied=0.0, chol=np.linalg.cholesky(om.values))
 

@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 import ivspline as ivs
 from ivspline import monotone
 from conftest import random_instance, wiggly_instance
+import tilt_oracle
 from tilt_oracle import barrier_tilt
 
 INC = ivs.MonotoneDirection.INCREASING
@@ -244,6 +245,22 @@ class TestTilt:
         assert margin > 1e-7
         with pytest.raises(ivs.SolverStallError, match="KKT residual"):
             ivs.tilt(ds, 1e-5, direction=DEC)
+
+    def test_barrier_oracle_phase_one_finds_thin_feasible_weights(self):
+        # the best margin here, 1.2e-6, is below the phase-I barrier gap at
+        # mu = 1e-8; the oracle must keep shrinking mu to see it
+        ds = paper_draw("g3", 1015)
+        a_rows, kept = tilt_oracle._constraint_rows(ds, 1e-5, DEC)
+        q = tilt_oracle._phase_one(a_rows, float(ds.n))
+        assert q.min() >= 0.0
+        assert q.sum() == pytest.approx(ds.n, rel=1e-12)
+        slack = DEC.sign * ivs.derivative_smoother_matrix(ds, 1e-5) @ (q * ds.y)
+        assert slack[kept].min() > 0.0
+        # the roundoff-margin program stays infeasible for the oracle too
+        ds = paper_draw("g2", 1011)
+        a_rows, _ = tilt_oracle._constraint_rows(ds, 1e-5, INC)
+        with pytest.raises(ivs.InfeasibleConstraintsError):
+            tilt_oracle._phase_one(a_rows, float(ds.n))
 
 
 class TestFitMonotone:

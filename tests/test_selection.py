@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,13 @@ class TestCrossValidate:
         assert r1.lambda_star == r2.lambda_star
         assert np.array_equal(r1.curve, r2.curve)
         assert np.array_equal(r1.fold_assignment, r2.fold_assignment)
+
+    def test_positional_config_matches_keyword(self):
+        ds = random_instance(2, n=16)
+        positional = ivs.cross_validate(ds, ivs.CvConfig(seed=9))
+        keyword = ivs.cross_validate(ds, cfg=ivs.CvConfig(seed=9))
+        for field in dataclasses.fields(ivs.CvResult):
+            assert np.array_equal(getattr(positional, field.name), getattr(keyword, field.name))
 
     def test_fold_assignment_is_balanced_partition(self):
         ds = random_instance(3, n=17)

@@ -190,7 +190,10 @@ def _phase_one(a: np.ndarray, eq_rhs: float):
     constraint if the optimum margin is nonpositive.  Exits as soon as the
     iterate is comfortably strictly feasible: the margin maximizer itself is
     badly centered for the main objective (it can zero out coordinates), so
-    an early near-uniform feasible point is the better start.
+    an early near-uniform feasible point is the better start.  Otherwise mu
+    runs down to ``MU_FLOOR``: a central point's margin trails the best one
+    by up to (m + k) mu, so a program whose best margin is 1e-6 at m + k = 100
+    shows a positive margin only once mu is well below 1e-8.
     """
     k, m = a.shape
     scale = max(1.0, float(np.abs(a).sum(axis=1).max()))
@@ -208,7 +211,7 @@ def _phase_one(a: np.ndarray, eq_rhs: float):
     zero_hess = np.zeros((m + 1, m + 1))
     early_exit = 1e-6 * scale
     mu = MU_INITIAL
-    while mu >= 1e-8:
+    while mu >= MU_FLOOR:
         x, _, _ = _newton_stage(
             x, mu, lambda x: -x[m], lambda x: grad_vec, lambda x: zero_hess,
             rows, eq, eq_rhs, max(1e-8, 1e-3 * mu), INNER_CAP,
