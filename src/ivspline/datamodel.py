@@ -28,9 +28,9 @@ class Dataset:
     """Outcome vector, endogenous regressor, and n x p instrument matrix.
 
     Rows are observations and keep their input order.  ``z`` need not be
-    sorted and may contain ties; duplicated instrument rows are legal but
-    flagged, because they make the instrument weight matrix numerically
-    singular (the solver's jitter policy then kicks in).
+    sorted and may contain ties; duplicated instrument rows are legal and
+    flagged: they make the instrument weight matrix singular, so the solver
+    works on the distinct rows (see :mod:`ivspline.kernel`).
     """
 
     y: np.ndarray

@@ -15,11 +15,18 @@ density itself as ``omega``, a product over the instrument columns,
 distribution with scale sqrt(2)); multiplicative constants in ``omega`` only
 rescale the criterion and are absorbed by the regularization parameter.
 
-For a scalar instrument the matrix is an Ornstein-Uhlenbeck covariance,
-whose inverse is tridiagonal in sorted order; with distinct values it is
-held as a closed-form bidiagonal factor in O(n) storage.  Several
-instruments, or tied and nearly tied values, keep the dense Cholesky factor
-only: the matrix is factored in place and rebuilt when asked for.
+Rows that tie exactly give equal rows of the matrix, so with G the n x m
+indicator of the m distinct (standardized) instrument rows it factors as
+Omega = G Omegabar G', where Omegabar is the same weight on the distinct rows
+and is positive definite.  The factor is then L = G Lbar with Lbar Lbar' =
+Omegabar, an n x m matrix held as the row-to-group map and Lbar; without ties
+G = I and the map is absent.  For a scalar instrument Omegabar is an
+Ornstein-Uhlenbeck covariance, whose inverse is tridiagonal in sorted order;
+when its distinct values pass the pivot screen, Lbar is a closed-form
+bidiagonal factor in O(m) storage.  Several instruments, or nearly tied
+values, keep the dense Cholesky factor of Omegabar only: it is factored in
+place (with jitter while near ties leave it numerically singular) and rebuilt
+when asked for.
 """
 
 from __future__ import annotations
@@ -61,21 +68,51 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
+class _Groups:
+    """The n x m indicator G of the distinct instrument rows, held as index arrays.
+
+    ``index`` maps each row to its group, ``order`` lists the rows group by
+    group, and ``starts`` gives the position in ``order`` where each group
+    begins.  G itself is never formed: G'm sums rows by group and Gm repeats
+    each group's row for its members, both O(n) per column.
+    """
+
+    index: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+    def __len__(self) -> int:
+        return self.starts.shape[0]
+
+    def sum(self, m: np.ndarray) -> np.ndarray:
+        """G'm: the rows of m summed within each group."""
+        return np.add.reduceat(m[self.order], self.starts, axis=0)
+
+    def expand(self, m: np.ndarray) -> np.ndarray:
+        """Gm: row g of m for every member of group g."""
+        return m[self.index]
+
+
+@dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric positive-definite matrix Omega with entries n^-2 omega(W_i - W_j).
+    """Symmetric positive-semidefinite matrix Omega with entries n^-2 omega(W_i - W_j).
 
     Held as the (standardized) instrument ``w``, the ``jitter_applied`` to
-    each diagonal entry (zero unless the Cholesky factorization needed it)
-    and a factor L with L L' = Omega, whose representation is a subclass's.
-    The package reaches Omega only through ``_apply_lt`` (L'm), ``_apply_l``
-    (Lm), ``_add_inverse`` (mat += lam Omega^-1) and ``_quadratic``
-    (columnwise r' Omega r = ||L'r||^2).  ``values`` and ``inverse()``
-    rebuild the dense matrix, jitter included, and its inverse when asked.
+    each diagonal entry of Omegabar (zero unless its Cholesky factorization
+    needed it), the map ``groups`` of tied rows (None when every row is
+    distinct) and a factor Lbar with Lbar Lbar' = Omegabar, whose
+    representation is a subclass's.  The package reaches Omega only through
+    ``_apply_lt`` (L'm, n rows in, m out), ``_apply_l`` (Lm, m rows in, n
+    out), ``_add_inverse`` (mat += lam Omegabar^-1 on an m x m block) and
+    ``_quadratic`` (columnwise r' Omega r = ||L'r||^2), with L = G Lbar.
+    ``values`` rebuilds the dense n x n matrix, jitter included, and
+    ``inverse()`` its inverse, which exists only without ties.
     """
 
     w: np.ndarray = field(repr=False)
     spec: KernelSpec
     jitter_applied: float
+    groups: _Groups | None = field(default=None, repr=False, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -84,13 +121,31 @@ class WeightMatrix:
     @property
     def values(self) -> np.ndarray:
         values = _pairwise_weights(self.w, self.spec)
-        values[np.diag_indices(self.n)] += self.jitter_applied
+        if self.groups is None:
+            values[np.diag_indices(self.n)] += self.jitter_applied
+        elif self.jitter_applied:
+            # G (Omegabar + jitter I) G': the jitter sits on every pair of one group
+            values += self.jitter_applied * np.equal.outer(self.groups.index, self.groups.index)
         return values
 
     def inverse(self) -> np.ndarray:
+        if self.groups is not None:
+            raise SingularKernelError(
+                f"weight matrix has rank {len(self.groups)} < {self.n}: tied instrument rows leave "
+                "it without an inverse"
+            )
         inv = np.zeros((self.n, self.n))
         self._add_inverse(inv, 1.0)
         return inv
+
+    def _apply_lt(self, m: np.ndarray) -> np.ndarray:
+        """L'm = Lbar' G'm, one row per group."""
+        return self._factor_lt(m if self.groups is None else self.groups.sum(m))
+
+    def _apply_l(self, m: np.ndarray) -> np.ndarray:
+        """Lm = G Lbar m, one row per observation."""
+        lm = self._factor_l(m)
+        return lm if self.groups is None else self.groups.expand(lm)
 
     def _quadratic(self, r: np.ndarray) -> np.ndarray:
         """r' Omega r for a vector, or for each column of a matrix, as ||L'r||^2."""
@@ -100,25 +155,25 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class _DenseWeightMatrix(WeightMatrix):
-    """Omega through its lower Cholesky factor ``chol``: any instrument dimension, ties included."""
+    """Omegabar through its lower Cholesky factor ``chol``: any instrument dimension, near ties included."""
 
     chol: np.ndarray = field(repr=False)
 
-    def _apply_lt(self, m: np.ndarray) -> np.ndarray:
+    def _factor_lt(self, m: np.ndarray) -> np.ndarray:
         cols = m.reshape(m.shape[0], -1)
         return blas.dtrmm(1.0, self.chol, cols, lower=1, trans_a=1).reshape(m.shape)
 
-    def _apply_l(self, m: np.ndarray) -> np.ndarray:
+    def _factor_l(self, m: np.ndarray) -> np.ndarray:
         cols = m.reshape(m.shape[0], -1)
         return blas.dtrmm(1.0, self.chol, cols, lower=1).reshape(m.shape)
 
     def _add_inverse(self, mat: np.ndarray, lam: float) -> None:
-        # Omega^-1 from the factor by LAPACK dpotri (2n^3/3 flops), which fills
+        # Omegabar^-1 from the factor by LAPACK dpotri (2m^3/3 flops), which fills
         # the lower triangle; mirroring it makes the inverse exactly symmetric
         inv, info = lapack.dpotri(self.chol, lower=1)
         if info != 0:
             raise SingularKernelError(f"weight matrix inverse failed (LAPACK info {info})")
-        for i in range(0, self.n, _MIRROR_BLOCK):
+        for i in range(0, inv.shape[0], _MIRROR_BLOCK):
             j = i + _MIRROR_BLOCK
             inv[i:j, j:] = inv[j:, i:j].T
             block = inv[i:j, i:j]
@@ -129,28 +184,29 @@ class _DenseWeightMatrix(WeightMatrix):
 
 @dataclass(frozen=True)
 class _BidiagonalWeightMatrix(WeightMatrix):
-    """Omega for a scalar instrument with distinct values, through a closed-form factor.
+    """Omegabar for a scalar instrument, through a closed-form factor.
 
-    Sorted by w, Omega = c K with c = 1/(2b n^2), and K_ij = exp(-|w_i - w_j|/b)
-    is the covariance of an Ornstein-Uhlenbeck process at the sorted points.
+    Sorted by w, the m distinct values give Omegabar = c K with c = 1/(2b n^2)
+    (n counting every row), and K_ij = exp(-|w_i - w_j|/b) is the covariance
+    of an Ornstein-Uhlenbeck process at the sorted points.
     By the process's Markov property K = Ls Ls' with Ls^-1 lower bidiagonal:
     with gaps D_i, a_i = exp(-D_i/b) and s_i = sqrt(1 - a_i^2), its diagonal
     is (1, 1/s_1, ..., 1/s_{n-1}) and its subdiagonal -a_i/s_i (Rasmussen &
     Williams 2006, Gaussian Processes for Machine Learning, app. B).
     ``band`` holds B = Ls^-1/sqrt(c) in LAPACK lower band storage (row 0 the
     diagonal, row 1 the subdiagonal) and ``order`` the sorting permutation
-    P, so Omega^-1 = P'B'BP and L = P'B^-1 is a factor of Omega.  Each
-    operation is O(n) per column.
+    P, so Omegabar^-1 = P'B'BP and Lbar = P'B^-1 is a factor of Omegabar.
+    Each operation is O(m) per column.
     """
 
     order: np.ndarray = field(repr=False)
     band: np.ndarray = field(repr=False)
 
-    def _apply_lt(self, m: np.ndarray) -> np.ndarray:
+    def _factor_lt(self, m: np.ndarray) -> np.ndarray:
         x, _ = lapack.dtbtrs(self.band, _rows(m, self.order), uplo="L", trans="T", overwrite_b=1)
         return x.reshape(m.shape)
 
-    def _apply_l(self, m: np.ndarray) -> np.ndarray:
+    def _factor_l(self, m: np.ndarray) -> np.ndarray:
         x, _ = lapack.dtbtrs(self.band, m.reshape(m.shape[0], -1), uplo="L", trans="N")
         return _rows(x, np.argsort(self.order)).reshape(m.shape)
 
@@ -166,15 +222,17 @@ class _BidiagonalWeightMatrix(WeightMatrix):
 
 
 def _rows(m: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """m[index] as an F-ordered n x k array (k = 1 for a vector), the layout LAPACK reads uncopied."""
+    """m[index] as an F-ordered array with one column per column of m, the layout LAPACK reads uncopied."""
     return np.take(m.reshape(m.shape[0], -1).T, index, axis=1).T
 
 
-def _pairwise_weights(w: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    # n^-2 omega(W_i - W_j) in one n x n buffer; |w_i - w_j| and |w_j - w_i|
-    # round identically, so it is exactly symmetric without averaging
+def _pairwise_weights(w: np.ndarray, spec: KernelSpec, n: int | None = None) -> np.ndarray:
+    # n^-2 omega(W_i - W_j) over the rows of w in one buffer, n defaulting to
+    # their count; |w_i - w_j| and |w_j - w_i| round identically, so it is
+    # exactly symmetric without averaging
     b = spec.scale
-    n, p = w.shape
+    p = w.shape[1]
+    n = w.shape[0] if n is None else n
     values = np.abs(np.subtract.outer(w[:, 0], w[:, 0]))
     for k in range(1, p):
         d = np.subtract.outer(w[:, k], w[:, k])
@@ -205,26 +263,42 @@ def _attempt_cholesky(values: np.ndarray, jitter: float):
     return chol
 
 
-def _bidiagonal(w: np.ndarray, spec: KernelSpec) -> _BidiagonalWeightMatrix | None:
-    """The closed-form factor of a scalar instrument, or None where its values tie or nearly tie.
+def _bidiagonal(rows: np.ndarray, spec: KernelSpec, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(order, band) of the closed-form factor on a scalar instrument's m distinct values.
 
-    1 - a_i^2 are the Cholesky pivots of K in sorted order, so this is the
-    relative pivot screen of :func:`_attempt_cholesky`.
+    None where two values nearly tie: 1 - a_i^2 are the Cholesky pivots of K
+    in sorted order, so this is the relative pivot screen of
+    :func:`_attempt_cholesky`.
     """
-    n = w.shape[0]
+    m = rows.shape[0]
     b = spec.scale
-    order = np.argsort(w[:, 0], kind="stable")
-    gaps = np.diff(w[order, 0])
+    order = np.argsort(rows[:, 0], kind="stable")
+    gaps = np.diff(rows[order, 0])
     pivots = -np.expm1(-2.0 * gaps / b)
-    if not np.all(pivots > n * np.finfo(float).eps):
+    if not np.all(pivots > m * np.finfo(float).eps):
         return None
     s = np.sqrt(pivots)
-    band = np.zeros((2, n))
+    band = np.zeros((2, m))
     band[0, 0] = 1.0
     band[0, 1:] = 1.0 / s
     band[1, :-1] = -np.exp(-gaps / b) / s
     band *= n * np.sqrt(2.0 * b)  # 1/sqrt(c)
-    return _BidiagonalWeightMatrix(w=w, spec=spec, jitter_applied=0.0, order=order, band=band)
+    return order, band
+
+
+def _group_rows(w: np.ndarray) -> tuple[np.ndarray, _Groups | None]:
+    """The distinct rows of w (sorted) and the map of its tied rows; (w, None) without ties.
+
+    A scalar instrument with distinct values is recognized by one sort.
+    """
+    if w.shape[1] == 1 and np.all(np.diff(np.sort(w[:, 0])) > 0):
+        return w, None
+    distinct, index, counts = np.unique(w, axis=0, return_inverse=True, return_counts=True)
+    if distinct.shape[0] == w.shape[0]:
+        return w, None
+    index = index.reshape(-1)
+    order = np.argsort(index, kind="stable")
+    return distinct, _Groups(index=index, order=order, starts=np.cumsum(counts) - counts)
 
 
 def build_weight_matrix(w: np.ndarray, spec: KernelSpec = KernelSpec()) -> WeightMatrix:
@@ -233,11 +307,13 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec = KernelSpec()) -> Weigh
     The estimator always uses the default ``spec``, the paper's weight
     function; other values serve studies of the weight matrix itself.
     With ``spec.standardize`` the columns are centered and scaled first
-    (skipped for a single row, where no dispersion measure exists).  A
-    scalar instrument whose sorted values pass the Cholesky pivot screen
-    gets the closed-form bidiagonal factor.  Otherwise a copy of the dense
+    (skipped for a single row, where no dispersion measure exists).  Rows
+    that tie exactly are grouped, and the factor is built on the m distinct
+    rows only (without ties m = n and no map is kept).  A scalar instrument
+    whose distinct values pass the Cholesky pivot screen gets the
+    closed-form bidiagonal factor.  Otherwise a copy of the dense m x m
     matrix is factored in place, with escalating diagonal jitter while it is
-    not numerically positive definite (instrument rows coincide or nearly
+    not numerically positive definite (distinct instrument rows nearly
     coincide), and only the factor is kept; past the cap a
     :class:`SingularKernelError` is raised.
     """
@@ -245,20 +321,24 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec = KernelSpec()) -> Weigh
     n = w.shape[0]
     if spec.standardize and n >= 2:
         w = standardize_instruments(w).w_std
-    scalar = _bidiagonal(w, spec) if w.shape[1] == 1 else None
+    rows, groups = _group_rows(w)
+    scalar = _bidiagonal(rows, spec, n) if w.shape[1] == 1 else None
     if scalar is not None:
-        return scalar
-    values = _pairwise_weights(w, spec)
-    base, tau = values.trace() / n, 0.0
+        order, band = scalar
+        return _BidiagonalWeightMatrix(w=w, spec=spec, jitter_applied=0.0, groups=groups,
+                                       order=order, band=band)
+    values = _pairwise_weights(rows, spec, n)
+    base, tau = values.trace() / rows.shape[0], 0.0
     while tau <= JITTER_CAP * (1.0 + 1e-12):
         jitter = tau * base
         chol = _attempt_cholesky(values, jitter)
         if chol is not None:
-            return _DenseWeightMatrix(w=w, spec=spec, jitter_applied=float(jitter), chol=chol)
+            return _DenseWeightMatrix(w=w, spec=spec, jitter_applied=float(jitter), groups=groups,
+                                      chol=chol)
         tau = tau * JITTER_GROWTH if tau else JITTER_START
     raise SingularKernelError(
         "weight matrix is singular beyond the jitter cap; "
-        "instrument rows are effectively duplicated"
+        "distinct instrument rows nearly coincide"
     )
 
 

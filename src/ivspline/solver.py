@@ -7,6 +7,16 @@ over the natural-spline constraint Z' delta = 0 reduces to one linear solve:
 
 where Z is the n x 2 linear design and E the cubic design.
 
+With tied instruments Omega = G Omegabar G' is singular (G the n x m
+indicator of the distinct instrument rows, see :mod:`ivspline.kernel`).
+The first block row times Omega gives lam delta = Omega (Y - Za - E delta),
+so delta = G nu lies in the range of G, and the same program is the
+(m + 2) system
+
+    [[G'EG + lam Omegabar^-1, G'Z], [Z'G, 0]] (nu; a) = (G'Y; 0),
+
+solved exactly, with no jitter; without ties G = I and it is the system above.
+
 Note Et is symmetric but in general indefinite: the cubic design is positive
 semidefinite only on the constraint subspace (order-2 conditional positive
 definiteness of |d|^3), so Et is factored by LU rather than Cholesky.  The
@@ -47,14 +57,36 @@ def _check_rank(z: np.ndarray) -> None:
         )
 
 
+def _check_group_rank(z: np.ndarray, omega: WeightMatrix) -> None:
+    """With tied instruments the linear block is G'Z, of rank 2 only if the groups' mean z differ.
+
+    The means are compared to within the roundoff of summing n values.
+    """
+    groups = omega.groups
+    if groups is None:
+        return
+    means = groups.sum(z) / groups.sum(np.ones_like(z))
+    if np.ptp(means) <= z.shape[0] * np.finfo(float).eps * np.abs(z).max():
+        raise CollinearityError(
+            f"linear design is rank deficient on the {len(groups)} instrument groups: "
+            "every group has the same mean z"
+        )
+
+
 def _kkt_matrix(design: DesignMatrices, omega: WeightMatrix, lam: float) -> np.ndarray:
-    """The bordered matrix [[E + lam Omega^-1, Z], [Z', 0]], exactly symmetric."""
-    n = design.linear.shape[0]
-    kkt = np.zeros((n + 2, n + 2))
-    kkt[:n, :n] = design.cubic
-    omega._add_inverse(kkt[:n, :n], lam)
-    kkt[:n, n:] = design.linear
-    kkt[n:, :n] = design.linear.T
+    """The bordered matrix [[G'EG + lam Omegabar^-1, G'Z], [Z'G, 0]], exactly symmetric; G = I without ties."""
+    cubic, linear = design.cubic, design.linear
+    groups = omega.groups
+    if groups is not None:
+        cubic = groups.sum(groups.sum(cubic).T)
+        cubic = 0.5 * (cubic + cubic.T)  # the two sums round in different orders
+        linear = groups.sum(linear)
+    m = linear.shape[0]
+    kkt = np.zeros((m + 2, m + 2))
+    kkt[:m, :m] = cubic
+    omega._add_inverse(kkt[:m, :m], lam)
+    kkt[:m, m:] = linear
+    kkt[m:, :m] = linear.T
     return kkt
 
 
@@ -70,8 +102,10 @@ class _Factored:
 
     The fit, the derivative smoother and a refit on reweighted outcomes are
     each one refined O(n^2) solve per right-hand side on the same
-    factorization.  ``omega`` passes in the dataset's weight matrix built
-    earlier (by CV); by default it is built here.
+    factorization.  With tied instruments the system has order m + 2, and
+    :meth:`solve` maps (n + 2)-row right-hand sides and solutions through G.
+    ``omega`` passes in the dataset's weight matrix built earlier (by CV);
+    by default it is built here.
     """
 
     def __init__(self, ds: Dataset, lam: float, omega: WeightMatrix | None = None):
@@ -80,13 +114,22 @@ class _Factored:
         self.knots = ds.z
         self.design = build_design(ds.z)
         self.omega = build_weight_matrix(ds.w) if omega is None else omega
+        _check_group_rank(ds.z, self.omega)
         self.kkt = _kkt_matrix(self.design, self.omega, self.lam)
         self.lu = scipy.linalg.lu_factor(self.kkt)
         # the 1-norm as the inf-norm of the F-ordered transpose: no copy, no |kkt| temporary
         self.condition = _condition_estimate(self.lu[0], lapack.dlange("I", self.kkt.T))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """LU solve with fixed-count refinement, for one or many right-hand sides."""
+        """LU solve with fixed-count refinement, for one or many (n + 2)-row right-hand sides.
+
+        With tied instruments the first n rows of ``rhs`` are summed by group
+        (G'), and the solution's first m rows, nu, are expanded to delta = G nu.
+        """
+        groups = self.omega.groups
+        n = self.knots.shape[0]
+        if groups is not None:
+            rhs = np.concatenate([groups.sum(rhs[:n]), rhs[n:]])
         sol = scipy.linalg.lu_solve(self.lu, rhs)
         for _ in range(_REFINEMENT_STEPS):
             sol = sol + scipy.linalg.lu_solve(self.lu, rhs - self.kkt @ sol)
@@ -95,11 +138,14 @@ class _Factored:
                 f"block solve produced non-finite values (condition estimate {self.condition:.3e})",
                 condition_estimate=self.condition,
             )
+        if groups is not None:
+            sol = np.concatenate([groups.expand(sol[:-2]), sol[-2:]])
         return sol
 
     def fit(self, y: np.ndarray) -> SplineFit:
         """The fitted spline for outcome vector y, with :func:`fit`'s diagnostics."""
         n = y.shape[0]
+        groups = self.omega.groups
         sol = self.solve(np.concatenate([y, np.zeros(2)]))
         delta, a = sol[:n], sol[n:]
         residuals = y - self.design.linear @ a - self.design.cubic @ delta
@@ -116,6 +162,7 @@ class _Factored:
                 "objective": crit + self.lam * rough,
                 "constraint_residual": float(np.abs(self.design.linear.T @ delta).max()),
                 "jitter_applied": self.omega.jitter_applied,
+                "instrument_groups": self.omega.n if groups is None else len(groups),
                 "kkt_condition_estimate": self.condition,
             },
         )
@@ -127,8 +174,9 @@ def fit(ds: Dataset, lam: float) -> SplineFit:
     ``lam`` is the estimator's only tuning parameter: the criterion's weight
     matrix is always ``build_weight_matrix(ds.w)``.  Diagnostics carry the
     criterion value at the solution, the roughness delta' E delta, the
-    natural-spline constraint residual, the weight-matrix jitter, and a
-    1-norm condition estimate of the bordered system, rounded to
+    natural-spline constraint residual, the weight-matrix jitter, the number
+    m of distinct instrument rows (``instrument_groups``; n without ties),
+    and a 1-norm condition estimate of the bordered system, rounded to
     ``CONDITION_DIGITS`` significant digits.
     """
     return _Factored(ds, lam).fit(ds.y)
@@ -138,11 +186,11 @@ class PathSolver:
     """Exact coefficients along a lambda path for fixed data.
 
     The change of variables delta = L u with Omega = L L' (any factor: they
-    all give the same eigenvalues) turns the penalized block into
-    (S + lam I) u + Zt a = yt, S = L' E L symmetric, so one
-    eigendecomposition of S (divide and conquer) gives every lambda in O(n)
-    work plus one back-transformation, which :meth:`path` does for a whole
-    grid in one matrix product.  Algebraically identical to :func:`fit`; used
+    all give the same eigenvalues; with tied instruments L is n x m and u has
+    m entries) turns the penalized block into (S + lam I) u + Zt a = yt,
+    S = L' E L symmetric, so one eigendecomposition of S (divide and conquer)
+    gives every lambda in O(m) work plus one back-transformation, which
+    :meth:`path` does for a whole grid in one matrix product.  Algebraically identical to :func:`fit`; used
     where many lambda values are solved on the same data (CV grids).
     """
 
@@ -150,6 +198,7 @@ class PathSolver:
         _check_rank(ds.z)
         design = build_design(ds.z)
         omega = build_weight_matrix(ds.w)
+        _check_group_rank(ds.z, omega)
         # L'EL = L'(L'E)' since E is exactly symmetric, so its F-ordered transpose
         # passes for E; eigh reads the lower half
         s_mat = omega._apply_lt(omega._apply_lt(design.cubic.T).T)

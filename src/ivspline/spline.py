@@ -75,8 +75,9 @@ class SplineFit:
     ``a`` holds the intercept and slope, ``delta`` the radial coefficients
     (one per knot, satisfying the two natural-spline constraints), ``knots``
     the z values in dataset order.  ``diagnostics`` records the criterion
-    value, the roughness, the constraint residual, and any weight-matrix
-    jitter of the solve that produced the fit.
+    value, the roughness, the constraint residual, any weight-matrix jitter
+    and the number of distinct instrument rows of the solve that produced
+    the fit.
     """
 
     a: np.ndarray

@@ -52,6 +52,21 @@ def wiggly_instance(seed, n=8, slope=0.6, noise=0.8):
     return ivs.Dataset(y=y, z=z, w=w)
 
 
+def near_ties(w, decimals=1, step=2.0**-49):
+    """w rounded to ``decimals``, with the k-th repeat of each value moved up by k * step.
+
+    The step is a few ulps at the instrument's scale, so no two rows tie
+    exactly but repeats stay close enough to fail the weight matrix's pivot
+    screen: the near-tie case, which the jitter loop serves.
+    """
+    w = np.round(np.asarray(w, dtype=float), decimals)
+    flat = w.reshape(-1)
+    for value in np.unique(flat):
+        rows = np.flatnonzero(flat == value)
+        flat[rows] += np.arange(rows.size) * step
+    return w
+
+
 def qp_oracle(ds, lam):
     """Solve the penalized program by its direct first-order system.
 

@@ -29,6 +29,23 @@ class TestFitCommand:
         assert doc["lambda"] == 0.1
         assert doc["lambda_selected_by"] == "flag"
 
+    def test_artifact_reports_instrument_groups(self, tmp_path):
+        rng = np.random.default_rng(2)
+        w = rng.standard_normal(60)
+        z = 0.8 * w + 0.5 * rng.standard_normal(60)
+        y = np.sin(z) + 0.2 * rng.standard_normal(60)
+        reported = {}
+        for name, column in (("distinct", w), ("rounded", np.round(w, 1))):
+            csv_in = tmp_path / f"{name}.csv"
+            ivs.write_csv(ivs.Dataset(y=y, z=z, w=column), csv_in)
+            out = tmp_path / f"{name}.json"
+            assert main(["fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
+                         "--cv", "--out", str(out)]) == 0
+            reported[name] = read_document(out)["diagnostics"]
+        assert reported["distinct"]["instrument_groups"] == 60
+        assert reported["rounded"]["instrument_groups"] == np.unique(np.round(w, 1)).size < 60
+        assert reported["rounded"]["jitter_applied"] == 0.0
+
     def test_artifact_carries_provenance_and_curve(self, tmp_path):
         csv_in = write_fit_csv(tmp_path / "d.csv", n=9, seed=5, noise=0.1)
         out = tmp_path / "fit.json"

@@ -12,6 +12,7 @@ from conftest import (
     build_block_system,
     criterion_quadrature_oracle,
     kernel_weight,
+    near_ties,
     path_spectrum,
     random_instance,
 )
@@ -56,8 +57,11 @@ class TestBuildWeightMatrix:
         assert om.values.shape == (1, 1)
         assert om.values[0, 0] == pytest.approx(SQRT2 / 2)
 
-    def test_duplicate_rows_need_jitter(self):
-        om = ivs.build_weight_matrix(np.zeros((2, 1)), ivs.KernelSpec(standardize=False))
+    def test_near_duplicate_rows_need_jitter(self):
+        # three rows one ulp apart: distinct, so not grouped, but numerically singular
+        w = 1.0 - np.arange(3.0)[:, None] * 2.0**-53
+        om = ivs.build_weight_matrix(w, ivs.KernelSpec(standardize=False))
+        assert om.groups is None
         assert om.jitter_applied > 0
         assert np.linalg.eigvalsh(om.values).min() > 0
 
@@ -125,16 +129,18 @@ class TestBuildWeightMatrix:
         assert np.allclose(om.values @ om.inverse(), np.eye(7), atol=1e-10)
 
     def test_jitter_escalates_tenfold_until_the_factor_passes(self, monkeypatch):
-        # exact duplicates fail the unjittered factorization; from a start far
+        # pairs one ulp apart fail the unjittered factorization; from a start far
         # below the pivot screen the jitter climbs rung by rung, one Cholesky
         # call each, and a cap one rung below the rung that passed is fatal
-        w = np.repeat([[0.0], [1.0], [2.0]], 2, axis=0)
+        w = np.repeat([[0.5], [1.0], [1.5]], 2, axis=0)
+        w[1::2] = np.nextafter(w[1::2], 0.0)
         spec = ivs.KernelSpec(standardize=False)
         calls = []
         cholesky = scipy.linalg.cholesky
         monkeypatch.setattr(scipy.linalg, "cholesky", lambda *a, **k: calls.append(1) or cholesky(*a, **k))
         monkeypatch.setattr(ivs.kernel, "JITTER_START", 1e-20)
         om = ivs.build_weight_matrix(w, spec)
+        assert om.groups is None
         base = _pairwise_weights(om.w, spec).trace() / 6
         rungs = round(math.log10(om.jitter_applied / base / 1e-20))
         assert rungs >= 2
@@ -150,16 +156,17 @@ class TestBuildWeightMatrix:
     @pytest.mark.parametrize("kind", ["rounded", "two instruments"])
     def test_dense_route_holds_only_its_factor(self, rng, kind):
         # one n x n array stays (the factor), and the build peaks at the
-        # matrix plus the one copy that is factored in place
+        # matrix plus the one copy that is factored in place; the rounded
+        # values are nudged apart into near ties, which are not grouped
         n = 2000
-        w = np.round(rng.standard_normal((n, 1)), 1) if kind == "rounded" else rng.standard_normal((n, 2))
+        w = near_ties(rng.standard_normal((n, 1))) if kind == "rounded" else rng.standard_normal((n, 2))
         tracemalloc.start()
         try:
             om = ivs.build_weight_matrix(w, ivs.KernelSpec())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert isinstance(om, _DenseWeightMatrix)
+        assert isinstance(om, _DenseWeightMatrix) and om.groups is None
         held = sum(getattr(om, f.name).nbytes for f in dataclasses.fields(om)
                    if isinstance(getattr(om, f.name), np.ndarray))
         assert held <= 8 * (n * n + 10 * n)
@@ -320,10 +327,13 @@ class TestClosedFormRoute:
 
     @pytest.mark.parametrize("two_instruments", [False, True])
     def test_ties_and_two_instruments_keep_the_dense_route(self, rng, two_instruments):
+        # near ties (rounded values nudged a few ulps apart) fail the pivot
+        # screen; exact ties are grouped instead (tests/test_ties.py)
         ds = random_instance(7, n=300)
-        w = np.column_stack([ds.w[:, 0], rng.standard_normal(300)]) if two_instruments else np.round(ds.w, 1)
+        w = np.column_stack([ds.w[:, 0], rng.standard_normal(300)]) if two_instruments else near_ties(ds.w)
         ds = ivs.Dataset(y=ds.y, z=ds.z, w=w)
-        assert isinstance(ivs.build_weight_matrix(ds.w, ivs.KernelSpec()), _DenseWeightMatrix)
+        om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
+        assert isinstance(om, _DenseWeightMatrix) and om.groups is None
         # the bordered matrix is E + lam Omega^-1 with dpotri's inverse, bit for bit
         for lam in (1e-4, 1e-2):
             system = _Factored(ds, lam)

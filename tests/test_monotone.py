@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 import ivspline as ivs
 from ivspline import monotone
-from conftest import random_instance, wiggly_instance
+from conftest import near_ties, random_instance, wiggly_instance
 import tilt_oracle
 from tilt_oracle import barrier_tilt
 
@@ -87,9 +87,20 @@ class TestDerivativeSmoother:
     @pytest.mark.parametrize("lam", [1e-5, 1e-2, 2.3])
     def test_reproduces_linear_outcomes_on_rounded_instrument(self, lam):
         # the fit to y = c + s z is exactly the line, so L 1 = 0 and L z = 1;
-        # the rounded instrument puts the bordered system's condition at 1e11-1e18
+        # the rounded instrument's 54 groups give a grouped system of condition 1e4-1e9
         ds = ivs.generate(ivs.DgpConfig(n=500, rho_ev=0.5, rho_wz=0.9, g_id="g3", seed=0))["dataset"]
         ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
+        smoother = ivs.derivative_smoother_matrix(ds, lam)
+        scale = np.abs(smoother).max() * max(1.0, np.abs(ds.z).max())
+        assert np.abs(smoother @ np.ones(ds.n)).max() <= 1e-10 * scale
+        assert np.abs(smoother @ ds.z - 1.0).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("lam", [1e-5, 1e-2, 2.3])
+    def test_reproduces_linear_outcomes_on_nearly_tied_instrument(self, lam):
+        # the same instrument nudged a few ulps apart: no groups, and the
+        # jittered bordered system's condition is 1e11-1e18
+        ds = ivs.generate(ivs.DgpConfig(n=500, rho_ev=0.5, rho_wz=0.9, g_id="g3", seed=0))["dataset"]
+        ds = ivs.Dataset(y=ds.y, z=ds.z, w=near_ties(ds.w))
         smoother = ivs.derivative_smoother_matrix(ds, lam)
         scale = np.abs(smoother).max() * max(1.0, np.abs(ds.z).max())
         assert np.abs(smoother @ np.ones(ds.n)).max() <= 1e-10 * scale

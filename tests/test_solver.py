@@ -196,8 +196,9 @@ class TestHatDiagnostics:
         assert np.allclose(dense_inverse[ds.n :, ds.n :], -np.linalg.inv(gram), atol=1e-8)
 
     def test_near_duplicate_instruments_degrade_conditioning(self):
+        # two instrument values one ulp apart: not an exact tie, so not grouped
         z = np.array([0.0, 0.5, 1.0, 1.5])
-        w = np.array([0.0, 1.0, 1.0, 2.0])
+        w = np.array([0.0, 1.0, 1.0 - 2.0**-53, 2.0])
         ds = ivs.Dataset(y=[0.1, 0.4, 0.5, 0.9], z=z, w=w)
         diag = hat_diagnostics(ds, 0.1)
         assert diag["jitter_applied"] > 0
