@@ -34,8 +34,10 @@ ascent on W has converged the most violated row outside W joins it.  A
 final primal polish, the linearized Newton update of q, puts sum q = n and
 A_W q = 0 at roundoff level.
 
-The same iterates certify infeasibility; a separate feasibility pass runs
-only on an answer they leave uncertified.  An iterate with nu <= 0 (and
+The same iterates certify infeasibility; a separate feasibility pass (a
+phase-I linear program) decides every ascent they leave uncertified: a line
+search without an ascent step, the step cap, or a final KKT residual above
+KKT_TOL.  An iterate with nu <= 0 (and
 d > 0, mu >= 0) has A' mu < 0, so mu'(A q) < 0 for every q >= 0 on the
 simplex: by Gordan's alternative no feasible weights exist.  Every iterate
 bounds the best attainable margin max_q min_j (A q)_j by n max_i (A' mu)_i /
@@ -121,15 +123,19 @@ def derivative_smoother_matrix(ds: Dataset, lam: float) -> np.ndarray:
     """n x n matrix L with L @ Y = fitted first derivative at every knot.
 
     With K the bordered matrix and B = [cubic_deriv, linear_deriv], L = B K^-1 [I; 0].
-    K is symmetric, so L' is the first n rows of one refined solve against B',
-    which also makes L reproduce linear outcomes (L 1 = 0, L z = 1).
+    K is symmetric, so L' is the first n rows of one solve against B', refined
+    until it is accurate to ``solver.REFINE_RTOL`` or has made
+    ``solver._REFINEMENT_STEPS`` corrections; refining the derivative design
+    as right-hand sides makes L reproduce linear outcomes (L 1 = 0, L z = 1).
     """
-    return _smoother(_Factored(ds, lam))
+    return _smoother(_Factored(ds, lam))[0]
 
 
-def _smoother(system: _Factored) -> np.ndarray:
+def _smoother(system: _Factored) -> tuple[np.ndarray, int, float]:
+    """L, and the refinement steps and backward error of its solve (see :meth:`_Factored.solve`)."""
     rhs = np.vstack([system.design.cubic_deriv.T, system.design.linear_deriv.T])
-    return system.solve(rhs)[: system.knots.shape[0]].T
+    sol, steps, eta = system.solve(rhs)
+    return sol[: system.knots.shape[0]].T, steps, eta
 
 
 def _drop_null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,6 +198,20 @@ def _phase_one(a: np.ndarray) -> tuple[float, int]:
     return (-res.fun, int(np.argmax(np.abs(res.ineqlin.marginals)))) if res.success else (np.nan, 0)
 
 
+def _uncertified(a: np.ndarray, kept: np.ndarray, reason: str, steps: int,
+                 work: list[int]) -> InfeasibleConstraintsError | SolverStallError:
+    """The error for an ascent that ended without a certified answer, decided by phase-I.
+
+    Infeasible when the phase-I program's best margin is at most
+    ``INFEASIBLE_MARGIN``; otherwise a stall that names ``reason`` and the margin.
+    """
+    margin, worst = _phase_one(a)
+    if margin <= INFEASIBLE_MARGIN:
+        return _infeasible("the phase-I program", kept[worst], margin)
+    return SolverStallError(f"{reason}; weights with margin {margin:.3e} exist",
+                            diagnostics={"newton_steps": steps, "working_set": kept[work]})
+
+
 def tilt(ds: Dataset, lam: float,
          direction: MonotoneDirection = MonotoneDirection.INCREASING) -> TiltWeights:
     """Solve the tilting program and return the optimal simplex weights.
@@ -200,11 +220,12 @@ def tilt(ds: Dataset, lam: float,
     immediately: uniform maximizes the objective over the whole simplex, so
     feasibility implies optimality.  Otherwise the dual is maximized over a
     growing working set of constraint rows (see the module docstring).
-    Raises :class:`InfeasibleConstraintsError` when an ascent iterate or,
-    for an answer whose KKT residual exceeds ``KKT_TOL``, a phase-I linear
-    program certifies that no weights are feasible, and
-    :class:`SolverStallError` when the line search finds no ascent step,
-    ``STEP_CAP`` iterations pass, or that answer is feasible but uncertified.
+    Raises :class:`InfeasibleConstraintsError` when an ascent iterate
+    certifies that no weights are feasible.  An ascent that ends uncertified
+    -- the line search finds no ascent step, ``STEP_CAP`` iterations pass, or
+    the answer's KKT residual exceeds ``KKT_TOL`` -- goes to a phase-I linear
+    program: :class:`InfeasibleConstraintsError` when its best margin is at
+    most ``INFEASIBLE_MARGIN``, :class:`SolverStallError` otherwise.
     """
     return _tilt(derivative_smoother_matrix(ds, lam), ds.y, direction)
 
@@ -279,11 +300,7 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
             alpha *= 0.5
             leaving = None
         else:
-            raise SolverStallError(
-                "tilt line search found no ascent step; the dual bounds the best "
-                f"attainable constraint margin by {_margin_bound(x, d):.3e}",
-                diagnostics={"newton_steps": steps, "working_set": kept[work]},
-            )
+            raise _uncertified(a_rows, kept, "tilt line search found no ascent step", steps, work)
         steps += 1
         x = cand
         if leaving is not None:
@@ -293,10 +310,7 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
         if margin <= INFEASIBLE_MARGIN:
             raise _infeasible("the dual certificate", kept[work[int(np.argmax(x[1:]))]], margin)
     else:
-        raise SolverStallError(
-            "tilt solver hit its iteration cap before converging",
-            diagnostics={"newton_steps": steps, "working_set": kept[work]},
-        )
+        raise _uncertified(a_rows, kept, "tilt solver hit its iteration cap before converging", steps, work)
 
     mu = x[1:]
     objective = float(n - np.sum(np.sqrt(q)))
@@ -309,13 +323,7 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
         float(np.abs(d - 0.5 / np.sqrt(q)).max()),
     )
     if residual > KKT_TOL:
-        margin, worst = _phase_one(a_rows)
-        if margin <= INFEASIBLE_MARGIN:
-            raise _infeasible("the phase-I program", kept[worst], margin)
-        raise SolverStallError(
-            f"tilt stopped at KKT residual {residual:.3e}; weights with margin {margin:.3e} exist",
-            diagnostics={"newton_steps": steps, "working_set": kept[work]},
-        )
+        raise _uncertified(a_rows, kept, f"tilt stopped at KKT residual {residual:.3e}", steps, work)
     return TiltWeights(
         p=q / n,
         objective=objective,
@@ -346,8 +354,11 @@ def fit_monotone(ds: Dataset, lam: float,
 
 
 def _fit_monotone(system: _Factored, y: np.ndarray, direction: MonotoneDirection) -> SplineFit:
-    weights = _tilt(_smoother(system), y, direction)
+    smoother, steps, eta = _smoother(system)
+    weights = _tilt(smoother, y, direction)
     refit = system.fit(y.shape[0] * weights.p * y)
+    refit.diagnostics["smoother_refinement_steps"] = steps
+    refit.diagnostics["smoother_backward_error"] = eta
     refit.diagnostics["tilt_objective"] = weights.objective
     refit.diagnostics["tilt_kkt_residual"] = weights.kkt_residual
     refit.diagnostics["tilt_active_constraints"] = [int(i) for i in weights.active_constraints]

@@ -35,11 +35,23 @@ from .errors import CollinearityError, ConditioningError
 from .kernel import WeightMatrix, build_weight_matrix, moment_criterion
 from .spline import DesignMatrices, SplineFit, build_design, roughness
 
-_REFINEMENT_STEPS = 2  # fixed-count iterative refinement keeps extreme-lambda solves accurate
-# Significant digits of the reported condition estimate.  LAPACK's 1-norm
-# estimator (dgecon) is accurate only to within a small factor, so later
-# digits carry no information; they also changed in the last place between
-# repeated fits of one dataset, which made fit artifacts differ.
+# Most iterative-refinement corrections a solve makes.  Ill-conditioned
+# systems (nearly tied instruments, extreme lambda) run to this cap.
+_REFINEMENT_STEPS = 2
+# Relative forward accuracy at which a solve stops refining.  With eta the
+# normwise backward error of the current answer, condition * eta bounds its
+# relative error to first order, up to a factor 2 (Higham 2002, Accuracy and
+# Stability of Numerical Algorithms, thm. 7.2), so an answer whose bound is
+# below this needs no correction; a correction below this share of the answer
+# means refinement has converged.  1e-8 is the tilt's certification bound
+# KKT_TOL and a tenth of the benchmark's 1e-7 oracle bounds.  On g1 draws at
+# n = 200 to 2000 the bound read 50 to 3e4 times the unrefined smoother's gap
+# to a three-step solve, and the stopped smoothers were within 2.1e-10 of it.
+REFINE_RTOL = 1e-8
+# Significant digits of the reported condition estimate and backward error.
+# LAPACK's 1-norm estimator (dgecon) is accurate only to within a small
+# factor, so later digits carry no information; they also changed in the last
+# place between repeated fits of one dataset, which made fit artifacts differ.
 CONDITION_DIGITS = 3
 
 
@@ -90,22 +102,32 @@ def _kkt_matrix(design: DesignMatrices, omega: WeightMatrix, lam: float) -> np.n
     return kkt
 
 
+def _significant(value: float) -> float:
+    """``value`` rounded to ``CONDITION_DIGITS`` significant digits."""
+    return float(f"{value:.{CONDITION_DIGITS}g}")
+
+
 def _condition_estimate(lu: np.ndarray, anorm: float) -> float:
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or rcond <= 0.0:
         return float("inf")
-    return float(f"{1.0 / rcond:.{CONDITION_DIGITS}g}")
+    return _significant(1.0 / rcond)
+
+
+def _column_max(a: np.ndarray) -> np.ndarray:
+    """max |a| of each column (of the vector, for 1-D ``a``), without an |a| temporary."""
+    return np.maximum(a.max(axis=0), -a.min(axis=0))
 
 
 class _Factored:
     """The bordered system of one dataset at one lambda, assembled and LU-factored once.
 
     The fit, the derivative smoother and a refit on reweighted outcomes are
-    each one refined O(n^2) solve per right-hand side on the same
-    factorization.  With tied instruments the system has order m + 2, and
-    :meth:`solve` maps (n + 2)-row right-hand sides and solutions through G.
-    ``omega`` passes in the dataset's weight matrix built earlier (by CV);
-    by default it is built here.
+    each one O(n^2) solve per right-hand side on the same factorization,
+    refined until it is accurate to ``REFINE_RTOL``.  With tied instruments
+    the system has order m + 2, and :meth:`solve` maps (n + 2)-row
+    right-hand sides and solutions through G.  ``omega`` passes in the
+    dataset's weight matrix built earlier (by CV); by default it is built here.
     """
 
     def __init__(self, ds: Dataset, lam: float, omega: WeightMatrix | None = None):
@@ -117,22 +139,46 @@ class _Factored:
         _check_group_rank(ds.z, self.omega)
         self.kkt = _kkt_matrix(self.design, self.omega, self.lam)
         self.lu = scipy.linalg.lu_factor(self.kkt)
-        # the 1-norm as the inf-norm of the F-ordered transpose: no copy, no |kkt| temporary
-        self.condition = _condition_estimate(self.lu[0], lapack.dlange("I", self.kkt.T))
+        # the 1-norm as the inf-norm of the F-ordered transpose: no copy, no |kkt| temporary;
+        # the matrix is symmetric, so it is also the inf-norm the backward error reads
+        self.norm = lapack.dlange("I", self.kkt.T)
+        self.condition = _condition_estimate(self.lu[0], self.norm)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """LU solve with fixed-count refinement, for one or many (n + 2)-row right-hand sides.
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
+        """LU solve with iterative refinement, for one or many (n + 2)-row right-hand sides.
+
+        Returns the solution, the number of refinement corrections made, and
+        the normwise backward error max_j |r_j| / (|K| |x_j| + |b_j|) (inf-norms)
+        of the last residual r = b - K x formed, rounded to ``CONDITION_DIGITS``;
+        NaN when the step cap is 0 and no residual was formed.  Refinement
+        stops once condition * backward error is at most ``REFINE_RTOL``, once
+        a correction is at most ``REFINE_RTOL`` of its column of the solution,
+        or after ``_REFINEMENT_STEPS`` corrections; the residual of the capped
+        answer is not formed.
 
         With tied instruments the first n rows of ``rhs`` are summed by group
-        (G'), and the solution's first m rows, nu, are expanded to delta = G nu.
+        (G'), the refinement runs on the (m + 2) system, and the solution's
+        first m rows, nu, are expanded to delta = G nu.
         """
         groups = self.omega.groups
         n = self.knots.shape[0]
         if groups is not None:
             rhs = np.concatenate([groups.sum(rhs[:n]), rhs[n:]])
         sol = scipy.linalg.lu_solve(self.lu, rhs)
-        for _ in range(_REFINEMENT_STEPS):
-            sol = sol + scipy.linalg.lu_solve(self.lu, rhs - self.kkt @ sol)
+        steps, eta = 0, np.nan
+        rhs_max, sol_max = _column_max(rhs), _column_max(sol)
+        while steps < _REFINEMENT_STEPS:
+            resid = rhs - self.kkt @ sol
+            with np.errstate(invalid="ignore"):  # 0 / 0 only for a zero column, whose residual is 0
+                eta = float(np.nan_to_num(_column_max(resid) / (self.norm * sol_max + rhs_max)).max())
+            if self.condition * eta <= REFINE_RTOL:
+                break
+            correction = scipy.linalg.lu_solve(self.lu, resid)
+            sol = sol + correction
+            sol_max = _column_max(sol)
+            steps += 1
+            if np.all(_column_max(correction) <= REFINE_RTOL * sol_max):
+                break
         if not np.all(np.isfinite(sol)):
             raise ConditioningError(
                 f"block solve produced non-finite values (condition estimate {self.condition:.3e})",
@@ -140,13 +186,13 @@ class _Factored:
             )
         if groups is not None:
             sol = np.concatenate([groups.expand(sol[:-2]), sol[-2:]])
-        return sol
+        return sol, steps, _significant(eta)
 
     def fit(self, y: np.ndarray) -> SplineFit:
         """The fitted spline for outcome vector y, with :func:`fit`'s diagnostics."""
         n = y.shape[0]
         groups = self.omega.groups
-        sol = self.solve(np.concatenate([y, np.zeros(2)]))
+        sol, steps, eta = self.solve(np.concatenate([y, np.zeros(2)]))
         delta, a = sol[:n], sol[n:]
         residuals = y - self.design.linear @ a - self.design.cubic @ delta
         rough = roughness(delta, self.design.cubic)
@@ -164,6 +210,8 @@ class _Factored:
                 "jitter_applied": self.omega.jitter_applied,
                 "instrument_groups": self.omega.n if groups is None else len(groups),
                 "kkt_condition_estimate": self.condition,
+                "refinement_steps": steps,
+                "backward_error": eta,
             },
         )
 
@@ -176,8 +224,10 @@ def fit(ds: Dataset, lam: float) -> SplineFit:
     criterion value at the solution, the roughness delta' E delta, the
     natural-spline constraint residual, the weight-matrix jitter, the number
     m of distinct instrument rows (``instrument_groups``; n without ties),
-    and a 1-norm condition estimate of the bordered system, rounded to
-    ``CONDITION_DIGITS`` significant digits.
+    a 1-norm condition estimate of the bordered system, and the solve's
+    ``refinement_steps`` and normwise ``backward_error`` (see
+    :meth:`_Factored.solve`); the condition estimate and the backward error
+    are rounded to ``CONDITION_DIGITS`` significant digits.
     """
     return _Factored(ds, lam).fit(ds.y)
 

@@ -46,6 +46,21 @@ class TestFitCommand:
         assert reported["rounded"]["instrument_groups"] == np.unique(np.round(w, 1)).size < 60
         assert reported["rounded"]["jitter_applied"] == 0.0
 
+    def test_artifact_reports_refinement(self, tmp_path):
+        csv_in = write_fit_csv(tmp_path / "d.csv", n=40, seed=3, noise=0.3)
+        for monotone in ("none", "increasing"):
+            out = tmp_path / f"{monotone}.json"
+            assert main(["fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
+                         "--lambda", "0.01", "--monotone", monotone, "--out", str(out)]) == 0
+            diagnostics = read_document(out)["diagnostics"]
+            assert type(diagnostics["refinement_steps"]) is int
+            assert isinstance(diagnostics["backward_error"], float)
+            smoother_keys = {"smoother_refinement_steps", "smoother_backward_error"}
+            if monotone == "none":
+                assert not smoother_keys & diagnostics.keys()
+            else:
+                assert smoother_keys <= diagnostics.keys()
+
     def test_artifact_carries_provenance_and_curve(self, tmp_path):
         csv_in = write_fit_csv(tmp_path / "d.csv", n=9, seed=5, noise=0.1)
         out = tmp_path / "fit.json"
@@ -343,31 +358,36 @@ class TestPlotCommand:
         assert o1.read_bytes() == o2.read_bytes()
 
 
+def run_module(*args):
+    """``python -m ivspline.cli *args`` importing the same ``ivspline`` as this process.
+
+    pytest's ``pythonpath`` setting reaches only its own process, so the
+    package's directory goes on the child's PYTHONPATH.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(ivs.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ivspline.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        import subprocess
-        import sys
-
         csv_in = write_fit_csv(tmp_path / "d.csv", n=8, noise=0.1)
         out = tmp_path / "fit.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "ivspline.cli", "fit", "--input", str(csv_in),
-             "--y", "y", "--z", "z", "--w", "w1", "--lambda", "0.1", "--out", str(out)],
-            capture_output=True, text=True,
-        )
+        proc = run_module("fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
+                          "--lambda", "0.1", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
     def test_module_invocation_error_stream(self, tmp_path):
-        import subprocess
-        import sys
-
         csv_in = write_fit_csv(tmp_path / "d.csv")
-        proc = subprocess.run(
-            [sys.executable, "-m", "ivspline.cli", "fit", "--input", str(csv_in),
-             "--y", "nope", "--z", "z", "--w", "w1", "--lambda", "0.1",
-             "--out", str(tmp_path / "o.json")],
-            capture_output=True, text=True,
-        )
+        proc = run_module("fit", "--input", str(csv_in), "--y", "nope", "--z", "z", "--w", "w1",
+                          "--lambda", "0.1", "--out", str(tmp_path / "o.json"))
         assert proc.returncode == 2
         assert "nope" in proc.stderr

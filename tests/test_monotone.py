@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 import ivspline as ivs
-from ivspline import monotone
+from ivspline import monotone, solver
 from conftest import near_ties, random_instance, wiggly_instance
 import tilt_oracle
 from tilt_oracle import barrier_tilt
@@ -247,6 +247,17 @@ class TestTilt:
         assert err.value.worst_constraint is not None
         assert "phase-I" in str(err.value)
 
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3])
+    def test_near_infeasible_verdict_does_not_hinge_on_refinement(self, monkeypatch, steps):
+        # the smoother's last digits change with the refinement count, and so
+        # does how the ascent fails (line search, or a KKT residual near 1e7);
+        # each failure goes to phase-I, whose margin here is 2.2e-12
+        monkeypatch.setattr(solver, "REFINE_RTOL", 0.0)
+        monkeypatch.setattr(solver, "_REFINEMENT_STEPS", steps)
+        ds = paper_draw("g2", 1011)
+        with pytest.raises(ivs.InfeasibleConstraintsError, match="phase-I"):
+            ivs.tilt(ds, 1e-5, direction=INC)
+
     def test_feasible_program_the_dual_cannot_certify_stalls(self):
         # feasible at margin 1.2e-6, yet the dual's answer reads a KKT residual
         # near 7e4: a stall, not an answer and not an infeasibility
@@ -275,6 +286,16 @@ class TestTilt:
 
 
 class TestFitMonotone:
+    def test_reports_both_solves(self):
+        # the refit's own solve, and the derivative smoother's solve on the same factorization
+        ds = ivs.generate(ivs.DgpConfig(n=200, rho_ev=0.5, rho_wz=0.9, g_id="g3", seed=3))["dataset"]
+        diagnostics = ivs.fit_monotone(ds, 1e-5, direction=INC).diagnostics
+        _, steps, eta = monotone._smoother(solver._Factored(ds, 1e-5))
+        assert diagnostics["smoother_refinement_steps"] == steps
+        assert diagnostics["smoother_backward_error"] == eta
+        assert 0 <= diagnostics["refinement_steps"] <= solver._REFINEMENT_STEPS
+        assert 0.0 <= diagnostics["backward_error"] < 1e-14
+
     def test_uniform_tilt_reproduces_unconstrained_fit(self):
         ds = increasing_dataset(6)
         lam = 0.2

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ivspline as ivs
+from ivspline import monotone, solver
 from conftest import (
     build_block_system,
     fitted_values,
     hat_diagnostics,
+    near_ties,
     path_spectrum,
     qp_oracle,
     random_instance,
@@ -203,6 +206,93 @@ class TestHatDiagnostics:
         diag = hat_diagnostics(ds, 0.1)
         assert diag["jitter_applied"] > 0
         assert diag["kkt_condition_estimate"] > 1e6
+
+
+def paper_draw(g_id, n, seed):
+    return ivs.generate(ivs.DgpConfig(n=n, rho_ev=0.5, rho_wz=0.9, g_id=g_id, seed=seed))["dataset"]
+
+
+def smoother_solve(ds, lam):
+    return monotone._smoother(solver._Factored(ds, lam))
+
+
+class TestRefinement:
+    """The solve refines until it is accurate to REFINE_RTOL, and at most _REFINEMENT_STEPS times."""
+
+    @staticmethod
+    def capped(monkeypatch, fn, steps=solver._REFINEMENT_STEPS):
+        # a zero tolerance never stops early, so the solve makes exactly `steps` corrections
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "REFINE_RTOL", 0.0)
+            patch.setattr(solver, "_REFINEMENT_STEPS", steps)
+            return fn()
+
+    @pytest.mark.parametrize("n", [200, 500])
+    @pytest.mark.parametrize("g_id", ["g1", "g2", "g3", "g3-rounded"])
+    def test_stop_rule_agrees_with_the_capped_solve(self, monkeypatch, g_id, n):
+        ds = paper_draw(g_id[:2], n, seed=n + int(g_id[1]))
+        if g_id.endswith("rounded"):  # tied instruments: the rule runs on the (m + 2) system
+            ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
+        for lam in (ivs.cross_validate(ds).lambda_star, 1e-2):
+            smoother, steps, eta = smoother_solve(ds, lam)
+            capped, capped_steps, _ = self.capped(monkeypatch, lambda: smoother_solve(ds, lam))
+            assert capped_steps == solver._REFINEMENT_STEPS and 0 <= steps <= capped_steps
+            assert np.abs(smoother - capped).max() <= solver.REFINE_RTOL * np.abs(capped).max()
+            fit = ivs.fit(ds, lam)
+            reference = self.capped(monkeypatch, lambda: ivs.fit(ds, lam))
+            for got, want in ((fit.delta, reference.delta), (fit.a, reference.a)):
+                assert np.abs(got - want).max() <= solver.REFINE_RTOL * np.abs(want).max()
+
+    @pytest.mark.parametrize("lam", [1e-5, 1e-2, 2.3])
+    def test_ill_conditioned_solve_runs_to_the_cap_bit_for_bit(self, monkeypatch, lam):
+        # nearly tied instruments give condition 1e11-1e18: the rule keeps every
+        # correction, and the answer is that of fixed-count refinement
+        ds = paper_draw("g3", 500, seed=0)
+        ds = ivs.Dataset(y=ds.y, z=ds.z, w=near_ties(ds.w))
+        smoother, steps, _ = smoother_solve(ds, lam)
+        assert steps == solver._REFINEMENT_STEPS
+        assert np.array_equal(smoother, self.capped(monkeypatch, lambda: smoother_solve(ds, lam))[0])
+        system = solver._Factored(ds, lam)
+        rhs = np.vstack([system.design.cubic_deriv.T, system.design.linear_deriv.T])
+        sol = scipy.linalg.lu_solve(system.lu, rhs)
+        for _ in range(solver._REFINEMENT_STEPS):
+            sol = sol + scipy.linalg.lu_solve(system.lu, rhs - system.kkt @ sol)
+        assert np.array_equal(smoother, sol[: ds.n].T)
+
+    def test_well_conditioned_solve_stops_before_correcting(self):
+        ds = paper_draw("g3", 200, seed=3)
+        system = solver._Factored(ds, 1e-5)
+        for rhs in (np.concatenate([ds.y, np.zeros(2)]),
+                    np.vstack([system.design.cubic_deriv.T, system.design.linear_deriv.T])):
+            _, steps, eta = system.solve(rhs)
+            assert steps == 0
+            assert 0.0 < system.condition * eta <= solver.REFINE_RTOL
+
+    def test_converged_correction_ends_refinement(self):
+        # the unrefined bound misses the tolerance, and one correction below it suffices
+        ds = paper_draw("g1", 500, seed=501)
+        system = solver._Factored(ds, 1e-2)
+        _, steps, eta = monotone._smoother(system)
+        assert system.condition * eta > solver.REFINE_RTOL
+        assert steps == 1
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_forced_step_counts(self, monkeypatch, cap):
+        ds = random_instance(4, n=30)
+        system = solver._Factored(ds, 1e-3)
+        rhs = np.concatenate([ds.y, np.zeros(2)])
+        _, steps, eta = self.capped(monkeypatch, lambda: system.solve(rhs), cap)
+        assert steps == cap
+        # no residual is formed at a zero cap, so there is no backward error to report
+        assert np.isnan(eta) if cap == 0 else 0.0 <= eta < 1e-14
+
+    def test_fit_reports_refinement(self):
+        ds = paper_draw("g1", 200, seed=8)
+        diagnostics = ivs.fit(ds, 1e-2).diagnostics
+        steps, eta = diagnostics["refinement_steps"], diagnostics["backward_error"]
+        assert type(steps) is int and 0 <= steps <= solver._REFINEMENT_STEPS
+        assert isinstance(eta, float) and 0.0 <= eta < 1e-14
+        assert eta == float(f"{eta:.{solver.CONDITION_DIGITS}g}")
 
 
 class TestBlockSystem:
