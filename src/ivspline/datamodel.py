@@ -149,7 +149,9 @@ def load_csv(path, y: str, z: str, w) -> Dataset:
     w : str or sequence of str
         Header name(s) of the instrument column(s).
 
-    Data rows are numbered from 1 in error messages.
+    Data rows are numbered from 1 in error messages.  A requested name
+    that is missing from the header, or appears in it more than once,
+    raises :class:`SchemaError`.
     """
     w_names = [w] if isinstance(w, str) else list(w)
     if not w_names:
@@ -165,6 +167,10 @@ def load_csv(path, y: str, z: str, w) -> Dataset:
         for name in [y, z, *w_names]:
             if name not in header:
                 raise SchemaError(f"{path}: missing column {name!r}")
+            if header.count(name) > 1:
+                raise SchemaError(
+                    f"{path}: column {name!r} appears {header.count(name)} times in the header"
+                )
             index[name] = header.index(name)
         ys, zs, ws = [], [], []
         for row_number, row in enumerate(reader, start=1):

@@ -118,9 +118,10 @@ def _cross_validate(ds: Dataset, cfg: CvConfig) -> tuple[CvResult, WeightMatrix]
     if not valid.any():
         raise SelectionError("every candidate lambda failed on at least one fold")
 
-    residuals = ds.y[:, None] - tilde[:, valid]
-    criteria = np.full(grid.size, np.inf)
-    criteria[valid] = omega_full._quadratic(residuals)
+    # the residuals overwrite the predictions; invalid columns are NaN and scored inf
+    residuals = np.subtract(ds.y[:, None], tilde, out=tilde)
+    criteria = omega_full._quadratic(residuals)
+    criteria[~valid] = np.inf
 
     # Tie-break toward the smallest lambda, with ties measured against the
     # natural scale of the criterion (y' Omega y) so that pure-roundoff

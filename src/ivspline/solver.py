@@ -33,7 +33,7 @@ from scipy.linalg import lapack
 from .datamodel import Dataset
 from .errors import CollinearityError, ConditioningError
 from .kernel import WeightMatrix, build_weight_matrix, moment_criterion
-from .spline import DesignMatrices, SplineFit, build_design, roughness
+from .spline import _CUBIC_BLOCK, DesignMatrices, SplineFit, _cubic_product, _radial_cubic, build_design
 
 # Most iterative-refinement corrections a solve makes.  Ill-conditioned
 # systems (nearly tied instruments, extreme lambda) run to this cap.
@@ -86,17 +86,33 @@ def _check_group_rank(z: np.ndarray, omega: WeightMatrix) -> None:
 
 
 def _kkt_matrix(design: DesignMatrices, omega: WeightMatrix, lam: float) -> np.ndarray:
-    """The bordered matrix [[G'EG + lam Omegabar^-1, G'Z], [Z'G, 0]], exactly symmetric; G = I without ties."""
-    cubic, linear = design.cubic, design.linear
+    """The bordered matrix [[G'EG + lam Omegabar^-1, G'Z], [Z'G, 0]], exactly symmetric; G = I without ties.
+
+    Without ties E is written into the matrix ``_CUBIC_BLOCK`` rows at a
+    time, entry for entry as ``design.cubic`` would hold it, so no other
+    n x n array is made; with ties G'EG comes from a local E that is freed on
+    return.  ``design.cubic`` is neither read nor built.  An overflowing
+    ``lam`` leaves infinite entries, which :class:`_Factored` rejects.
+    """
+    linear = design.linear
+    z = linear[:, 1]
     groups = omega.groups
-    if groups is not None:
-        cubic = groups.sum(groups.sum(cubic).T)
+    if groups is None:
+        m = z.shape[0]
+        kkt = np.zeros((m + 2, m + 2))
+        cubic = kkt[:m, :m]
+        for start in range(0, m, _CUBIC_BLOCK):
+            stop = start + _CUBIC_BLOCK
+            _radial_cubic(z[start:stop], z, out=cubic[start:stop])
+    else:
+        cubic = groups.sum(groups.sum(_radial_cubic(z, z)).T)
         cubic = 0.5 * (cubic + cubic.T)  # the two sums round in different orders
         linear = groups.sum(linear)
-    m = linear.shape[0]
-    kkt = np.zeros((m + 2, m + 2))
-    kkt[:m, :m] = cubic
-    omega._add_inverse(kkt[:m, :m], lam)
+        m = linear.shape[0]
+        kkt = np.zeros((m + 2, m + 2))
+        kkt[:m, :m] = cubic
+    with np.errstate(over="ignore"):
+        omega._add_inverse(kkt[:m, :m], lam)
     kkt[:m, m:] = linear
     kkt[m:, :m] = linear.T
     return kkt
@@ -128,6 +144,12 @@ class _Factored:
     the system has order m + 2, and :meth:`solve` maps (n + 2)-row
     right-hand sides and solutions through G.  ``omega`` passes in the
     dataset's weight matrix built earlier (by CV); by default it is built here.
+
+    It keeps two (m + 2)^2 arrays, the bordered matrix ``kkt`` (for the
+    refinement residuals) and its LU factors ``lu``; the cubic design E is
+    never held (see :func:`_kkt_matrix`), and :meth:`fit` forms E delta by
+    row blocks.  A matrix with a non-finite entry (an overflowing lambda)
+    raises :class:`ConditioningError` before it is factored.
     """
 
     def __init__(self, ds: Dataset, lam: float, omega: WeightMatrix | None = None):
@@ -138,10 +160,16 @@ class _Factored:
         self.omega = build_weight_matrix(ds.w) if omega is None else omega
         _check_group_rank(ds.z, self.omega)
         self.kkt = _kkt_matrix(self.design, self.omega, self.lam)
-        self.lu = scipy.linalg.lu_factor(self.kkt)
         # the 1-norm as the inf-norm of the F-ordered transpose: no copy, no |kkt| temporary;
         # the matrix is symmetric, so it is also the inf-norm the backward error reads
         self.norm = lapack.dlange("I", self.kkt.T)
+        if not np.isfinite(self.norm):
+            raise ConditioningError(
+                f"bordered matrix has non-finite entries at lambda {self.lam:.3e}",
+                condition_estimate=float("inf"),
+            )
+        # the norm check has seen every entry, so the factorization need not scan them again
+        self.lu = scipy.linalg.lu_factor(self.kkt, check_finite=False)
         self.condition = _condition_estimate(self.lu[0], self.norm)
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -194,8 +222,9 @@ class _Factored:
         groups = self.omega.groups
         sol, steps, eta = self.solve(np.concatenate([y, np.zeros(2)]))
         delta, a = sol[:n], sol[n:]
-        residuals = y - self.design.linear @ a - self.design.cubic @ delta
-        rough = roughness(delta, self.design.cubic)
+        e_delta = _cubic_product(self.knots, delta)
+        residuals = y - self.design.linear @ a - e_delta
+        rough = float(delta @ e_delta)
         crit = moment_criterion(residuals, self.omega)
         return SplineFit(
             a=a,
@@ -252,9 +281,11 @@ class PathSolver:
         # L'EL = L'(L'E)' since E is exactly symmetric, so its F-ordered transpose
         # passes for E; eigh reads the lower half
         s_mat = omega._apply_lt(omega._apply_lt(design.cubic.T).T)
+        linear = design.linear
+        del design  # frees E before the eigensolver's workspace; eigh overwrites S with the vectors
         evals, vecs = scipy.linalg.eigh(s_mat, driver="evd", overwrite_a=True)
         self._evals = evals
-        self._zt = vecs.T @ omega._apply_lt(design.linear)
+        self._zt = vecs.T @ omega._apply_lt(linear)
         self._yt = vecs.T @ omega._apply_lt(ds.y)
         zt0, zt1 = self._zt.T
         # products whose inverse-eigenvalue-weighted sums give the 2 x 2 Gram

@@ -26,29 +26,56 @@ def _sign_plus(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0, -1.0)
 
 
-def _radial_cubic(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The len(u) x len(v) matrix |u_i - v_j|^3 / 12, cubed by multiplication."""
+# Rows per block where the cubic design is produced a block at a time (the
+# bordered matrix, and E v in a fit): a block's temporaries are 2 MB each at
+# n = 2000, and E is never held whole.
+_CUBIC_BLOCK = 128
+
+
+def _radial_cubic(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The len(u) x len(v) matrix |u_i - v_j|^3 / 12, cubed by multiplication (into ``out`` if given)."""
     d = np.abs(np.subtract.outer(u, v))
-    cubic = d * d
+    cubic = np.multiply(d, d, out=out)
     cubic *= d
     cubic /= 12.0
     return cubic
 
 
+def _cubic_product(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """E v for the cubic design E of knots z and a vector v, formed ``_CUBIC_BLOCK`` rows at a time.
+
+    Each row block rounds like the same rows of E, so no n x n array is made.
+    """
+    n = z.shape[0]
+    out = np.empty(n)
+    for start in range(0, n, _CUBIC_BLOCK):
+        stop = start + _CUBIC_BLOCK
+        out[start:stop] = _radial_cubic(z[start:stop], z) @ v
+    return out
+
+
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Design blocks built once per z vector, rows in dataset order.
+    """Design blocks of one z vector, rows in dataset order.
 
     linear       n x 2, columns (1, z_i)
     cubic        n x n, entries |z_i - z_j|^3 / 12          (value map and roughness form)
     cubic_deriv  n x n, entries sign(z_i - z_j) (z_i - z_j)^2 / 4   (derivative map)
     linear_deriv n x 2, rows (0, 1)
 
-    Only the derivative smoother reads the derivative blocks; they are built on first access.
+    Only ``linear`` is built with the design; the n x n blocks are built on
+    first access and then kept.  The fit never reads ``cubic``: it writes E
+    into the bordered matrix and forms E delta by row blocks.  The
+    cross-validation path solver reads it, and only the derivative smoother
+    reads the derivative blocks.
     """
 
     linear: np.ndarray
-    cubic: np.ndarray
+
+    @cached_property
+    def cubic(self) -> np.ndarray:
+        z = self.linear[:, 1]
+        return _radial_cubic(z, z)
 
     @cached_property
     def cubic_deriv(self) -> np.ndarray:
@@ -65,7 +92,7 @@ def build_design(z: np.ndarray) -> DesignMatrices:
     n = z.shape[0]
     if n < 3:
         raise SizeError(f"design matrices need at least 3 knots, got {n}")
-    return DesignMatrices(linear=np.column_stack([np.ones(n), z]), cubic=_radial_cubic(z, z))
+    return DesignMatrices(linear=np.column_stack([np.ones(n), z]))
 
 
 @dataclass(frozen=True)

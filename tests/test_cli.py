@@ -211,6 +211,25 @@ class TestFitCommand:
         ])
         assert code == 3
 
+    def test_overflowing_lambda_is_solver_error(self, tmp_path, capsys):
+        csv_in = write_fit_csv(tmp_path / "d.csv")
+        code = main([
+            "fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
+            "--lambda", "1e308", "--out", str(tmp_path / "o.json"),
+        ])
+        assert code == 3
+        assert "solver error" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_repeated_column_name_exit_code(self, tmp_path):
+        csv_in = tmp_path / "dup.csv"
+        csv_in.write_text("y,z,w,w\n1,0.1,2,5\n2,0.2,3,6\n3,0.4,4,8\n", encoding="utf-8")
+        code = main([
+            "fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w",
+            "--lambda", "0.1", "--out", str(tmp_path / "o.json"),
+        ])
+        assert code == 2
+
     def test_infeasible_tilt_exit_code(self, tmp_path):
         rng = np.random.default_rng(0)
         n = 6

@@ -23,6 +23,18 @@ class TestLoadCsv:
         with pytest.raises(ivs.SchemaError, match="'z'"):
             ivs.load_csv(f, y="y", z="z", w="w")
 
+    def test_repeated_requested_column_names_it(self, tmp_path):
+        f = tmp_path / "dup.csv"
+        write_lines(f, ["y,z,w,w", "1,0.1,2,5", "2,0.2,3,6", "3,0.3,4,7"])
+        with pytest.raises(ivs.SchemaError, match="'w' appears 2 times"):
+            ivs.load_csv(f, y="y", z="z", w="w")
+
+    def test_repeated_unrequested_column_is_ignored(self, tmp_path):
+        f = tmp_path / "dup.csv"
+        write_lines(f, ["y,z,x,w,x", "1,0.1,9,2,9", "2,0.2,9,3,9", "3,0.3,9,4,9"])
+        ds = ivs.load_csv(f, y="y", z="z", w="w")
+        assert np.array_equal(ds.w[:, 0], [2.0, 3.0, 4.0])
+
     def test_nan_cell_cites_row(self, tmp_path):
         f = tmp_path / "nan.csv"
         write_lines(f, ["y,z,w", "1,0.1,2", "NaN,0.2,3", "3,0.3,4"])

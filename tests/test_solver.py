@@ -1,9 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import ivspline as ivs
-from ivspline import monotone, solver
+from ivspline import monotone, solver, spline
 from conftest import (
     build_block_system,
     fitted_values,
@@ -75,6 +78,19 @@ class TestFit:
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError):
                 ivs.fit(ds, bad)
+
+    @pytest.mark.parametrize("instruments", [1, 2])
+    def test_overflowing_lambda_is_a_conditioning_error(self, instruments):
+        # lam Omega^-1 overflows to inf on the closed-form (1) and dense (2) routes;
+        # the matrix is rejected before it is factored, without a RuntimeWarning
+        ds = random_instance(6, n=12)
+        if instruments == 2:
+            ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.column_stack([ds.w[:, 0], ds.z]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ivs.ConditioningError, match="non-finite") as err:
+                ivs.fit(ds, 1e308)
+        assert err.value.condition_estimate == float("inf")
 
     def test_collinear_z_rejected(self):
         ds = ivs.Dataset(y=[1, 2, 3], z=[1.0, 1.0, 1.0], w=[[0.1], [0.5], [0.9]])
@@ -315,6 +331,80 @@ class TestBlockSystem:
         basis = np.linalg.svd(np.eye(ds.n) - q @ q.T)[0][:, : ds.n - 2]
         projected = basis.T @ system.penalized_cubic @ basis
         assert np.linalg.eigvalsh(projected).min() > 0
+
+
+def scalar_draw(n, seed=7):
+    """A tie-free scalar instrument: the closed-form weight-matrix route."""
+    return paper_draw("g1", n, seed)
+
+
+def two_instrument_draw(n, seed=7):
+    """Two instrument columns: the dense weight-matrix route."""
+    ds = paper_draw("g1", n, seed)
+    w = np.column_stack([ds.w[:, 0], np.random.default_rng(seed).standard_normal(n)])
+    return ivs.Dataset(y=ds.y, z=ds.z, w=w)
+
+
+class TestBlockFill:
+    """E is written into the bordered matrix a row block at a time, entry for entry."""
+
+    SIZES = [spline._CUBIC_BLOCK - 1, spline._CUBIC_BLOCK, 2 * spline._CUBIC_BLOCK + 3]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("draw", [scalar_draw, two_instrument_draw])
+    def test_matrix_equals_the_dense_assembly(self, draw, n):
+        ds = draw(n)
+        for lam in (1e-4, 0.3):
+            kkt = solver._kkt_matrix(ivs.build_design(ds.z), ivs.build_weight_matrix(ds.w), lam)
+            assert np.array_equal(kkt, build_block_system(ds, lam).kkt)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("draw", [scalar_draw, two_instrument_draw])
+    def test_fit_equals_a_solve_on_the_dense_assembly(self, draw, n):
+        ds = draw(n)
+        for lam in (1e-4, 0.3):
+            fit = ivs.fit(ds, lam)
+            dense = build_block_system(ds, lam)
+            lu = scipy.linalg.lu_factor(dense.kkt)
+            sol = scipy.linalg.lu_solve(lu, dense.rhs)
+            for _ in range(fit.diagnostics["refinement_steps"]):
+                sol = sol + scipy.linalg.lu_solve(lu, dense.rhs - dense.kkt @ sol)
+            assert np.array_equal(fit.delta, sol[:n])
+            assert np.array_equal(fit.a, sol[n:])
+            cubic = ivs.build_design(ds.z).cubic
+            assert fit.diagnostics["roughness"] == pytest.approx(fit.delta @ cubic @ fit.delta, rel=1e-13)
+
+    def test_block_product_equals_the_dense_product(self):
+        z = scalar_draw(2 * spline._CUBIC_BLOCK + 3).z
+        v = np.random.default_rng(0).standard_normal(z.shape[0])
+        assert np.array_equal(spline._cubic_product(z, v), ivs.build_design(z).cubic @ v)
+
+
+def traced(build):
+    """``build()``'s result and the bytes it keeps allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryFootprint:
+    def test_factored_system_keeps_the_matrix_and_its_lu_only(self):
+        # no third (n + 2)^2 array: the cubic design is not held
+        n = 1000
+        ds = scalar_draw(n, seed=11)
+        _, kept = traced(lambda: solver._Factored(ds, 1e-3))
+        assert kept <= 2 * (n + 2) ** 2 * 8 + 1e6
+
+    def test_grouped_system_keeps_no_n_by_n_array(self):
+        # the rounded instrument's (m + 2) system; one 2000 x 2000 matrix would be 32 MB
+        ds = paper_draw("g1", 2000, seed=12)
+        ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
+        system, kept = traced(lambda: solver._Factored(ds, 1e-3))
+        assert len(system.omega.groups) < 100
+        assert kept < 1e6
 
 
 class TestPathSolver:
