@@ -11,7 +11,7 @@ Monte Carlo harness.
 
 __version__ = "0.1.0"
 
-from .datamodel import Dataset, StandardizedInstruments, load_csv, standardize_instruments, write_csv
+from .datamodel import Dataset, load_csv, standardize_instruments, write_csv
 from .errors import (
     CollinearityError,
     ConditioningError,
@@ -36,7 +36,6 @@ from .selection import CvConfig, CvResult, cross_validate, default_grid
 from .simlab import DgpConfig, McReport, evaluation_grid, generate, monte_carlo, true_function
 from .solver import PathSolver, fit
 from .spline import (
-    DesignMatrices,
     SplineFit,
     build_design,
     evaluate,
@@ -48,7 +47,6 @@ from .spline import (
 __all__ = [
     "__version__",
     "Dataset",
-    "StandardizedInstruments",
     "load_csv",
     "standardize_instruments",
     "write_csv",
@@ -56,7 +54,6 @@ __all__ = [
     "WeightMatrix",
     "build_weight_matrix",
     "moment_criterion",
-    "DesignMatrices",
     "SplineFit",
     "build_design",
     "evaluate",

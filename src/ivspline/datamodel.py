@@ -28,9 +28,9 @@ class Dataset:
     """Outcome vector, endogenous regressor, and n x p instrument matrix.
 
     Rows are observations and keep their input order.  ``z`` need not be
-    sorted and may contain ties; duplicated instrument rows are legal and
-    flagged: they make the instrument weight matrix singular, so the solver
-    works on the distinct rows (see :mod:`ivspline.kernel`).
+    sorted and may contain ties.  Duplicated instrument rows are legal: they
+    make the instrument weight matrix singular, so the solver works on the
+    distinct rows (see :mod:`ivspline.kernel`).
     """
 
     y: np.ndarray
@@ -67,31 +67,11 @@ class Dataset:
     def p(self) -> int:
         return self.w.shape[1]
 
-    @property
-    def has_duplicate_instrument_rows(self) -> bool:
-        return np.unique(self.w, axis=0).shape[0] < self.n
 
-    def replace_y(self, y) -> "Dataset":
-        """New dataset sharing z and w but with a different outcome vector."""
-        return Dataset(y=np.asarray(y, dtype=float), z=self.z, w=self.w)
-
-
-@dataclass(frozen=True)
-class StandardizedInstruments:
-    """Columnwise standardized instruments plus the affine transform that produced them."""
-
-    w_std: np.ndarray
-    scales: np.ndarray
-    centers: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_std", _as_readonly(self.w_std))
-        object.__setattr__(self, "scales", _as_readonly(self.scales))
-        object.__setattr__(self, "centers", _as_readonly(self.centers))
-
-
-def standardize_instruments(w: np.ndarray) -> StandardizedInstruments:
+def standardize_instruments(w: np.ndarray) -> np.ndarray:
     """Center each instrument column and divide by its (n-1)-divisor standard deviation.
+
+    Returns the standardized n x p array, read-only.
 
     Centering is cosmetic for the weight function, which only sees pairwise
     differences, but improves the conditioning of the weight matrix; the
@@ -99,6 +79,8 @@ def standardize_instruments(w: np.ndarray) -> StandardizedInstruments:
 
     Raises
     ------
+    SizeError
+        If there are fewer than two rows.
     DegenerateInstrumentError
         If a column is constant, so no dispersion measure exists.
     """
@@ -114,9 +96,9 @@ def standardize_instruments(w: np.ndarray) -> StandardizedInstruments:
         raise DegenerateInstrumentError(
             f"instrument column {bad[0]} is constant; drop it or supply a varying instrument"
         )
-    return StandardizedInstruments(
-        w_std=(w - centers) / scales, scales=scales, centers=centers
-    )
+    out = (w - centers) / scales
+    out.setflags(write=False)
+    return out
 
 
 def _parse_cell(text: str, row: int, column: str) -> float:

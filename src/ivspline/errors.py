@@ -10,7 +10,13 @@ class IvsplineError(Exception):
 
 
 class SchemaError(IvsplineError):
-    """A required column is missing from an input file."""
+    """Column names do not fit the data.
+
+    Raised when a requested column is missing from an input file's header or
+    appears in it more than once, when the file has no header or no
+    instrument column is requested, and when ``write_csv`` gets a number of
+    instrument names other than the dataset's instrument count.
+    """
 
 
 class ParseError(IvsplineError):
@@ -39,7 +45,13 @@ class SingularKernelError(IvsplineError):
 
 
 class ConditioningError(IvsplineError):
-    """A linear solve produced non-finite output."""
+    """A bordered system cannot be solved in floating point.
+
+    Raised when the bordered matrix has a non-finite entry (an overflowing
+    lambda), before it is factored, and when a solve produces non-finite
+    output.  ``condition_estimate`` is the system's 1-norm condition
+    estimate, inf for a non-finite matrix.
+    """
 
     def __init__(self, message, condition_estimate=None):
         super().__init__(message)
@@ -59,7 +71,13 @@ class InfeasibleConstraintsError(IvsplineError):
 
 
 class SolverStallError(IvsplineError):
-    """The tilt solver stopped short of convergence (iteration cap, or no ascent step)."""
+    """The tilt solver stopped short of a certified answer, though feasible weights exist.
+
+    Raised when the dual ascent hits its iteration cap, when its line search
+    finds no ascent step, or when its answer's KKT residual exceeds
+    ``monotone.KKT_TOL``.  ``diagnostics`` holds ``newton_steps`` and the
+    knot indices of the ``working_set``.
+    """
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

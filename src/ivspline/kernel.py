@@ -25,8 +25,7 @@ Ornstein-Uhlenbeck covariance, whose inverse is tridiagonal in sorted order;
 when its distinct values pass the pivot screen, Lbar is a closed-form
 bidiagonal factor in O(m) storage.  Several instruments, or nearly tied
 values, keep the dense Cholesky factor of Omegabar only: it is factored in
-place (with jitter while near ties leave it numerically singular) and rebuilt
-when asked for.
+place (with jitter while near ties leave it numerically singular).
 """
 
 from __future__ import annotations
@@ -104,39 +103,17 @@ class WeightMatrix:
     representation is a subclass's.  The package reaches Omega only through
     ``_apply_lt`` (L'm, n rows in, m out), ``_apply_l`` (Lm, m rows in, n
     out), ``_add_inverse`` (mat += lam Omegabar^-1 on an m x m block) and
-    ``_quadratic`` (columnwise r' Omega r = ||L'r||^2), with L = G Lbar.
-    ``values`` rebuilds the dense n x n matrix, jitter included, and
-    ``inverse()`` its inverse, which exists only without ties.
+    ``_quadratic`` (columnwise r' Omega r = ||L'r||^2), with L = G Lbar; the
+    dense n x n matrix is never formed.
     """
 
     w: np.ndarray = field(repr=False)
-    spec: KernelSpec
     jitter_applied: float
     groups: _Groups | None = field(default=None, repr=False, kw_only=True)
 
     @property
     def n(self) -> int:
         return self.w.shape[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        values = _pairwise_weights(self.w, self.spec)
-        if self.groups is None:
-            values[np.diag_indices(self.n)] += self.jitter_applied
-        elif self.jitter_applied:
-            # G (Omegabar + jitter I) G': the jitter sits on every pair of one group
-            values += self.jitter_applied * np.equal.outer(self.groups.index, self.groups.index)
-        return values
-
-    def inverse(self) -> np.ndarray:
-        if self.groups is not None:
-            raise SingularKernelError(
-                f"weight matrix has rank {len(self.groups)} < {self.n}: tied instrument rows leave "
-                "it without an inverse"
-            )
-        inv = np.zeros((self.n, self.n))
-        self._add_inverse(inv, 1.0)
-        return inv
 
     def _apply_lt(self, m: np.ndarray) -> np.ndarray:
         """L'm = Lbar' G'm, one row per group."""
@@ -320,21 +297,19 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec = KernelSpec()) -> Weigh
     w = np.asarray(w, dtype=float).reshape(len(w), -1)
     n = w.shape[0]
     if spec.standardize and n >= 2:
-        w = standardize_instruments(w).w_std
+        w = standardize_instruments(w)
     rows, groups = _group_rows(w)
     scalar = _bidiagonal(rows, spec, n) if w.shape[1] == 1 else None
     if scalar is not None:
         order, band = scalar
-        return _BidiagonalWeightMatrix(w=w, spec=spec, jitter_applied=0.0, groups=groups,
-                                       order=order, band=band)
+        return _BidiagonalWeightMatrix(w=w, jitter_applied=0.0, groups=groups, order=order, band=band)
     values = _pairwise_weights(rows, spec, n)
     base, tau = values.trace() / rows.shape[0], 0.0
     while tau <= JITTER_CAP * (1.0 + 1e-12):
         jitter = tau * base
         chol = _attempt_cholesky(values, jitter)
         if chol is not None:
-            return _DenseWeightMatrix(w=w, spec=spec, jitter_applied=float(jitter), groups=groups,
-                                      chol=chol)
+            return _DenseWeightMatrix(w=w, jitter_applied=float(jitter), groups=groups, chol=chol)
         tau = tau * JITTER_GROWTH if tau else JITTER_START
     raise SingularKernelError(
         "weight matrix is singular beyond the jitter cap; "

@@ -54,7 +54,7 @@ import numpy as np
 from .datamodel import Dataset
 from .errors import InfeasibleConstraintsError, SolverStallError
 from .solver import _Factored
-from .spline import SplineFit
+from .spline import SplineFit, _derivative_rhs
 
 # Half the squared Newton decrement estimates the dual's distance to its
 # optimum on W; 1e-20 is far below the 1e-8 objective accuracy the tests
@@ -122,8 +122,9 @@ class TiltWeights:
 def derivative_smoother_matrix(ds: Dataset, lam: float) -> np.ndarray:
     """n x n matrix L with L @ Y = fitted first derivative at every knot.
 
-    With K the bordered matrix and B = [cubic_deriv, linear_deriv], L = B K^-1 [I; 0].
-    K is symmetric, so L' is the first n rows of one solve against B', refined
+    With K the bordered matrix and B = [D, 1 (0, 1)] the derivative design,
+    D_ij = sign(z_i - z_j) (z_i - z_j)^2 / 4, L = B K^-1 [I; 0].  K is
+    symmetric, so L' is the first n rows of one solve against B', refined
     until it is accurate to ``solver.REFINE_RTOL`` or has made
     ``solver._REFINEMENT_STEPS`` corrections; refining the derivative design
     as right-hand sides makes L reproduce linear outcomes (L 1 = 0, L z = 1).
@@ -133,8 +134,7 @@ def derivative_smoother_matrix(ds: Dataset, lam: float) -> np.ndarray:
 
 def _smoother(system: _Factored) -> tuple[np.ndarray, int, float]:
     """L, and the refinement steps and backward error of its solve (see :meth:`_Factored.solve`)."""
-    rhs = np.vstack([system.design.cubic_deriv.T, system.design.linear_deriv.T])
-    sol, steps, eta = system.solve(rhs)
+    sol, steps, eta = system.solve(_derivative_rhs(system.knots))
     return sol[: system.knots.shape[0]].T, steps, eta
 
 

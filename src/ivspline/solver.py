@@ -33,7 +33,7 @@ from scipy.linalg import lapack
 from .datamodel import Dataset
 from .errors import CollinearityError, ConditioningError
 from .kernel import WeightMatrix, build_weight_matrix, moment_criterion
-from .spline import _CUBIC_BLOCK, DesignMatrices, SplineFit, _cubic_product, _radial_cubic, build_design
+from .spline import SplineFit, _cubic_design, _cubic_product, build_design
 
 # Most iterative-refinement corrections a solve makes.  Ill-conditioned
 # systems (nearly tied instruments, extreme lambda) run to this cap.
@@ -85,27 +85,23 @@ def _check_group_rank(z: np.ndarray, omega: WeightMatrix) -> None:
         )
 
 
-def _kkt_matrix(design: DesignMatrices, omega: WeightMatrix, lam: float) -> np.ndarray:
+def _kkt_matrix(linear: np.ndarray, omega: WeightMatrix, lam: float) -> np.ndarray:
     """The bordered matrix [[G'EG + lam Omegabar^-1, G'Z], [Z'G, 0]], exactly symmetric; G = I without ties.
 
-    Without ties E is written into the matrix ``_CUBIC_BLOCK`` rows at a
-    time, entry for entry as ``design.cubic`` would hold it, so no other
-    n x n array is made; with ties G'EG comes from a local E that is freed on
-    return.  ``design.cubic`` is neither read nor built.  An overflowing
-    ``lam`` leaves infinite entries, which :class:`_Factored` rejects.
+    ``linear`` is the n x 2 linear design Z.  Without ties E is written into
+    the matrix by :func:`~ivspline.spline._cubic_design`, so no other n x n
+    array is made; with ties G'EG comes from a local E that is freed on
+    return.  An overflowing ``lam`` leaves infinite entries, which
+    :class:`_Factored` rejects.
     """
-    linear = design.linear
     z = linear[:, 1]
     groups = omega.groups
     if groups is None:
         m = z.shape[0]
         kkt = np.zeros((m + 2, m + 2))
-        cubic = kkt[:m, :m]
-        for start in range(0, m, _CUBIC_BLOCK):
-            stop = start + _CUBIC_BLOCK
-            _radial_cubic(z[start:stop], z, out=cubic[start:stop])
+        _cubic_design(z, out=kkt[:m, :m])
     else:
-        cubic = groups.sum(groups.sum(_radial_cubic(z, z)).T)
+        cubic = groups.sum(groups.sum(_cubic_design(z)).T)
         cubic = 0.5 * (cubic + cubic.T)  # the two sums round in different orders
         linear = groups.sum(linear)
         m = linear.shape[0]
@@ -146,20 +142,21 @@ class _Factored:
     dataset's weight matrix built earlier (by CV); by default it is built here.
 
     It keeps two (m + 2)^2 arrays, the bordered matrix ``kkt`` (for the
-    refinement residuals) and its LU factors ``lu``; the cubic design E is
-    never held (see :func:`_kkt_matrix`), and :meth:`fit` forms E delta by
-    row blocks.  A matrix with a non-finite entry (an overflowing lambda)
-    raises :class:`ConditioningError` before it is factored.
+    refinement residuals) and its LU factors ``lu``, and the n x 2 linear
+    design ``linear``; the cubic design E is never held (see
+    :func:`_kkt_matrix`), and :meth:`fit` forms E delta by row blocks.  A
+    matrix with a non-finite entry (an overflowing lambda) raises
+    :class:`ConditioningError` before it is factored.
     """
 
     def __init__(self, ds: Dataset, lam: float, omega: WeightMatrix | None = None):
         self.lam = _check_lambda(lam)
         _check_rank(ds.z)
         self.knots = ds.z
-        self.design = build_design(ds.z)
+        self.linear = build_design(ds.z)
         self.omega = build_weight_matrix(ds.w) if omega is None else omega
         _check_group_rank(ds.z, self.omega)
-        self.kkt = _kkt_matrix(self.design, self.omega, self.lam)
+        self.kkt = _kkt_matrix(self.linear, self.omega, self.lam)
         # the 1-norm as the inf-norm of the F-ordered transpose: no copy, no |kkt| temporary;
         # the matrix is symmetric, so it is also the inf-norm the backward error reads
         self.norm = lapack.dlange("I", self.kkt.T)
@@ -223,7 +220,7 @@ class _Factored:
         sol, steps, eta = self.solve(np.concatenate([y, np.zeros(2)]))
         delta, a = sol[:n], sol[n:]
         e_delta = _cubic_product(self.knots, delta)
-        residuals = y - self.design.linear @ a - e_delta
+        residuals = y - self.linear @ a - e_delta
         rough = float(delta @ e_delta)
         crit = moment_criterion(residuals, self.omega)
         return SplineFit(
@@ -235,7 +232,7 @@ class _Factored:
                 "criterion": crit,
                 "roughness": rough,
                 "objective": crit + self.lam * rough,
-                "constraint_residual": float(np.abs(self.design.linear.T @ delta).max()),
+                "constraint_residual": float(np.abs(self.linear.T @ delta).max()),
                 "jitter_applied": self.omega.jitter_applied,
                 "instrument_groups": self.omega.n if groups is None else len(groups),
                 "kkt_condition_estimate": self.condition,
@@ -275,14 +272,14 @@ class PathSolver:
 
     def __init__(self, ds: Dataset):
         _check_rank(ds.z)
-        design = build_design(ds.z)
+        linear = build_design(ds.z)
         omega = build_weight_matrix(ds.w)
         _check_group_rank(ds.z, omega)
         # L'EL = L'(L'E)' since E is exactly symmetric, so its F-ordered transpose
-        # passes for E; eigh reads the lower half
-        s_mat = omega._apply_lt(omega._apply_lt(design.cubic.T).T)
-        linear = design.linear
-        del design  # frees E before the eigensolver's workspace; eigh overwrites S with the vectors
+        # passes for E; eigh reads the lower half of S and overwrites it with the vectors
+        cubic = _cubic_design(ds.z)
+        s_mat = omega._apply_lt(omega._apply_lt(cubic.T).T)
+        del cubic  # frees E before the eigensolver's workspace
         evals, vecs = scipy.linalg.eigh(s_mat, driver="evd", overwrite_a=True)
         self._evals = evals
         self._zt = vecs.T @ omega._apply_lt(linear)

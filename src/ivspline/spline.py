@@ -14,7 +14,6 @@ matrices and the instrument weight matrix trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +25,9 @@ def _sign_plus(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0, -1.0)
 
 
-# Rows per block where the cubic design is produced a block at a time (the
-# bordered matrix, and E v in a fit): a block's temporaries are 2 MB each at
-# n = 2000, and E is never held whole.
+# Rows per block where a design is produced a block at a time (E, E v and the
+# derivative smoother's right-hand side): a block's temporaries are 2 MB each
+# at n = 2000, so no n x n temporary stands beside the result.
 _CUBIC_BLOCK = 128
 
 
@@ -39,6 +38,19 @@ def _radial_cubic(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -
     cubic *= d
     cubic /= 12.0
     return cubic
+
+
+def _cubic_design(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The n x n cubic design E, |z_i - z_j|^3 / 12, written in row blocks (into ``out`` if given).
+
+    Every entry rounds as in ``_radial_cubic(z, z)``, so E is exactly symmetric.
+    """
+    n = z.shape[0]
+    out = np.empty((n, n)) if out is None else out
+    for start in range(0, n, _CUBIC_BLOCK):
+        stop = start + _CUBIC_BLOCK
+        _radial_cubic(z[start:stop], z, out=out[start:stop])
+    return out
 
 
 def _cubic_product(z: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -54,45 +66,37 @@ def _cubic_product(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DesignMatrices:
-    """Design blocks of one z vector, rows in dataset order.
+def _derivative_rhs(z: np.ndarray) -> np.ndarray:
+    """B' for the knot-derivative design B = [D, 1 (0, 1)], an (n + 2) x n array.
 
-    linear       n x 2, columns (1, z_i)
-    cubic        n x n, entries |z_i - z_j|^3 / 12          (value map and roughness form)
-    cubic_deriv  n x n, entries sign(z_i - z_j) (z_i - z_j)^2 / 4   (derivative map)
-    linear_deriv n x 2, rows (0, 1)
-
-    Only ``linear`` is built with the design; the n x n blocks are built on
-    first access and then kept.  The fit never reads ``cubic``: it writes E
-    into the bordered matrix and forms E delta by row blocks.  The
-    cross-validation path solver reads it, and only the derivative smoother
-    reads the derivative blocks.
+    D has entries sign(z_i - z_j) (z_i - z_j)^2 / 4 (sign(0) = +1), so row j
+    of B' holds sign(z_i - z_j) (z_i - z_j)^2 / 4 over i; its last two rows are
+    zeros and ones.  The rows are written ``_CUBIC_BLOCK`` at a time.
     """
-
-    linear: np.ndarray
-
-    @cached_property
-    def cubic(self) -> np.ndarray:
-        z = self.linear[:, 1]
-        return _radial_cubic(z, z)
-
-    @cached_property
-    def cubic_deriv(self) -> np.ndarray:
-        diff = np.subtract.outer(self.linear[:, 1], self.linear[:, 1])
-        return _sign_plus(diff) * diff**2 / 4.0
-
-    @cached_property
-    def linear_deriv(self) -> np.ndarray:
-        return np.tile([0.0, 1.0], (self.linear.shape[0], 1))
+    n = z.shape[0]
+    out = np.empty((n + 2, n))
+    for start in range(0, n, _CUBIC_BLOCK):
+        stop = min(start + _CUBIC_BLOCK, n)
+        diff = np.subtract.outer(z, z[start:stop]).T
+        block = np.multiply(diff, diff, out=out[start:stop])
+        np.negative(block, out=block, where=diff < 0)
+        block /= 4.0
+    out[n] = 0.0
+    out[n + 1] = 1.0
+    return out
 
 
-def build_design(z: np.ndarray) -> DesignMatrices:
+def build_design(z: np.ndarray) -> np.ndarray:
+    """The n x 2 linear design, columns (1, z_i), of at least 3 knots.
+
+    The cubic design E is never returned whole: the solver writes it into the
+    bordered matrix and forms E v a row block at a time.
+    """
     z = np.asarray(z, dtype=float).reshape(-1)
     n = z.shape[0]
     if n < 3:
         raise SizeError(f"design matrices need at least 3 knots, got {n}")
-    return DesignMatrices(linear=np.column_stack([np.ones(n), z]))
+    return np.column_stack([np.ones(n), z])
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,13 @@ class SplineFit:
 
     ``a`` holds the intercept and slope, ``delta`` the radial coefficients
     (one per knot, satisfying the two natural-spline constraints), ``knots``
-    the z values in dataset order.  ``diagnostics`` records the criterion
-    value, the roughness, the constraint residual, any weight-matrix jitter
-    and the number of distinct instrument rows of the solve that produced
-    the fit.
+    the z values in dataset order.  ``diagnostics`` records, for the solve
+    that produced the fit, ``criterion``, ``roughness``, ``objective``,
+    ``constraint_residual``, ``jitter_applied``, ``instrument_groups`` (the
+    number of distinct instrument rows), ``kkt_condition_estimate``,
+    ``refinement_steps`` and ``backward_error``.  A monotone refit adds
+    ``smoother_refinement_steps``, ``smoother_backward_error``,
+    ``tilt_objective``, ``tilt_kkt_residual`` and ``tilt_active_constraints``.
     """
 
     a: np.ndarray
@@ -161,15 +168,11 @@ def evaluate_second_derivative(fit: SplineFit, z) -> np.ndarray | float:
     return float(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
-def roughness(delta: np.ndarray, cubic: np.ndarray) -> float:
+def roughness(fit: SplineFit) -> float:
     """Quadratic form delta' E delta = integral of g''(z)^2 over the real line.
 
     The identity requires delta to satisfy the two natural-spline
     constraints; on that subspace the cubic design is positive semidefinite.
+    E delta is formed by row blocks, as in a fit's ``roughness`` diagnostic.
     """
-    delta = np.asarray(delta, dtype=float).reshape(-1)
-    if cubic.shape != (delta.shape[0], delta.shape[0]):
-        raise ValueError(
-            f"cubic design of order {cubic.shape} does not match delta length {delta.shape[0]}"
-        )
-    return float(delta @ cubic @ delta)
+    return float(fit.delta @ _cubic_product(fit.knots, fit.delta))

@@ -67,6 +67,62 @@ def near_ties(w, decimals=1, step=2.0**-49):
     return w
 
 
+def cubic_design(z):
+    """The dense cubic design E, entries |z_i - z_j|^3 / 12, from the formula.
+
+    Cubed by multiplication, the order the package's row blocks use, so the
+    entries equal the ones it writes bit for bit.
+    """
+    d = np.abs(np.subtract.outer(z, z))
+    return d * d * d / 12.0
+
+
+def derivative_design(z):
+    """The dense derivative design D, entries sign(z_i - z_j) (z_i - z_j)^2 / 4 with sign(0) = +1."""
+    diff = np.subtract.outer(z, z)
+    return np.where(diff >= 0, 1.0, -1.0) * diff**2 / 4.0
+
+
+def kernel_weight(spec, d):
+    """Weight omega(d) for an instrument difference d (length-p vector or scalar).
+
+    Product of univariate Laplace densities over the components:
+    prod_k (1/(2b)) exp(-|d_k| / b) with b = sqrt(variance / 2).  An array of
+    differences (last axis the p components) gives one weight per difference.
+    """
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    b = np.sqrt(spec.variance / 2.0)
+    weight = np.prod(np.exp(-np.abs(d) / b) / (2.0 * b), axis=-1)
+    return float(weight) if weight.ndim == 0 else weight
+
+
+def weight_values(om, spec=ivs.KernelSpec()):
+    """The dense n x n weight matrix of ``om``, jitter included, from ``kernel_weight``.
+
+    n^-2 omega(W_i - W_j) on the standardized instruments ``om.w``.  The
+    jitter sits on the diagonal without ties, and on every pair of one group
+    with them: G (Omegabar + jitter I) G'.
+    """
+    w = om.w
+    values = kernel_weight(spec, w[:, None, :] - w[None, :, :]) / om.n**2
+    if om.groups is None:
+        values[np.diag_indices(om.n)] += om.jitter_applied
+    elif om.jitter_applied:
+        values += om.jitter_applied * np.equal.outer(om.groups.index, om.groups.index)
+    return values
+
+
+def weight_inverse(om):
+    """Omega^-1 of a weight matrix without ties, through the package's ``_add_inverse``.
+
+    With tied instruments Omega is singular, and there is no inverse.
+    """
+    assert om.groups is None, "tied instrument rows leave the weight matrix without an inverse"
+    inverse = np.zeros((om.n, om.n))
+    om._add_inverse(inverse, 1.0)
+    return inverse
+
+
 def qp_oracle(ds, lam):
     """Solve the penalized program by its direct first-order system.
 
@@ -75,36 +131,37 @@ def qp_oracle(ds, lam):
     solves the stationarity-plus-constraints system in one dense solve.
     Shares no code path with the production solver.
     """
-    om = ivs.build_weight_matrix(ds.w)
-    d = ivs.build_design(ds.z)
+    omega = weight_values(ivs.build_weight_matrix(ds.w))
+    cubic, linear = cubic_design(ds.z), ivs.build_design(ds.z)
     n = ds.n
-    x_map = np.hstack([d.cubic, d.linear])
+    x_map = np.hstack([cubic, linear])
     block_pen = np.zeros((n + 2, n + 2))
-    block_pen[:n, :n] = d.cubic
-    q = x_map.T @ om.values @ x_map + lam * block_pen
+    block_pen[:n, :n] = cubic
+    q = x_map.T @ omega @ x_map + lam * block_pen
     c = np.zeros((2, n + 2))
-    c[:, :n] = d.linear.T
+    c[:, :n] = linear.T
     kkt = np.zeros((n + 4, n + 4))
     kkt[: n + 2, : n + 2] = 2 * q
     kkt[: n + 2, n + 2 :] = c.T
     kkt[n + 2 :, : n + 2] = c
-    rhs = np.concatenate([2 * x_map.T @ om.values @ ds.y, np.zeros(2)])
+    rhs = np.concatenate([2 * x_map.T @ omega @ ds.y, np.zeros(2)])
     sol = np.linalg.solve(kkt, rhs)
     delta, a = sol[:n], sol[n : n + 2]
     r = ds.y - x_map @ sol[: n + 2]
-    objective = float(r @ om.values @ r + lam * delta @ d.cubic @ delta)
+    objective = float(r @ omega @ r + lam * delta @ cubic @ delta)
     return delta, a, objective
 
 
 def build_block_system(ds, lam):
-    """The bordered system assembled from public blocks: penalized_cubic, kkt and rhs.
+    """The bordered system assembled from dense blocks: penalized_cubic, kkt and rhs.
 
     penalized_cubic is E + lam Omega^-1, kkt is [[E + lam Omega^-1, Z], [Z', 0]]
-    and rhs is (Y; 0).
+    and rhs is (Y; 0); E comes from its formula, Omega^-1 from
+    :func:`weight_inverse`.
     """
-    d = ivs.build_design(ds.z)
-    penalized = d.cubic + lam * ivs.build_weight_matrix(ds.w).inverse()
-    kkt = np.block([[penalized, d.linear], [d.linear.T, np.zeros((2, 2))]])
+    linear = ivs.build_design(ds.z)
+    penalized = cubic_design(ds.z) + lam * weight_inverse(ivs.build_weight_matrix(ds.w))
+    kkt = np.block([[penalized, linear], [linear.T, np.zeros((2, 2))]])
     return SimpleNamespace(penalized_cubic=penalized, kkt=kkt, rhs=np.concatenate([ds.y, np.zeros(2)]))
 
 
@@ -115,24 +172,13 @@ def fitted_values(ds, lam):
     design, with Et = E + lam Omega^-1.  Independent of ``ivs.fit``'s bordered
     solve: it factors Et alone and eliminates the linear part in closed form.
     """
-    design = ivs.build_design(ds.z)
+    linear = ivs.build_design(ds.z)
     lu = scipy.linalg.lu_factor(build_block_system(ds, lam).penalized_cubic)
-    einv_z = scipy.linalg.lu_solve(lu, design.linear)
+    einv_z = scipy.linalg.lu_solve(lu, linear)
     einv_y = scipy.linalg.lu_solve(lu, ds.y)
-    gram = design.linear.T @ einv_z
-    proj_y = design.linear @ np.linalg.solve(gram, design.linear.T @ einv_y)
-    return proj_y + design.cubic @ scipy.linalg.lu_solve(lu, ds.y - proj_y)
-
-
-def kernel_weight(spec, d):
-    """Weight omega(d) for an instrument difference d (length-p vector or scalar).
-
-    Product of univariate Laplace densities over the components:
-    prod_k (1/(2b)) exp(-|d_k| / b) with b = sqrt(variance / 2).
-    """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    b = np.sqrt(spec.variance / 2.0)
-    return float(np.prod(np.exp(-np.abs(d) / b) / (2.0 * b)))
+    gram = linear.T @ einv_z
+    proj_y = linear @ np.linalg.solve(gram, linear.T @ einv_y)
+    return proj_y + cubic_design(ds.z) @ scipy.linalg.lu_solve(lu, ds.y - proj_y)
 
 
 def hat_diagnostics(ds, lam):
@@ -149,7 +195,7 @@ def hat_diagnostics(ds, lam):
     """
     system = build_block_system(ds, lam)
     n = ds.n
-    linear = ivs.build_design(ds.z).linear
+    linear = ivs.build_design(ds.z)
     einv = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.penalized_cubic), np.eye(n))
     einv = 0.5 * (einv + einv.T)
     einv_z = einv @ linear
@@ -175,7 +221,7 @@ def cv_oracle(ds, cfg):
     fold split with ``cross_validate``.
     """
     assignment = _fold_assignment(ds.n, cfg.folds, cfg.seed)
-    omega = ivs.build_weight_matrix(ds.w).values
+    omega = weight_values(ivs.build_weight_matrix(ds.w))
     criteria = np.empty(cfg.grid.size)
     for j, lam in enumerate(cfg.grid):
         tilde = np.empty(ds.n)
@@ -195,8 +241,8 @@ def path_spectrum(ds):
     so this spectrum has negative eigenvalues, and lambda = -(one of them)
     makes the shifted system singular.
     """
-    chol = np.linalg.cholesky(ivs.build_weight_matrix(ds.w).values)
-    s_mat = chol.T @ ivs.build_design(ds.z).cubic @ chol
+    chol = np.linalg.cholesky(weight_values(ivs.build_weight_matrix(ds.w)))
+    s_mat = chol.T @ cubic_design(ds.z) @ chol
     return np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))
 
 
@@ -249,11 +295,11 @@ def natural_interpolant(z, values):
     """Natural cubic spline through (z_i, values_i) via the unpenalized bordered system."""
     z = np.asarray(z, float)
     n = z.size
-    d = ivs.build_design(z)
+    linear = ivs.build_design(z)
     kkt = np.zeros((n + 2, n + 2))
-    kkt[:n, :n] = d.cubic
-    kkt[:n, n:] = d.linear
-    kkt[n:, :n] = d.linear.T
+    kkt[:n, :n] = cubic_design(z)
+    kkt[:n, n:] = linear
+    kkt[n:, :n] = linear.T
     sol = np.linalg.solve(kkt, np.concatenate([values, np.zeros(2)]))
     return ivs.SplineFit(a=sol[n:], delta=sol[:n], knots=z, lam=1.0)
 

@@ -14,11 +14,13 @@ from scipy.optimize import minimize
 import ivspline as ivs
 from conftest import (
     criterion_quadrature_oracle,
+    cubic_design,
     fitted_values,
     qp_oracle,
     random_instance,
     roughness_exact_integral,
     separated_instance,
+    weight_values,
     wiggly_instance,
 )
 
@@ -92,8 +94,7 @@ def test_criterion_4_closed_form_cross_check():
         ds = random_instance(400 + trial, n=n)
         lam = 10 ** rng.uniform(-3, 1)
         fit = ivs.fit(ds, lam)
-        design = ivs.build_design(ds.z)
-        block_path = design.linear @ fit.a + design.cubic @ fit.delta
+        block_path = ivs.build_design(ds.z) @ fit.a + cubic_design(ds.z) @ fit.delta
         closed_path = fitted_values(ds, lam)
         rel = np.abs(closed_path - block_path).max() / (1 + np.abs(block_path).max())
         worst = max(worst, rel)
@@ -117,7 +118,8 @@ def test_criterion_5_limit_behavior():
         big = ivs.fit(ds, 1e10)
         om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
         zlin = np.column_stack([np.ones(ds.n), ds.z])
-        a_wls = np.linalg.solve(zlin.T @ om.values @ zlin, zlin.T @ om.values @ ds.y)
+        omega = weight_values(om)
+        a_wls = np.linalg.solve(zlin.T @ omega @ zlin, zlin.T @ omega @ ds.y)
         worst_delta = max(worst_delta, np.linalg.norm(big.delta) / np.linalg.norm(ds.y))
         worst_slope = max(worst_slope, np.abs(big.a - a_wls).max())
         _IDENTITY_REGISTRY.append((ds, big))
@@ -150,7 +152,7 @@ def test_criterion_6_spline_identity_suite():
         c_scale = 1 + np.linalg.norm(fit.delta, 1) * np.abs(fit.knots).max()
         worst["constraint"] = max(worst["constraint"], fit.constraint_residual() / c_scale)
 
-        quad_form = ivs.roughness(fit.delta, ivs.build_design(ds.z).cubic)
+        quad_form = ivs.roughness(fit)
         exact = roughness_exact_integral(fit)
         if exact > 1e-12:
             worst["roughness"] = max(worst["roughness"], abs(quad_form - exact) / exact)

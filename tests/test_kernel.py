@@ -11,16 +11,29 @@ import ivspline as ivs
 from conftest import (
     build_block_system,
     criterion_quadrature_oracle,
+    cubic_design,
     kernel_weight,
     near_ties,
     path_spectrum,
     random_instance,
+    weight_inverse,
+    weight_values,
 )
 from ivspline.cli import main, read_document
-from ivspline.kernel import _BidiagonalWeightMatrix, _DenseWeightMatrix, _pairwise_weights
+from ivspline.kernel import _attempt_cholesky, _BidiagonalWeightMatrix, _DenseWeightMatrix, _pairwise_weights
 from ivspline.solver import _Factored
 
 SQRT2 = math.sqrt(2.0)
+
+
+def pairwise(om, spec=ivs.KernelSpec()):
+    """The package's n^-2 omega(W_i - W_j) on every row of ``om``'s standardized instruments."""
+    return _pairwise_weights(om.w, spec)
+
+
+def factor_product(om):
+    """L L' through the package's own factor operations, jitter included."""
+    return om._apply_l(om._apply_lt(np.eye(om.n)))
 
 
 class TestKernelWeight:
@@ -54,8 +67,9 @@ class TestKernelWeight:
 class TestBuildWeightMatrix:
     def test_single_point(self):
         om = ivs.build_weight_matrix(np.array([[3.7]]), ivs.KernelSpec())
-        assert om.values.shape == (1, 1)
-        assert om.values[0, 0] == pytest.approx(SQRT2 / 2)
+        values = factor_product(om)
+        assert values.shape == (1, 1)
+        assert values[0, 0] == pytest.approx(SQRT2 / 2)
 
     def test_near_duplicate_rows_need_jitter(self):
         # three rows one ulp apart: distinct, so not grouped, but numerically singular
@@ -63,7 +77,7 @@ class TestBuildWeightMatrix:
         om = ivs.build_weight_matrix(w, ivs.KernelSpec(standardize=False))
         assert om.groups is None
         assert om.jitter_applied > 0
-        assert np.linalg.eigvalsh(om.values).min() > 0
+        assert np.linalg.eigvalsh(weight_values(om)).min() > 0
 
     def test_duplicate_constant_column_standardized_errors(self):
         with pytest.raises(ivs.DegenerateInstrumentError):
@@ -75,18 +89,21 @@ class TestBuildWeightMatrix:
         b = math.sqrt(0.5)
         lag1 = math.exp(-1.0 / b) / (2 * b) / 9.0
         lag2 = math.exp(-2.0 / b) / (2 * b) / 9.0
-        assert om.values[0, 1] == pytest.approx(lag1, rel=1e-13)
-        assert om.values[0, 2] == pytest.approx(lag2, rel=1e-13)
-        assert np.linalg.eigvalsh(om.values).min() > 0
+        values = pairwise(om)
+        assert values[0, 1] == pytest.approx(lag1, rel=1e-13)
+        assert values[0, 2] == pytest.approx(lag2, rel=1e-13)
+        assert np.linalg.eigvalsh(values).min() > 0
+        np.testing.assert_allclose(factor_product(om), values, rtol=1e-13)
 
     def test_diagonal_value(self, rng):
         w = rng.standard_normal((6, 2))
         om = ivs.build_weight_matrix(w, ivs.KernelSpec())
-        assert np.allclose(np.diag(om.values), 0.5 / 36.0, rtol=1e-13)
+        assert np.allclose(np.diag(pairwise(om)), 0.5 / 36.0, rtol=1e-13)
 
     def test_symmetry(self, rng):
         om = ivs.build_weight_matrix(rng.standard_normal((9, 2)), ivs.KernelSpec())
-        assert np.array_equal(om.values, om.values.T)
+        values = pairwise(om)
+        assert np.array_equal(values, values.T)
 
     @pytest.mark.parametrize("rounded", [False, True])
     def test_exactly_symmetric_for_three_instruments_and_rounded_values(self, rng, rounded):
@@ -96,37 +113,39 @@ class TestBuildWeightMatrix:
         if rounded:
             w = np.round(w, 1)
         om = ivs.build_weight_matrix(w, ivs.KernelSpec())
-        assert np.array_equal(om.values, om.values.T)
+        values = pairwise(om)
+        assert np.array_equal(values, values.T)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_positive_definite_on_random_instances(self, seed):
         rng = np.random.default_rng(seed)
         om = ivs.build_weight_matrix(rng.standard_normal((12, 1)), ivs.KernelSpec())
-        eig = np.linalg.eigvalsh(om.values)
-        assert eig.min() >= -1e-10 * np.abs(om.values).max()
+        values = pairwise(om)
+        eig = np.linalg.eigvalsh(values)
+        assert eig.min() >= -1e-10 * np.abs(values).max()
         assert om.jitter_applied == 0.0
 
     def test_translation_invariance(self, rng):
         w = rng.standard_normal((8, 1))
         a = ivs.build_weight_matrix(w, ivs.KernelSpec(standardize=False))
         b = ivs.build_weight_matrix(w + 4.25, ivs.KernelSpec(standardize=False))
-        assert np.allclose(a.values, b.values, atol=1e-13)
+        assert np.allclose(pairwise(a), pairwise(b), atol=1e-13)
 
     def test_scale_invariance_with_standardization(self, rng):
         w = rng.standard_normal((8, 2))
         a = ivs.build_weight_matrix(w, ivs.KernelSpec())
         b = ivs.build_weight_matrix(w * [7.0, 0.02], ivs.KernelSpec())
-        assert np.allclose(a.values, b.values, rtol=1e-10)
+        assert np.allclose(pairwise(a), pairwise(b), rtol=1e-10)
 
     def test_centering_changes_nothing(self, rng):
         w = rng.standard_normal((8, 1)) + 3.0
         plain = ivs.build_weight_matrix(w, ivs.KernelSpec(standardize=False))
         centered = ivs.build_weight_matrix(w - w.mean(), ivs.KernelSpec(standardize=False))
-        assert np.allclose(plain.values, centered.values, atol=1e-14)
+        assert np.allclose(pairwise(plain), pairwise(centered), atol=1e-14)
 
     def test_solve_matches_inverse(self, rng):
         om = ivs.build_weight_matrix(rng.standard_normal((7, 1)), ivs.KernelSpec())
-        assert np.allclose(om.values @ om.inverse(), np.eye(7), atol=1e-10)
+        assert np.allclose(weight_values(om) @ weight_inverse(om), np.eye(7), atol=1e-10)
 
     def test_jitter_escalates_tenfold_until_the_factor_passes(self, monkeypatch):
         # pairs one ulp apart fail the unjittered factorization; from a start far
@@ -146,7 +165,7 @@ class TestBuildWeightMatrix:
         assert rungs >= 2
         assert om.jitter_applied == pytest.approx(1e-20 * 10.0**rungs * base, rel=1e-12)
         assert len(calls) == rungs + 2
-        assert np.array_equal(om.values, _pairwise_weights(om.w, spec) + om.jitter_applied * np.eye(6))
+        assert np.array_equal(om.chol, _attempt_cholesky(_pairwise_weights(om.w, spec), om.jitter_applied))
         monkeypatch.setattr(ivs.kernel, "JITTER_CAP", 1e-20 * 10.0 ** (rungs - 1))
         calls.clear()
         with pytest.raises(ivs.SingularKernelError, match="jitter cap"):
@@ -206,7 +225,7 @@ class TestMomentCriterion:
         w = rng.standard_normal(5)
         r = rng.standard_normal(5)
         om = ivs.build_weight_matrix(w.reshape(-1, 1), ivs.KernelSpec())
-        w_std = ivs.standardize_instruments(w.reshape(-1, 1)).w_std[:, 0]
+        w_std = ivs.standardize_instruments(w.reshape(-1, 1))[:, 0]
         oracle = criterion_quadrature_oracle(r, w_std)
         assert ivs.moment_criterion(r, om) == pytest.approx(oracle, rel=1e-8)
 
@@ -214,8 +233,7 @@ class TestMomentCriterion:
         ds = random_instance(3)
         f = ivs.fit(ds, 0.1)
         om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
-        d = ivs.build_design(ds.z)
-        r = ds.y - d.linear @ f.a - d.cubic @ f.delta
+        r = ds.y - ivs.build_design(ds.z) @ f.a - cubic_design(ds.z) @ f.delta
         assert ivs.moment_criterion(r, om) == pytest.approx(f.diagnostics["criterion"], rel=1e-12)
 
 
@@ -245,8 +263,8 @@ class TestClosedFormRoute:
         ds = g1_draw(200, seed)
         om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
         assert isinstance(om, _BidiagonalWeightMatrix)
-        closed, dense = om.inverse(), dpotri_inverse(om.values)
-        w = ivs.standardize_instruments(ds.w).w_std[:, 0].astype(np.longdouble)
+        closed, dense = weight_inverse(om), dpotri_inverse(pairwise(om))
+        w = ivs.standardize_instruments(ds.w)[:, 0].astype(np.longdouble)
         b = np.sqrt(np.longdouble(0.5))
         exact = np.exp(-np.abs(w[:, None] - w[None, :]) / b) / (2 * b * 200**2)
         eye = np.eye(200)
@@ -260,8 +278,8 @@ class TestClosedFormRoute:
         ds = g1_draw(2000, seed)
         om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
         assert isinstance(om, _BidiagonalWeightMatrix)
-        values = om.values
-        closed, dense = om.inverse(), dpotri_inverse(values)
+        values = pairwise(om)
+        closed, dense = weight_inverse(om), dpotri_inverse(values)
         eye = np.eye(2000)
         assert np.abs(values @ closed - eye).max() <= np.abs(values @ dense - eye).max()
         assert np.abs(closed - dense).max() <= 1e-9 * np.abs(closed).max()
@@ -271,7 +289,7 @@ class TestClosedFormRoute:
         # any factor with L L' = Omega gives L'EL the same eigenvalues
         ds = g1_draw(200, seed)
         om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
-        cubic = ivs.build_design(ds.z).cubic
+        cubic = cubic_design(ds.z)
         s_mat = om._apply_lt(om._apply_lt(cubic).T)
         closed = np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))
         reference = path_spectrum(ds)
@@ -294,7 +312,7 @@ class TestClosedFormRoute:
                          1 / one_minus_a2[1]]) / c
         off = -a / one_minus_a2 / c
         expected = (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)).astype(float)
-        np.testing.assert_allclose(om.inverse(), expected, rtol=1e-12)
+        np.testing.assert_allclose(weight_inverse(om), expected, rtol=1e-12)
 
     def test_tie_free_scalar_instrument_needs_no_jitter(self, rng):
         om = ivs.build_weight_matrix(rng.standard_normal((500, 1)), ivs.KernelSpec())
@@ -314,7 +332,7 @@ class TestClosedFormRoute:
     def test_operations_match_dense_matrix(self, rng):
         w = rng.standard_normal((60, 1))
         om = ivs.build_weight_matrix(w, ivs.KernelSpec())
-        values = om.values
+        values = weight_values(om)
         m = rng.standard_normal((60, 4))
         lt = om._apply_lt(m)
         assert np.allclose(lt.T @ lt, m.T @ values @ m, rtol=1e-10)
@@ -348,7 +366,7 @@ class TestClosedFormRoute:
 
         def dense(w, spec=ivs.KernelSpec()):
             om = ivs.kernel.build_weight_matrix(w, spec)
-            return _DenseWeightMatrix(w=om.w, spec=spec, jitter_applied=0.0, chol=np.linalg.cholesky(om.values))
+            return _DenseWeightMatrix(w=om.w, jitter_applied=0.0, chol=np.linalg.cholesky(pairwise(om, spec)))
 
         monkeypatch.setattr(ivs.selection, "build_weight_matrix", dense)
         monkeypatch.setattr(ivs.solver, "build_weight_matrix", dense)

@@ -80,7 +80,7 @@ class TestDerivativeSmoother:
         for j in (0, 4):
             unit = np.zeros(ds.n)
             unit[j] = 1.0
-            fit_j = ivs.fit(ds.replace_y(unit), lam)
+            fit_j = ivs.fit(ivs.Dataset(y=unit, z=ds.z, w=ds.w), lam)
             assert np.allclose(smoother[:, j], ivs.evaluate_derivative(fit_j, ds.z), atol=1e-9)
 
 
@@ -311,7 +311,7 @@ class TestFitMonotone:
         p = ivs.tilt(ds, lam, direction=INC).p
         assert np.abs(ds.n * p - 1.0).max() > 1e-3  # the weights really moved
         mono = ivs.fit_monotone(ds, lam, direction=INC)
-        plain = ivs.fit(ds.replace_y(ds.n * p * ds.y), lam)
+        plain = ivs.fit(ivs.Dataset(y=ds.n * p * ds.y, z=ds.z, w=ds.w), lam)
         assert np.abs(mono.a - plain.a).max() <= 1e-10 * np.abs(plain.a).max()
         assert np.abs(mono.delta - plain.delta).max() <= 1e-10 * np.abs(plain.delta).max()
 
@@ -327,7 +327,7 @@ class TestFitMonotone:
         ds = wiggly_instance(8)
         lam = 0.05
         inc = ivs.fit_monotone(ds, lam, direction=INC)
-        dec = ivs.fit_monotone(ds.replace_y(-ds.y), lam, direction=DEC)
+        dec = ivs.fit_monotone(ivs.Dataset(y=-ds.y, z=ds.z, w=ds.w), lam, direction=DEC)
         assert np.abs(inc.a + dec.a).max() <= 1e-7
         assert np.abs(inc.delta + dec.delta).max() <= 1e-7 * (1 + np.abs(inc.delta).max())
 

@@ -9,6 +9,8 @@ import ivspline as ivs
 from ivspline import monotone, solver, spline
 from conftest import (
     build_block_system,
+    cubic_design,
+    derivative_design,
     fitted_values,
     hat_diagnostics,
     near_ties,
@@ -16,6 +18,7 @@ from conftest import (
     qp_oracle,
     random_instance,
     separated_instance,
+    weight_values,
 )
 
 
@@ -45,7 +48,8 @@ class TestFit:
         ds = separated_instance(2, n=10, noise=0.3)
         om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
         zlin = np.column_stack([np.ones(ds.n), ds.z])
-        a_wls = np.linalg.solve(zlin.T @ om.values @ zlin, zlin.T @ om.values @ ds.y)
+        omega = weight_values(om)
+        a_wls = np.linalg.solve(zlin.T @ omega @ zlin, zlin.T @ omega @ ds.y)
         fit = ivs.fit(ds, 1e10)
         assert np.linalg.norm(fit.delta) <= 1e-6 * np.linalg.norm(ds.y)
         assert np.abs(fit.a - a_wls).max() <= 1e-4
@@ -116,8 +120,7 @@ class TestFit:
         assert fit.diagnostics["objective"] == pytest.approx(objective, rel=1e-8)
         assert np.allclose(fit.delta, delta, atol=1e-7 * (1 + np.abs(delta).max()))
         closed = fitted_values(ds, lam)
-        d = ivs.build_design(ds.z)
-        assert np.allclose(closed, d.linear @ a + d.cubic @ delta, atol=1e-8)
+        assert np.allclose(closed, ivs.build_design(ds.z) @ a + cubic_design(ds.z) @ delta, atol=1e-8)
 
     def test_duplicate_z_values_allowed(self):
         ds = ivs.Dataset(y=[1.0, 2.0, 2.1, 3.0], z=[0.0, 1.0, 1.0, 2.0],
@@ -135,12 +138,13 @@ class TestFit:
     def test_scaling_equivariance(self):
         ds = random_instance(14, n=12)
         base = ivs.fit(ds, 0.08)
-        scaled = ivs.fit(ds.replace_y(3.0 * ds.y), 0.08)
+        tripled = ivs.Dataset(y=3.0 * ds.y, z=ds.z, w=ds.w)
+        scaled = ivs.fit(tripled, 0.08)
         assert np.allclose(scaled.a, 3.0 * base.a, rtol=1e-10, atol=1e-12)
         assert np.allclose(scaled.delta, 3.0 * base.delta, rtol=1e-10,
                            atol=1e-10 * np.abs(base.delta).max())
         assert np.allclose(
-            fitted_values(ds.replace_y(3.0 * ds.y), 0.08),
+            fitted_values(tripled, 0.08),
             3.0 * fitted_values(ds, 0.08),
             rtol=1e-10, atol=1e-12,
         )
@@ -156,17 +160,17 @@ class TestFit:
         ds = random_instance(16, n=9)
         lam = 0.1
         fit = ivs.fit(ds, lam)
-        om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
-        d = ivs.build_design(ds.z)
+        omega = weight_values(ivs.build_weight_matrix(ds.w, ivs.KernelSpec()))
+        linear, cubic = ivs.build_design(ds.z), cubic_design(ds.z)
 
         def objective(delta, a):
-            r = ds.y - d.linear @ a - d.cubic @ delta
-            return r @ om.values @ r + lam * delta @ d.cubic @ delta
+            r = ds.y - linear @ a - cubic @ delta
+            return r @ omega @ r + lam * delta @ cubic @ delta
 
         base = objective(fit.delta, fit.a)
         rng = np.random.default_rng(0)
         # null-space projector of the two natural-spline constraints
-        q, _ = np.linalg.qr(d.linear)
+        q, _ = np.linalg.qr(linear)
         for _ in range(20):
             v = rng.standard_normal(ds.n)
             v -= q @ (q.T @ v)
@@ -183,8 +187,7 @@ class TestFittedValues:
         ds = random_instance(seed + 60, n=n)
         lam = 10 ** rng.uniform(-3, 1)
         fit = ivs.fit(ds, lam)
-        d = ivs.build_design(ds.z)
-        from_fit = d.linear @ fit.a + d.cubic @ fit.delta
+        from_fit = ivs.build_design(ds.z) @ fit.a + cubic_design(ds.z) @ fit.delta
         closed = fitted_values(ds, lam)
         assert np.abs(closed - from_fit).max() <= 1e-8 * (1 + np.abs(from_fit).max())
 
@@ -210,8 +213,8 @@ class TestHatDiagnostics:
         lam = 0.15
         system = build_block_system(ds, lam)
         dense_inverse = np.linalg.inv(system.kkt)
-        d = ivs.build_design(ds.z)
-        gram = d.linear.T @ np.linalg.solve(system.penalized_cubic, d.linear)
+        linear = ivs.build_design(ds.z)
+        gram = linear.T @ np.linalg.solve(system.penalized_cubic, linear)
         assert np.allclose(dense_inverse[ds.n :, ds.n :], -np.linalg.inv(gram), atol=1e-8)
 
     def test_near_duplicate_instruments_degrade_conditioning(self):
@@ -230,6 +233,11 @@ def paper_draw(g_id, n, seed):
 
 def smoother_solve(ds, lam):
     return monotone._smoother(solver._Factored(ds, lam))
+
+
+def derivative_rhs(z):
+    """The smoother's right-hand side B' = [D, 1 (0, 1)]', assembled from the dense derivative design."""
+    return np.vstack([derivative_design(z).T, np.tile([0.0, 1.0], (z.shape[0], 1)).T])
 
 
 class TestRefinement:
@@ -269,7 +277,7 @@ class TestRefinement:
         assert steps == solver._REFINEMENT_STEPS
         assert np.array_equal(smoother, self.capped(monkeypatch, lambda: smoother_solve(ds, lam))[0])
         system = solver._Factored(ds, lam)
-        rhs = np.vstack([system.design.cubic_deriv.T, system.design.linear_deriv.T])
+        rhs = derivative_rhs(ds.z)
         sol = scipy.linalg.lu_solve(system.lu, rhs)
         for _ in range(solver._REFINEMENT_STEPS):
             sol = sol + scipy.linalg.lu_solve(system.lu, rhs - system.kkt @ sol)
@@ -279,7 +287,7 @@ class TestRefinement:
         ds = paper_draw("g3", 200, seed=3)
         system = solver._Factored(ds, 1e-5)
         for rhs in (np.concatenate([ds.y, np.zeros(2)]),
-                    np.vstack([system.design.cubic_deriv.T, system.design.linear_deriv.T])):
+                    derivative_rhs(ds.z)):
             _, steps, eta = system.solve(rhs)
             assert steps == 0
             assert 0.0 < system.condition * eta <= solver.REFINE_RTOL
@@ -326,7 +334,6 @@ class TestBlockSystem:
         # weight matrix makes it definite on the constraint null space
         ds = random_instance(32, n=10)
         system = build_block_system(ds, 0.05)
-        d = ivs.build_design(ds.z)
         q, _ = np.linalg.qr(np.column_stack([np.ones(ds.n), ds.z]))
         basis = np.linalg.svd(np.eye(ds.n) - q @ q.T)[0][:, : ds.n - 2]
         projected = basis.T @ system.penalized_cubic @ basis
@@ -371,13 +378,35 @@ class TestBlockFill:
                 sol = sol + scipy.linalg.lu_solve(lu, dense.rhs - dense.kkt @ sol)
             assert np.array_equal(fit.delta, sol[:n])
             assert np.array_equal(fit.a, sol[n:])
-            cubic = ivs.build_design(ds.z).cubic
+            cubic = cubic_design(ds.z)
             assert fit.diagnostics["roughness"] == pytest.approx(fit.delta @ cubic @ fit.delta, rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.3])
+    def test_grouped_matrix_equals_the_dense_assembly(self, lam):
+        # G'EG of the rounded instrument's groups, from the whole dense E
+        ds = scalar_draw(2 * spline._CUBIC_BLOCK + 3)
+        ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
+        om = ivs.build_weight_matrix(ds.w)
+        linear, groups = ivs.build_design(ds.z), om.groups
+        m = len(groups)
+        cubic = groups.sum(groups.sum(cubic_design(ds.z)).T)
+        dense = np.zeros((m + 2, m + 2))
+        dense[:m, :m] = 0.5 * (cubic + cubic.T)
+        om._add_inverse(dense[:m, :m], lam)
+        dense[:m, m:] = groups.sum(linear)
+        dense[m:, :m] = groups.sum(linear).T
+        assert np.array_equal(solver._kkt_matrix(linear, om, lam), dense)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_blocks_equal_the_dense_designs(self, n):
+        z = scalar_draw(n).z
+        assert np.array_equal(spline._cubic_design(z), cubic_design(z))
+        assert np.array_equal(spline._derivative_rhs(z), derivative_rhs(z))
 
     def test_block_product_equals_the_dense_product(self):
         z = scalar_draw(2 * spline._CUBIC_BLOCK + 3).z
         v = np.random.default_rng(0).standard_normal(z.shape[0])
-        assert np.array_equal(spline._cubic_product(z, v), ivs.build_design(z).cubic @ v)
+        assert np.array_equal(spline._cubic_product(z, v), cubic_design(z) @ v)
 
 
 def traced(build):
@@ -405,6 +434,26 @@ class TestMemoryFootprint:
         system, kept = traced(lambda: solver._Factored(ds, 1e-3))
         assert len(system.omega.groups) < 100
         assert kept < 1e6
+
+    def test_path_solver_holds_at_most_four_n_by_n_arrays(self):
+        # E, L'E and the two arrays that form S = L'(L'E)'; E is freed before
+        # eigh, whose peak is S and evd's 2 n^2 workspace
+        n = 1000
+        ds = scalar_draw(n, seed=11)
+        tracemalloc.start()
+        try:
+            ivs.PathSolver(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n * 8 + 1e6
+
+    def test_smoother_keeps_only_its_matrix(self):
+        # the derivative right-hand side is freed on return and nothing is
+        # cached on the system, so only L (a view of the solution) stays
+        system = solver._Factored(paper_draw("g1", 1000, seed=3), 1e-3)
+        (smoother, _, _), kept = traced(lambda: monotone._smoother(system))
+        assert kept <= smoother.nbytes + 1e6
 
 
 class TestPathSolver:

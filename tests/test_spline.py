@@ -4,34 +4,42 @@ from numpy.polynomial import polynomial as P
 
 import ivspline as ivs
 from conftest import natural_interpolant, random_instance, roughness_exact_integral
+from ivspline.spline import _cubic_design, _derivative_rhs
+
+
+def derivative_block(z):
+    """D, entries sign(z_i - z_j) (z_i - z_j)^2 / 4, read off the smoother's right-hand side B'."""
+    return _derivative_rhs(np.asarray(z, dtype=float))[:-2].T
 
 
 class TestBuildDesign:
     def test_cubic_entries(self):
-        d = ivs.build_design(np.array([0.0, 0.5, 1.0]))
-        assert d.cubic[0, 1] == pytest.approx(0.5**3 / 12)
-        assert d.cubic[0, 2] == pytest.approx(1.0 / 12)
-        assert np.all(np.diag(d.cubic) == 0)
-        assert np.all(d.cubic >= 0)
-        assert np.array_equal(d.cubic, d.cubic.T)
+        cubic = _cubic_design(np.array([0.0, 0.5, 1.0]))
+        assert cubic[0, 1] == pytest.approx(0.5**3 / 12)
+        assert cubic[0, 2] == pytest.approx(1.0 / 12)
+        assert np.all(np.diag(cubic) == 0)
+        assert np.all(cubic >= 0)
+        assert np.array_equal(cubic, cubic.T)
 
     def test_cubic_deriv_entries(self):
-        d = ivs.build_design(np.array([0.0, 0.5, 1.0]))
-        assert d.cubic_deriv[0, 1] == pytest.approx(-0.0625)
-        assert d.cubic_deriv[1, 0] == pytest.approx(0.0625)
-        assert np.all(np.diag(d.cubic_deriv) == 0)
+        deriv = derivative_block([0.0, 0.5, 1.0])
+        assert deriv[0, 1] == pytest.approx(-0.0625)
+        assert deriv[1, 0] == pytest.approx(0.0625)
+        assert np.all(np.diag(deriv) == 0)
 
     def test_antisymmetry_with_duplicate_knots(self):
-        d = ivs.build_design(np.array([0.0, 1.0, 1.0]))
-        assert d.cubic_deriv[1, 2] == 0.0 == d.cubic_deriv[2, 1]
-        assert np.array_equal(d.cubic_deriv, -d.cubic_deriv.T)
+        deriv = derivative_block([0.0, 1.0, 1.0])
+        assert deriv[1, 2] == 0.0 == deriv[2, 1]
+        assert np.array_equal(deriv, -deriv.T)
 
     def test_linear_blocks(self):
         z = np.array([0.3, -0.2, 1.5])
-        d = ivs.build_design(z)
-        assert np.array_equal(d.linear[:, 0], np.ones(3))
-        assert np.array_equal(d.linear[:, 1], z)
-        assert np.array_equal(d.linear_deriv, [[0, 1], [0, 1], [0, 1]])
+        linear = ivs.build_design(z)
+        assert linear.shape == (3, 2)
+        assert np.array_equal(linear[:, 0], np.ones(3))
+        assert np.array_equal(linear[:, 1], z)
+        # the derivative design's linear part: the last two rows of B' are (0, 1) per knot
+        assert np.array_equal(_derivative_rhs(z)[-2:].T, [[0, 1], [0, 1], [0, 1]])
 
     def test_too_small(self):
         with pytest.raises(ivs.SizeError):
@@ -96,29 +104,28 @@ class TestEvaluate:
 
 class TestRoughness:
     def test_zero_delta(self):
-        d = ivs.build_design(np.array([0.0, 0.5, 1.0]))
-        assert ivs.roughness(np.zeros(3), d.cubic) == 0.0
+        fit = ivs.SplineFit(a=[1.0, 2.0], delta=np.zeros(3), knots=[0.0, 0.5, 1.0], lam=1.0)
+        assert ivs.roughness(fit) == 0.0
 
     def test_hand_expanded_three_knots(self):
         # delta (1, -2, 1) on knots (0, 1/2, 1) satisfies both constraints;
         # expanding the quadratic form gives exactly 1/12
-        d = ivs.build_design(np.array([0.0, 0.5, 1.0]))
         delta = np.array([1.0, -2.0, 1.0])
-        assert ivs.roughness(delta, d.cubic) == pytest.approx(1.0 / 12.0, rel=1e-12)
         fit = ivs.SplineFit(a=[0.0, 0.0], delta=delta, knots=[0.0, 0.5, 1.0], lam=1.0)
+        assert ivs.roughness(fit) == pytest.approx(1.0 / 12.0, rel=1e-12)
         assert roughness_exact_integral(fit) == pytest.approx(1.0 / 12.0, rel=1e-12)
 
     def test_dimension_mismatch(self):
-        d = ivs.build_design(np.array([0.0, 0.5, 1.0]))
-        with pytest.raises(ValueError):
-            ivs.roughness(np.zeros(4), d.cubic)
+        # roughness reads delta and knots off one fit, which rejects unequal lengths
+        with pytest.raises(ValueError, match="equal length"):
+            ivs.SplineFit(a=[0.0, 0.0], delta=np.zeros(4), knots=[0.0, 0.5, 1.0], lam=1.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_exact_integral_for_solver_fits(self, seed):
         ds = random_instance(seed, n=9)
         fit = ivs.fit(ds, 0.05)
-        d = ivs.build_design(ds.z)
-        quad_form = ivs.roughness(fit.delta, d.cubic)
+        quad_form = ivs.roughness(fit)
+        assert quad_form == fit.diagnostics["roughness"]
         assert quad_form == pytest.approx(roughness_exact_integral(fit), rel=1e-10)
 
 
@@ -135,7 +142,7 @@ class TestRepresenterProperty:
         values = rng.standard_normal(n)
         fit = natural_interpolant(z, values)
         assert np.allclose(ivs.evaluate(fit, z), values, atol=1e-9)
-        base = ivs.roughness(fit.delta, ivs.build_design(z).cubic)
+        base = ivs.roughness(fit)
 
         vanish = np.array([1.0])
         for zi in z:

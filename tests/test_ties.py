@@ -2,8 +2,9 @@
 
 With tied instrument rows Omega = G Omegabar G' is singular, delta = G nu,
 and the fit solves [[G'EG + lam Omegabar^-1, G'Z], [Z'G, 0]] (nu; a) = (G'y; 0)
-with no jitter.  The oracles here work on the n x n matrix ``om.values`` or
-rebuild it from ``kernel_weight``; none of them reaches the group map.
+with no jitter.  The oracles here work on the n x n matrix rebuilt from
+``kernel_weight`` and on the dense cubic design; none of them reaches the
+group map.
 """
 
 import tracemalloc
@@ -13,8 +14,8 @@ import pytest
 import scipy.linalg
 
 import ivspline as ivs
-from conftest import cv_oracle, kernel_weight, qp_oracle
-from ivspline.kernel import JITTER_CAP, JITTER_GROWTH, JITTER_START
+from conftest import cubic_design, cv_oracle, kernel_weight, qp_oracle
+from ivspline.kernel import JITTER_CAP, JITTER_GROWTH, JITTER_START, _pairwise_weights
 
 
 def rounded_instance(n=300, seed=1):
@@ -45,7 +46,7 @@ TIED = {"rounded": rounded_instance, "duplicated two instruments": duplicated_ro
 
 def dense_omega(ds):
     """n^-2 omega(W_i - W_j) on the standardized instruments, from ``kernel_weight`` alone."""
-    w = ivs.standardize_instruments(ds.w).w_std
+    w = ivs.standardize_instruments(ds.w)
     distinct, index = np.unique(w, axis=0, return_inverse=True)
     spec = ivs.KernelSpec()
     small = np.array([[kernel_weight(spec, a - b) for b in distinct] for a in distinct])
@@ -74,10 +75,10 @@ def jittered_dense_fit(ds, lam, omega):
             pass
         tau = tau * JITTER_GROWTH if tau else JITTER_START
     assert tau > 0.0
-    design = ivs.build_design(ds.z)
+    linear = ivs.build_design(ds.z)
     inverse = scipy.linalg.cho_solve((chol, True), np.eye(n))
-    kkt = np.block([[design.cubic + lam * 0.5 * (inverse + inverse.T), design.linear],
-                    [design.linear.T, np.zeros((2, 2))]])
+    kkt = np.block([[cubic_design(ds.z) + lam * 0.5 * (inverse + inverse.T), linear],
+                    [linear.T, np.zeros((2, 2))]])
     rhs = np.concatenate([ds.y, np.zeros(2)])
     lu = scipy.linalg.lu_factor(kkt)
     sol = scipy.linalg.lu_solve(lu, rhs)
@@ -88,9 +89,9 @@ def jittered_dense_fit(ds, lam, omega):
 
 def objective(ds, omega, lam, delta, a):
     """(y - Za - E delta)' Omega (y - Za - E delta) + lam delta' E delta."""
-    design = ivs.build_design(ds.z)
-    r = ds.y - design.linear @ a - design.cubic @ delta
-    return float(r @ omega @ r + lam * delta @ design.cubic @ delta)
+    cubic = cubic_design(ds.z)
+    r = ds.y - ivs.build_design(ds.z) @ a - cubic @ delta
+    return float(r @ omega @ r + lam * delta @ cubic @ delta)
 
 
 class TestGroupedWeightMatrix:
@@ -98,20 +99,15 @@ class TestGroupedWeightMatrix:
     def test_factor_reproduces_the_dense_matrix(self, kind):
         ds = TIED[kind]()
         om = ivs.build_weight_matrix(ds.w)
-        values = om.values
+        values = dense_omega(ds)
         m = len(om.groups)
         assert m < ds.n and om.jitter_applied == 0.0
-        np.testing.assert_allclose(values, dense_omega(ds), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(_pairwise_weights(om.w, ivs.KernelSpec()), values, rtol=1e-13, atol=0)
         factor = om._apply_l(np.eye(m))
         assert factor.shape == (ds.n, m)
         assert np.allclose(factor @ factor.T, values, rtol=0, atol=1e-12 * values.max())
         r = np.random.default_rng(0).standard_normal((ds.n, 3))
         np.testing.assert_allclose(om._quadratic(r), np.einsum("ig,ig->g", values @ r, r), rtol=1e-10)
-
-    def test_inverse_does_not_exist(self):
-        om = ivs.build_weight_matrix(rounded_instance().w)
-        with pytest.raises(ivs.SingularKernelError, match="tied instrument rows"):
-            om.inverse()
 
     def test_build_allocates_no_n_by_n_array(self):
         # the closed-form factor on the m distinct values of a rounded scalar
@@ -133,22 +129,22 @@ class TestGroupedFit:
     def test_matches_qp_oracle(self, kind, lam):
         # the oracle's own delta is ill-determined at n = 300 (its first-order
         # residual is O(1) relative, with or without ties), so delta is checked
-        # by the first-order identity lam delta = Omega r through om.values, by
-        # its roughness against the oracle's, and through the fitted values
+        # by the first-order identity lam delta = Omega r through the dense
+        # matrix, by its roughness against the oracle's, and through the fitted values
         ds = TIED[kind]()
         fit = ivs.fit(ds, lam)
         assert fit.diagnostics["jitter_applied"] == 0.0
         assert fit.diagnostics["instrument_groups"] < ds.n
         delta, a, oracle_objective = qp_oracle(ds, lam)
-        design = ivs.build_design(ds.z)
-        values = ivs.build_weight_matrix(ds.w).values
-        residual = ds.y - design.linear @ fit.a - design.cubic @ fit.delta
+        linear, cubic = ivs.build_design(ds.z), cubic_design(ds.z)
+        values = dense_omega(ds)
+        residual = ds.y - linear @ fit.a - cubic @ fit.delta
         assert np.abs(lam * fit.delta - values @ residual).max() <= 1e-10 * lam * np.abs(fit.delta).max()
         assert np.abs(fit.a - a).max() <= 1e-7 * np.abs(a).max()
-        fitted = design.linear @ fit.a + design.cubic @ fit.delta
-        oracle_fitted = design.linear @ a + design.cubic @ delta
+        fitted = linear @ fit.a + cubic @ fit.delta
+        oracle_fitted = linear @ a + cubic @ delta
         assert np.abs(fitted - oracle_fitted).max() <= 1e-9 * np.abs(ds.y).max()
-        assert fit.diagnostics["roughness"] == pytest.approx(delta @ design.cubic @ delta, rel=1e-8)
+        assert fit.diagnostics["roughness"] == pytest.approx(delta @ cubic @ delta, rel=1e-8)
         assert objective(ds, values, lam, fit.delta, fit.a) <= oracle_objective * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("lam", [1e-5, 1e-2])
