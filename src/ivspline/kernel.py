@@ -30,6 +30,7 @@ place (with jitter while near ties leave it numerically singular).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +103,9 @@ class WeightMatrix:
     distinct) and a factor Lbar with Lbar Lbar' = Omegabar, whose
     representation is a subclass's.  The package reaches Omega only through
     ``_apply_lt`` (L'm, n rows in, m out), ``_apply_l`` (Lm, m rows in, n
-    out), ``_add_inverse`` (mat += lam Omegabar^-1 on an m x m block) and
+    out), ``_add_inverse`` (mat += lam Omegabar^-1 on an m x m block),
+    ``_inverse_entries`` (the nonzeros of lam Omegabar^-1 where a formula
+    gives them), ``_congruence`` (L'DL for a symmetric n x n D) and
     ``_quadratic`` (columnwise r' Omega r = ||L'r||^2), with L = G Lbar; the
     dense n x n matrix is never formed.
     """
@@ -128,6 +131,22 @@ class WeightMatrix:
         """r' Omega r for a vector, or for each column of a matrix, as ||L'r||^2."""
         lt = self._apply_lt(r)
         return np.einsum("i...,i...->...", lt, lt)
+
+    def _inverse_entries(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(rows, columns, values) of lam Omegabar^-1's nonzeros where a formula gives them; else None.
+
+        A dense factor gives its inverse only as a whole m x m matrix.
+        """
+        return None
+
+    def _congruence(self, design: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
+        """L' D L for the symmetric n x n matrix D = design(z) of the observations' points z.
+
+        D is formed once and both products with L' read its F-ordered
+        transpose, which is D itself; the result is F-ordered.
+        """
+        d = design(z)
+        return self._apply_lt(self._apply_lt(d.T).T)
 
 
 @dataclass(frozen=True)
@@ -188,14 +207,30 @@ class _BidiagonalWeightMatrix(WeightMatrix):
         return _rows(x, np.argsort(self.order)).reshape(m.shape)
 
     def _add_inverse(self, mat: np.ndarray, lam: float) -> None:
+        rows, cols, values = self._inverse_entries(lam)
+        mat[rows, cols] += values  # every entry once, so one fancy-indexed sum
+
+    def _inverse_entries(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # B'B is tridiagonal: with beta the band's diagonal and gamma its subdiagonal,
         # diagonal beta_i^2 + gamma_i^2 and off-diagonal gamma_i beta_{i+1}
         diag, sub = self.band
-        rows = self.order
-        mat[rows, rows] += lam * (diag * diag + sub * sub)
+        order = self.order
         off = lam * (sub[:-1] * diag[1:])
-        mat[rows[:-1], rows[1:]] += off
-        mat[rows[1:], rows[:-1]] += off
+        return (
+            np.concatenate([order, order[:-1], order[1:]]),
+            np.concatenate([order, order[1:], order[:-1]]),
+            np.concatenate([lam * (diag * diag + sub * sub), off, off]),
+        )
+
+    def _congruence(self, design: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
+        # without ties L' = B^-T P, so L'DL = B^-T (B^-T Ds)' with Ds = P D P' = design(z[order]):
+        # both band solves run in place, around one transposing copy
+        if self.groups is not None:
+            return super()._congruence(design, z)
+        half, _ = lapack.dtbtrs(self.band, design(z[self.order]).T, uplo="L", trans="T", overwrite_b=1)
+        half = np.asfortranarray(half.T)
+        s_mat, _ = lapack.dtbtrs(self.band, half, uplo="L", trans="T", overwrite_b=1)
+        return s_mat
 
 
 def _rows(m: np.ndarray, index: np.ndarray) -> np.ndarray:

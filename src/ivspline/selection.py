@@ -114,6 +114,7 @@ def _cross_validate(ds: Dataset, cfg: CvConfig) -> tuple[CvResult, WeightMatrix]
         valid &= ok
         z_out = ds.z[held_out]
         tilde[held_out] = _radial_cubic(z_out, sub.z) @ delta + a[0] + np.outer(z_out, a[1])
+        del solver, delta, a  # freed before the next fold's solver is built
 
     if not valid.any():
         raise SelectionError("every candidate lambda failed on at least one fold")

@@ -33,7 +33,7 @@ from scipy.linalg import lapack
 from .datamodel import Dataset
 from .errors import CollinearityError, ConditioningError
 from .kernel import WeightMatrix, build_weight_matrix, moment_criterion
-from .spline import SplineFit, _cubic_design, _cubic_product, build_design
+from .spline import _CUBIC_BLOCK, SplineFit, _cubic_design, _cubic_product, _radial_cubic, build_design
 
 # Most iterative-refinement corrections a solve makes.  Ill-conditioned
 # systems (nearly tied instruments, extreme lambda) run to this cap.
@@ -53,6 +53,14 @@ REFINE_RTOL = 1e-8
 # factor, so later digits carry no information; they also changed in the last
 # place between repeated fits of one dataset, which made fit artifacts differ.
 CONDITION_DIGITS = 3
+# Rows per block where the refinement residual re-forms the bordered matrix.
+# A multiple of 24, the row unroll of OpenBLAS's AVX-512 dgemm kernel (and of
+# 8 and 4, those of the other x86 kernels), so each block's product rounds
+# exactly as the same rows of the whole matrix's product.  Over 833 random
+# symmetric matrices of orders n + 2, n in 3..2100, times n columns, 128-row
+# blocks differed from the whole product in the last bits for 508; 192-row
+# blocks matched it for all, and for one column too.
+_KKT_BLOCK = 192
 
 
 def _check_lambda(lam: float) -> float:
@@ -89,19 +97,27 @@ def _kkt_matrix(linear: np.ndarray, omega: WeightMatrix, lam: float) -> np.ndarr
     """The bordered matrix [[G'EG + lam Omegabar^-1, G'Z], [Z'G, 0]], exactly symmetric; G = I without ties.
 
     ``linear`` is the n x 2 linear design Z.  Without ties E is written into
-    the matrix by :func:`~ivspline.spline._cubic_design`, so no other n x n
-    array is made; with ties G'EG comes from a local E that is freed on
-    return.  An overflowing ``lam`` leaves infinite entries, which
-    :class:`_Factored` rejects.
+    the matrix by :func:`~ivspline.spline._cubic_design`; with ties G'E is
+    summed a block of columns at a time, since E's columns C with rows in
+    group order are ``_radial_cubic(z[order], z[C])`` (E is symmetric).
+    Either way no other n x n array is made.  An overflowing ``lam`` leaves
+    infinite entries, which :class:`_Factored` rejects.
     """
     z = linear[:, 1]
+    n = z.shape[0]
     groups = omega.groups
     if groups is None:
-        m = z.shape[0]
+        m = n
         kkt = np.zeros((m + 2, m + 2))
         _cubic_design(z, out=kkt[:m, :m])
     else:
-        cubic = groups.sum(groups.sum(_cubic_design(z)).T)
+        grouped_z = z[groups.order]
+        cubic = np.empty((len(groups), n))
+        for start in range(0, n, _CUBIC_BLOCK):
+            stop = start + _CUBIC_BLOCK
+            columns = _radial_cubic(grouped_z, z[start:stop])
+            cubic[:, start:stop] = np.add.reduceat(columns, groups.starts, axis=0)
+        cubic = groups.sum(cubic.T)
         cubic = 0.5 * (cubic + cubic.T)  # the two sums round in different orders
         linear = groups.sum(linear)
         m = linear.shape[0]
@@ -112,6 +128,37 @@ def _kkt_matrix(linear: np.ndarray, omega: WeightMatrix, lam: float) -> np.ndarr
     kkt[:m, m:] = linear
     kkt[m:, :m] = linear.T
     return kkt
+
+
+def _kkt_product(linear: np.ndarray, inverse: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 x: np.ndarray) -> np.ndarray:
+    """K x for the tie-free bordered matrix K, its rows re-formed ``_KKT_BLOCK`` at a time.
+
+    ``inverse`` holds the nonzeros (rows, columns, values) of lam Omega^-1.
+    A block's rows are written as :func:`_kkt_matrix` writes them -- E by
+    :func:`~ivspline.spline._radial_cubic`, then those entries, then the
+    linear border -- so each equals the assembled row entry for entry, and no
+    (n + 2)^2 array is made.  The last block runs to the end of the border
+    and takes the remainder rows, so no block is thinner than ``_KKT_BLOCK``.
+    """
+    z = linear[:, 1]
+    n = z.shape[0]
+    rows, cols, values = inverse
+    out = np.empty((n + 2,) + x.shape[1:])
+    starts = list(range(0, max(n + 2 - _KKT_BLOCK, 1), _KKT_BLOCK))
+    for start, stop in zip(starts, starts[1:] + [n + 2]):
+        block = np.empty((stop - start, n + 2))
+        last = min(stop, n)
+        upper = block[: last - start]  # rows of [E + lam Omega^-1, Z]
+        _radial_cubic(z[start:last], z, out=upper[:, :n])
+        here = (rows >= start) & (rows < last)
+        upper[rows[here] - start, cols[here]] += values[here]
+        upper[:, n:] = linear[start:last]
+        if stop > n:  # the border [Z', 0]
+            block[-2:, :n] = linear.T
+            block[-2:, n:] = 0.0
+        np.matmul(block, x, out=out[start:stop])
+    return out
 
 
 def _significant(value: float) -> float:
@@ -141,9 +188,14 @@ class _Factored:
     right-hand sides and solutions through G.  ``omega`` passes in the
     dataset's weight matrix built earlier (by CV); by default it is built here.
 
-    It keeps two (m + 2)^2 arrays, the bordered matrix ``kkt`` (for the
-    refinement residuals) and its LU factors ``lu``, and the n x 2 linear
-    design ``linear``; the cubic design E is never held (see
+    The assembled matrix is factored in place, so the LU factors ``lu`` are
+    the one (m + 2)^2 array of the closed-form route (a scalar instrument
+    without ties): there every row of the matrix is a formula, and the
+    refinement residuals re-form its rows a block at a time
+    (:func:`_kkt_product`), with ``kkt`` None.  With tied instruments or a
+    dense weight factor, G'EG and Omegabar^-1 are not formulas by rows, so
+    ``kkt`` keeps a copy of the matrix for the residuals.  The n x 2 linear
+    design is kept as ``linear``; the cubic design E is never held (see
     :func:`_kkt_matrix`), and :meth:`fit` forms E delta by row blocks.  A
     matrix with a non-finite entry (an overflowing lambda) raises
     :class:`ConditioningError` before it is factored.
@@ -156,17 +208,20 @@ class _Factored:
         self.linear = build_design(ds.z)
         self.omega = build_weight_matrix(ds.w) if omega is None else omega
         _check_group_rank(ds.z, self.omega)
-        self.kkt = _kkt_matrix(self.linear, self.omega, self.lam)
+        kkt = _kkt_matrix(self.linear, self.omega, self.lam)
         # the 1-norm as the inf-norm of the F-ordered transpose: no copy, no |kkt| temporary;
         # the matrix is symmetric, so it is also the inf-norm the backward error reads
-        self.norm = lapack.dlange("I", self.kkt.T)
+        self.norm = lapack.dlange("I", kkt.T)
         if not np.isfinite(self.norm):
             raise ConditioningError(
                 f"bordered matrix has non-finite entries at lambda {self.lam:.3e}",
                 condition_estimate=float("inf"),
             )
-        # the norm check has seen every entry, so the factorization need not scan them again
-        self.lu = scipy.linalg.lu_factor(self.kkt, check_finite=False)
+        self._inverse = None if self.omega.groups is not None else self.omega._inverse_entries(self.lam)
+        self.kkt = kkt.copy() if self._inverse is None else None
+        # the matrix is exactly symmetric, so its F-ordered transpose is the matrix itself and
+        # is factored in place; the norm check has seen every entry, so no scan is repeated
+        self.lu = scipy.linalg.lu_factor(kkt.T, overwrite_a=True, check_finite=False)
         self.condition = _condition_estimate(self.lu[0], self.norm)
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -193,7 +248,11 @@ class _Factored:
         steps, eta = 0, np.nan
         rhs_max, sol_max = _column_max(rhs), _column_max(sol)
         while steps < _REFINEMENT_STEPS:
-            resid = rhs - self.kkt @ sol
+            if self.kkt is None:
+                product = _kkt_product(self.linear, self._inverse, sol)
+            else:
+                product = self.kkt @ sol
+            resid = np.subtract(rhs, product, out=product)
             with np.errstate(invalid="ignore"):  # 0 / 0 only for a zero column, whose residual is 0
                 eta = float(np.nan_to_num(_column_max(resid) / (self.norm * sol_max + rhs_max)).max())
             if self.condition * eta <= REFINE_RTOL:
@@ -275,11 +334,9 @@ class PathSolver:
         linear = build_design(ds.z)
         omega = build_weight_matrix(ds.w)
         _check_group_rank(ds.z, omega)
-        # L'EL = L'(L'E)' since E is exactly symmetric, so its F-ordered transpose
-        # passes for E; eigh reads the lower half of S and overwrites it with the vectors
-        cubic = _cubic_design(ds.z)
-        s_mat = omega._apply_lt(omega._apply_lt(cubic.T).T)
-        del cubic  # frees E before the eigensolver's workspace
+        # E is freed before the eigensolver's workspace; eigh reads the lower
+        # half of S and overwrites it with the vectors
+        s_mat = omega._congruence(_cubic_design, ds.z)
         evals, vecs = scipy.linalg.eigh(s_mat, driver="evd", overwrite_a=True)
         self._evals = evals
         self._zt = vecs.T @ omega._apply_lt(linear)

@@ -33,7 +33,8 @@ _CUBIC_BLOCK = 128
 
 def _radial_cubic(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The len(u) x len(v) matrix |u_i - v_j|^3 / 12, cubed by multiplication (into ``out`` if given)."""
-    d = np.abs(np.subtract.outer(u, v))
+    d = np.subtract.outer(u, v)
+    np.abs(d, out=d)
     cubic = np.multiply(d, d, out=out)
     cubic *= d
     cubic /= 12.0
@@ -67,23 +68,24 @@ def _cubic_product(z: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _derivative_rhs(z: np.ndarray) -> np.ndarray:
-    """B' for the knot-derivative design B = [D, 1 (0, 1)], an (n + 2) x n array.
+    """B' for the knot-derivative design B = [D, 1 (0, 1)]: an (n + 2) x n F-ordered view.
 
-    D has entries sign(z_i - z_j) (z_i - z_j)^2 / 4 (sign(0) = +1), so row j
-    of B' holds sign(z_i - z_j) (z_i - z_j)^2 / 4 over i; its last two rows are
-    zeros and ones.  The rows are written ``_CUBIC_BLOCK`` at a time.
+    D has entries sign(z_i - z_j) (z_i - z_j)^2 / 4 (sign(0) = +1), written
+    as d |d| / 4 with d = z_i - z_j.  B is written ``_CUBIC_BLOCK`` contiguous
+    rows at a time, and its transpose is returned, in the layout LAPACK reads;
+    the last two rows of B' are zeros and ones.
     """
     n = z.shape[0]
-    out = np.empty((n + 2, n))
+    out = np.empty((n, n + 2))
     for start in range(0, n, _CUBIC_BLOCK):
-        stop = min(start + _CUBIC_BLOCK, n)
-        diff = np.subtract.outer(z, z[start:stop]).T
-        block = np.multiply(diff, diff, out=out[start:stop])
-        np.negative(block, out=block, where=diff < 0)
+        stop = start + _CUBIC_BLOCK
+        diff = np.subtract.outer(z[start:stop], z)
+        block = np.abs(diff, out=out[start:stop, :n])
+        block *= diff
         block /= 4.0
-    out[n] = 0.0
-    out[n + 1] = 1.0
-    return out
+    out[:, n] = 0.0
+    out[:, n + 1] = 1.0
+    return out.T
 
 
 def build_design(z: np.ndarray) -> np.ndarray:

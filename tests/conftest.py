@@ -124,30 +124,32 @@ def weight_inverse(om):
 
 
 def qp_oracle(ds, lam):
-    """Solve the penalized program by its direct first-order system.
+    """Solve the penalized program through its scaled residual c = r / lam.
 
-    Assembles the quadratic form of the original objective in (delta, a) --
-    weight matrix applied to the value map, penalty on the cubic block -- and
-    solves the stationarity-plus-constraints system in one dense solve.
+    The program minimizes r' Omega r + lam delta' E delta over Z' delta = 0,
+    with r = y - Za - E delta.  At lam delta = Omega r its first-order
+    conditions hold with a zero multiplier on the constraint:
+    E (lam delta - Omega r) = 0 in delta, Z' Omega r = 0 in a, and then
+    Z' delta = Z' Omega r / lam = 0.  So delta = Omega c, and (c; a) solves
+    the (n + 2) system
+
+        [[lam I + E Omega, Z], [Z' Omega, 0]] (c; a) = (y; 0)
+
+    by one dense LU solve.  It needs no inverse of Omega (tied instruments
+    leave it singular) and never forms the normal equations X' Omega X of
+    the value map X = [E, Z], whose conditioning is the square of X's.
     Shares no code path with the production solver.
     """
     omega = weight_values(ivs.build_weight_matrix(ds.w))
     cubic, linear = cubic_design(ds.z), ivs.build_design(ds.z)
     n = ds.n
-    x_map = np.hstack([cubic, linear])
-    block_pen = np.zeros((n + 2, n + 2))
-    block_pen[:n, :n] = cubic
-    q = x_map.T @ omega @ x_map + lam * block_pen
-    c = np.zeros((2, n + 2))
-    c[:, :n] = linear.T
-    kkt = np.zeros((n + 4, n + 4))
-    kkt[: n + 2, : n + 2] = 2 * q
-    kkt[: n + 2, n + 2 :] = c.T
-    kkt[n + 2 :, : n + 2] = c
-    rhs = np.concatenate([2 * x_map.T @ omega @ ds.y, np.zeros(2)])
-    sol = np.linalg.solve(kkt, rhs)
-    delta, a = sol[:n], sol[n : n + 2]
-    r = ds.y - x_map @ sol[: n + 2]
+    system = np.block([
+        [lam * np.eye(n) + cubic @ omega, linear],
+        [linear.T @ omega, np.zeros((2, 2))],
+    ])
+    sol = np.linalg.solve(system, np.concatenate([ds.y, np.zeros(2)]))
+    delta, a = omega @ sol[:n], sol[n:]
+    r = ds.y - linear @ a - cubic @ delta
     objective = float(r @ omega @ r + lam * delta @ cubic @ delta)
     return delta, a, objective
 

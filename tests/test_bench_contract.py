@@ -100,13 +100,60 @@ def test_package_read_resolves(label, chain):
     _resolve(chain)
 
 
-def test_tracer_targets_resolve():
+def _spans():
     sys.path.insert(0, str(BENCH))
     try:
         import spans
     finally:
         sys.path.remove(str(BENCH))
+    return spans
+
+
+def test_tracer_targets_resolve():
+    spans = _spans()
     for short in spans.LAYER_MODULES:
         module = importlib.import_module(f"ivspline.{short}")
         for private in spans.PRIVATE_TARGETS.get(short, ()):
             assert callable(getattr(module, private))
+
+
+def _factorization_calls(run):
+    """Calls of each of the tracer's factorization names made by ``run()``, counted by the tracer itself."""
+    spans = _spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    return {name: names.count(f"linalg.{name}") for name in spans.FACTORIZATIONS}
+
+
+def _g1_draw(n=200, seed=4):
+    return ivspline.generate(ivspline.DgpConfig(n=n, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=seed))["dataset"]
+
+
+# The traced metrics solver.factorizations and monotone.factorizations count
+# the calls the tracer sees; a factorization reached some other way (a LAPACK
+# routine called directly) would read zero without any other test failing.
+def test_cli_fit_cv_factorizations_are_traced(tmp_path):
+    import ivspline.cli
+
+    csv = tmp_path / "data.csv"
+    ivspline.write_csv(_g1_draw(), csv)
+    argv = ["fit", "--input", str(csv), "--y", "y", "--z", "z", "--w", "w1", "--cv",
+            "--out", str(tmp_path / "fit.json")]
+    codes = []
+    calls = _factorization_calls(lambda: codes.append(ivspline.cli.main(argv)))
+    assert codes == [0]
+    # one eigendecomposition per cross-validation fold, one LU for the fit
+    assert calls["eigh"] == 2 and calls["lu_factor"] == 1
+
+
+def test_monotone_fit_factorization_is_traced():
+    ds = _g1_draw()
+    direction = ivspline.MonotoneDirection.INCREASING
+    calls = _factorization_calls(lambda: ivspline.fit_monotone(ds, 1e-2, direction))
+    # the smoother, the tilt and the refit share the fit's one LU
+    assert calls["lu_factor"] == 1

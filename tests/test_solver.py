@@ -1,12 +1,14 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import ivspline as ivs
-from ivspline import monotone, solver, spline
+from ivspline import monotone, selection, solver, spline
+from ivspline.kernel import WeightMatrix
 from conftest import (
     build_block_system,
     cubic_design,
@@ -397,6 +399,21 @@ class TestBlockFill:
         dense[m:, :m] = groups.sum(linear).T
         assert np.array_equal(solver._kkt_matrix(linear, om, lam), dense)
 
+    @pytest.mark.parametrize("n", [solver._KKT_BLOCK - 3, 2 * solver._KKT_BLOCK - 2,
+                                   3 * solver._KKT_BLOCK + 5])
+    def test_reformed_rows_equal_the_assembled_matrix(self, n):
+        # the refinement residual's row blocks, entry for entry, and their
+        # products as the whole matrix's, for one column and for n
+        ds = scalar_draw(n)
+        linear, om = ivs.build_design(ds.z), ivs.build_weight_matrix(ds.w)
+        rng = np.random.default_rng(n)
+        for lam in (1e-4, 0.3):
+            kkt = solver._kkt_matrix(linear, om, lam)
+            inverse = om._inverse_entries(lam)
+            assert np.array_equal(solver._kkt_product(linear, inverse, np.eye(n + 2)), kkt)
+            for x in (rng.standard_normal(n + 2), np.asfortranarray(rng.standard_normal((n + 2, n)))):
+                assert np.array_equal(solver._kkt_product(linear, inverse, x), kkt @ x)
+
     @pytest.mark.parametrize("n", SIZES)
     def test_blocks_equal_the_dense_designs(self, n):
         z = scalar_draw(n).z
@@ -420,12 +437,14 @@ def traced(build):
 
 
 class TestMemoryFootprint:
-    def test_factored_system_keeps_the_matrix_and_its_lu_only(self):
-        # no third (n + 2)^2 array: the cubic design is not held
+    def test_factored_system_keeps_only_its_lu(self):
+        # the closed-form route factors the matrix in place and re-forms its
+        # rows for the residuals, so the LU is its one (n + 2)^2 array
         n = 1000
         ds = scalar_draw(n, seed=11)
-        _, kept = traced(lambda: solver._Factored(ds, 1e-3))
-        assert kept <= 2 * (n + 2) ** 2 * 8 + 1e6
+        system, kept = traced(lambda: solver._Factored(ds, 1e-3))
+        assert system.kkt is None
+        assert kept <= (n + 2) ** 2 * 8 + 1e6
 
     def test_grouped_system_keeps_no_n_by_n_array(self):
         # the rounded instrument's (m + 2) system; one 2000 x 2000 matrix would be 32 MB
@@ -435,9 +454,9 @@ class TestMemoryFootprint:
         assert len(system.omega.groups) < 100
         assert kept < 1e6
 
-    def test_path_solver_holds_at_most_four_n_by_n_arrays(self):
-        # E, L'E and the two arrays that form S = L'(L'E)'; E is freed before
-        # eigh, whose peak is S and evd's 2 n^2 workspace
+    def test_path_solver_holds_at_most_three_n_by_n_arrays(self):
+        # L'EL is built in place around one transposing copy (two arrays), and
+        # eigh's peak is S and evd's 2 n^2 workspace
         n = 1000
         ds = scalar_draw(n, seed=11)
         tracemalloc.start()
@@ -446,7 +465,22 @@ class TestMemoryFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * n * n * 8 + 1e6
+        assert peak <= 3 * n * n * 8 + 1e6
+
+    def test_cross_validation_holds_one_fold_solver_at_a_time(self, monkeypatch):
+        # each fold's solver, with its n_f x n_f map, is freed before the next fold's is built
+        live = weakref.WeakSet()
+        held = []
+
+        class Tracked(ivs.PathSolver):
+            def __init__(self, ds):
+                held.append(len(live))
+                super().__init__(ds)
+                live.add(self)
+
+        monkeypatch.setattr(selection, "PathSolver", Tracked)
+        selection._cross_validate(random_instance(3, n=60), ivs.CvConfig(folds=3))
+        assert held == [0, 0, 0]
 
     def test_smoother_keeps_only_its_matrix(self):
         # the derivative right-hand side is freed on return and nothing is
@@ -465,6 +499,15 @@ class TestPathSolver:
         fit = ivs.fit(ds, lam)
         assert np.allclose(a, fit.a, rtol=1e-8, atol=1e-10)
         assert np.allclose(delta, fit.delta, rtol=1e-8, atol=1e-8 * (1 + np.abs(fit.delta).max()))
+
+    @pytest.mark.parametrize("n", [spline._CUBIC_BLOCK + 5, 1000])
+    def test_in_place_congruence_equals_the_two_pass_product(self, n):
+        # L'EL from E in sorted order with in-place band solves, against the
+        # generic route's two passes of L' over E in observation order
+        ds = scalar_draw(n)
+        om = ivs.build_weight_matrix(ds.w)
+        in_place = om._congruence(spline._cubic_design, ds.z)
+        assert np.array_equal(in_place, WeightMatrix._congruence(om, spline._cubic_design, ds.z))
 
     def test_coefficients_is_one_column_of_path(self):
         ds = random_instance(45, n=20)

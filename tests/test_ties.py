@@ -127,10 +127,9 @@ class TestGroupedFit:
     @pytest.mark.parametrize("lam", [1e-5, 1e-2])
     @pytest.mark.parametrize("kind", sorted(TIED))
     def test_matches_qp_oracle(self, kind, lam):
-        # the oracle's own delta is ill-determined at n = 300 (its first-order
-        # residual is O(1) relative, with or without ties), so delta is checked
-        # by the first-order identity lam delta = Omega r through the dense
-        # matrix, by its roughness against the oracle's, and through the fitted values
+        # delta is checked against the oracle's, by the first-order identity
+        # lam delta = Omega r through the dense matrix, by its roughness and
+        # through the fitted values
         ds = TIED[kind]()
         fit = ivs.fit(ds, lam)
         assert fit.diagnostics["jitter_applied"] == 0.0
@@ -140,6 +139,7 @@ class TestGroupedFit:
         values = dense_omega(ds)
         residual = ds.y - linear @ fit.a - cubic @ fit.delta
         assert np.abs(lam * fit.delta - values @ residual).max() <= 1e-10 * lam * np.abs(fit.delta).max()
+        assert np.abs(fit.delta - delta).max() <= 1e-8 * np.abs(delta).max()
         assert np.abs(fit.a - a).max() <= 1e-7 * np.abs(a).max()
         fitted = linear @ fit.a + cubic @ fit.delta
         oracle_fitted = linear @ a + cubic @ delta
@@ -172,6 +172,24 @@ class TestGroupedFit:
         assert np.all(np.isfinite(result.curve[:, 1]))
         assert np.allclose(result.curve[:, 1], oracle, rtol=1e-8, atol=0)
         assert result.lambda_star_index == int(np.argmin(oracle))
+
+
+def distinct_instance(n=300, seed=1):
+    """The paper's g1 design with its continuous instrument: no two rows tie."""
+    return ivs.generate(ivs.DgpConfig(n=n, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=seed))["dataset"]
+
+
+class TestQpOracle:
+    @pytest.mark.parametrize("lam", [1e-5, 1e-2])
+    @pytest.mark.parametrize("kind", ["distinct", *sorted(TIED)])
+    def test_delta_meets_the_first_order_identity(self, kind, lam):
+        # lam delta = Omega (y - Za - E delta) holds at the minimizer; the
+        # oracle must meet it on its own at n = 300 for its delta to be a reference
+        ds = distinct_instance() if kind == "distinct" else TIED[kind]()
+        delta, a, _ = qp_oracle(ds, lam)
+        residual = ds.y - ivs.build_design(ds.z) @ a - cubic_design(ds.z) @ delta
+        gap = np.abs(lam * delta - dense_omega(ds) @ residual).max()
+        assert gap <= 1e-8 * lam * np.abs(delta).max()
 
 
 class TestBinaryInstrument:
