@@ -47,10 +47,11 @@ class SingularKernelError(IvsplineError):
 class ConditioningError(IvsplineError):
     """A bordered system cannot be solved in floating point.
 
-    Raised when the bordered matrix has a non-finite entry (an overflowing
-    lambda), before it is factored, and when a solve produces non-finite
-    output.  ``condition_estimate`` is the system's 1-norm condition
-    estimate, inf for a non-finite matrix.
+    Raised when the bordered matrix [[L'EL + lam I, L'Z], [Z'L, 0]] has a
+    non-finite entry, or a condition estimate that overflows (an
+    overflowing lambda), before any solve, and when a solve produces
+    non-finite output.  ``condition_estimate`` is the system's inf-norm
+    condition estimate, inf in the first two cases.
     """
 
     def __init__(self, message, condition_estimate=None):

@@ -122,12 +122,16 @@ class TiltWeights:
 def derivative_smoother_matrix(ds: Dataset, lam: float) -> np.ndarray:
     """n x n matrix L with L @ Y = fitted first derivative at every knot.
 
-    With K the bordered matrix and B = [D, 1 (0, 1)] the derivative design,
-    D_ij = sign(z_i - z_j) (z_i - z_j)^2 / 4, L = B K^-1 [I; 0].  K is
-    symmetric, so L' is the first n rows of one solve against B', refined
-    until it is accurate to ``solver.REFINE_RTOL`` or has made
-    ``solver._REFINEMENT_STEPS`` corrections; refining the derivative design
-    as right-hand sides makes L reproduce linear outcomes (L 1 = 0, L z = 1).
+    The fit maps (y; 0) to (delta; a) by M = diag(F, I) K^-1 diag(F', I),
+    with K the bordered matrix in the coordinates u = F^-1 delta and F the
+    weight matrix's factor (see :mod:`ivspline.solver`).  With B = [D, 1 (0, 1)]
+    the derivative design, D_ij = sign(z_i - z_j) (z_i - z_j)^2 / 4,
+    L = B M [I; 0].  K is symmetric, so M is too, and L' is the first n rows
+    of one solve against B' (:meth:`~ivspline.solver._Factored.solve`, which
+    maps through F' and F), refined until it is accurate to
+    ``solver.REFINE_RTOL`` or has made ``solver._REFINEMENT_STEPS``
+    corrections; refining the derivative design as right-hand sides makes L
+    reproduce linear outcomes (L 1 = 0, L z = 1).
     """
     return _smoother(_Factored(ds, lam))[0]
 
@@ -138,7 +142,7 @@ def _smoother(system: _Factored) -> tuple[np.ndarray, int, float]:
     return sol[: system.knots.shape[0]].T, steps, eta
 
 
-def _drop_null_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_constraints(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Remove vanishing constraint rows (0 >= 0 for every p) and normalize the rest.
 
     Row normalization leaves the feasible set untouched but puts every slack
@@ -231,7 +235,7 @@ def tilt(ds: Dataset, lam: float,
 
 
 def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> TiltWeights:
-    a_rows, kept = _drop_null_rows(direction.sign * smoother * y[None, :])
+    a_rows, kept = _normalized_constraints(direction.sign * smoother * y[None, :])
     n = y.shape[0]
 
     slack = a_rows.sum(axis=1)
@@ -260,7 +264,10 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
         curvature = 0.5 / d**3
         grad = basis.T @ q
         grad[0] -= n
-        step = np.linalg.solve((basis.T * curvature) @ basis, grad)
+        try:
+            step = np.linalg.solve((basis.T * curvature) @ basis, grad)
+        except np.linalg.LinAlgError:
+            raise _uncertified(a_rows, kept, "tilt Newton system is singular", steps, work) from None
         dec2 = float(grad @ step)
         if dec2 <= DECREMENT_TOL:
             # primal polish: the linearized Newton update of q lands on
@@ -312,6 +319,8 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
     else:
         raise _uncertified(a_rows, kept, "tilt solver hit its iteration cap before converging", steps, work)
 
+    if not q.min() >= 0.0:
+        raise _uncertified(a_rows, kept, f"tilt polish left a negative weight {q.min():.3e}", steps, work)
     mu = x[1:]
     objective = float(n - np.sum(np.sqrt(q)))
     dual = float(n - x[0] * n - np.sum(0.25 / d))

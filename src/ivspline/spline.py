@@ -55,12 +55,12 @@ def _cubic_design(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _cubic_product(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """E v for the cubic design E of knots z and a vector v, formed ``_CUBIC_BLOCK`` rows at a time.
+    """E v for the cubic design E of knots z and a vector or matrix v, formed ``_CUBIC_BLOCK`` rows at a time.
 
     Each row block rounds like the same rows of E, so no n x n array is made.
     """
     n = z.shape[0]
-    out = np.empty(n)
+    out = np.empty((n,) + v.shape[1:])
     for start in range(0, n, _CUBIC_BLOCK):
         stop = start + _CUBIC_BLOCK
         out[start:stop] = _radial_cubic(z[start:stop], z) @ v
@@ -91,8 +91,9 @@ def _derivative_rhs(z: np.ndarray) -> np.ndarray:
 def build_design(z: np.ndarray) -> np.ndarray:
     """The n x 2 linear design, columns (1, z_i), of at least 3 knots.
 
-    The cubic design E is never returned whole: the solver writes it into the
-    bordered matrix and forms E v a row block at a time.
+    The cubic design E is never returned whole: the weight matrix writes
+    L'EL into the bordered matrix, and the solver forms E v a row block at a
+    time.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     n = z.shape[0]

@@ -113,14 +113,15 @@ def weight_values(om, spec=ivs.KernelSpec()):
 
 
 def weight_inverse(om):
-    """Omega^-1 of a weight matrix without ties, through the package's ``_add_inverse``.
+    """Omega^-1 of a weight matrix without ties, by a dense Cholesky solve of ``weight_values``.
 
-    With tied instruments Omega is singular, and there is no inverse.
+    The package never forms this inverse; it is an oracle only.  With tied
+    instruments Omega is singular, and there is no inverse.
     """
     assert om.groups is None, "tied instrument rows leave the weight matrix without an inverse"
-    inverse = np.zeros((om.n, om.n))
-    om._add_inverse(inverse, 1.0)
-    return inverse
+    factor = scipy.linalg.cho_factor(weight_values(om), lower=True)
+    inverse = scipy.linalg.cho_solve(factor, np.eye(om.n))
+    return 0.5 * (inverse + inverse.T)
 
 
 def qp_oracle(ds, lam):
@@ -165,6 +166,42 @@ def build_block_system(ds, lam):
     penalized = cubic_design(ds.z) + lam * weight_inverse(ivs.build_weight_matrix(ds.w))
     kkt = np.block([[penalized, linear], [linear.T, np.zeros((2, 2))]])
     return SimpleNamespace(penalized_cubic=penalized, kkt=kkt, rhs=np.concatenate([ds.y, np.zeros(2)]))
+
+
+def weight_factor(om):
+    """The n x m factor L = G Lbar of ``om``, rebuilt densely from ``weight_values``.
+
+    Lbar is the lower Cholesky factor of the weights on the distinct rows,
+    taken in the order ``om.order`` (the sorted order on the closed-form
+    route, where the package's factor is that Cholesky factor by a formula;
+    observation order on the dense route), with its rows put back in group
+    order.  So this is the package's factor up to rounding, and
+    [[L'EL + lam I, L'Z], [Z'L, 0]] is the package's bordered matrix.
+    """
+    values = weight_values(om)
+    groups = om.groups
+    rows = np.arange(om.n) if groups is None else groups.order[groups.starts]  # one row per group
+    order = np.arange(rows.size) if om.order is None else om.order
+    factor = np.empty((rows.size, rows.size))
+    factor[order] = np.linalg.cholesky(values[np.ix_(rows[order], rows[order])])
+    return factor if groups is None else factor[groups.index]
+
+
+def transformed_system(ds, lam):
+    """The bordered system in the coordinates delta = L u, from dense blocks: factor, kkt and rhs.
+
+    kkt is [[L'EL + lam I, L'Z], [Z'L, 0]] and rhs is (L'Y; 0), with L from
+    :func:`weight_factor` and E from its formula; (u; a) solves it and
+    delta = L u.
+    """
+    factor = weight_factor(ivs.build_weight_matrix(ds.w))
+    linear = ivs.build_design(ds.z)
+    lt_linear = factor.T @ linear
+    kkt = np.block([
+        [factor.T @ cubic_design(ds.z) @ factor + lam * np.eye(factor.shape[1]), lt_linear],
+        [lt_linear.T, np.zeros((2, 2))],
+    ])
+    return SimpleNamespace(factor=factor, kkt=kkt, rhs=np.concatenate([factor.T @ ds.y, np.zeros(2)]))
 
 
 def fitted_values(ds, lam):

@@ -9,14 +9,13 @@ from scipy.linalg import lapack
 
 import ivspline as ivs
 from conftest import (
-    build_block_system,
     criterion_quadrature_oracle,
     cubic_design,
     kernel_weight,
     near_ties,
     path_spectrum,
     random_instance,
-    weight_inverse,
+    transformed_system,
     weight_values,
 )
 from ivspline.cli import main, read_document
@@ -34,6 +33,20 @@ def pairwise(om, spec=ivs.KernelSpec()):
 def factor_product(om):
     """L L' through the package's own factor operations, jitter included."""
     return om._apply_l(om._apply_lt(np.eye(om.n)))
+
+
+def closed_form_inverse(om):
+    """Omega^-1 = P'B'BP of the closed-form route, dense, from the factor's band B and order P.
+
+    B'B is tridiagonal: with beta the band's diagonal and gamma its
+    subdiagonal, diagonal beta_i^2 + gamma_i^2 and off-diagonal
+    gamma_i beta_{i+1}.  The package never forms it.
+    """
+    diag, sub = om.band
+    off = sub[:-1] * diag[1:]
+    sorted_inverse = np.diag(diag * diag + sub * sub) + np.diag(off, 1) + np.diag(off, -1)
+    back = np.argsort(om.order)
+    return sorted_inverse[np.ix_(back, back)]
 
 
 class TestKernelWeight:
@@ -145,7 +158,7 @@ class TestBuildWeightMatrix:
 
     def test_solve_matches_inverse(self, rng):
         om = ivs.build_weight_matrix(rng.standard_normal((7, 1)), ivs.KernelSpec())
-        assert np.allclose(weight_values(om) @ weight_inverse(om), np.eye(7), atol=1e-10)
+        assert np.allclose(weight_values(om) @ closed_form_inverse(om), np.eye(7), atol=1e-10)
 
     def test_jitter_escalates_tenfold_until_the_factor_passes(self, monkeypatch):
         # pairs one ulp apart fail the unjittered factorization; from a start far
@@ -263,7 +276,7 @@ class TestClosedFormRoute:
         ds = g1_draw(200, seed)
         om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
         assert isinstance(om, _BidiagonalWeightMatrix)
-        closed, dense = weight_inverse(om), dpotri_inverse(pairwise(om))
+        closed, dense = closed_form_inverse(om), dpotri_inverse(pairwise(om))
         w = ivs.standardize_instruments(ds.w)[:, 0].astype(np.longdouble)
         b = np.sqrt(np.longdouble(0.5))
         exact = np.exp(-np.abs(w[:, None] - w[None, :]) / b) / (2 * b * 200**2)
@@ -279,7 +292,7 @@ class TestClosedFormRoute:
         om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
         assert isinstance(om, _BidiagonalWeightMatrix)
         values = pairwise(om)
-        closed, dense = weight_inverse(om), dpotri_inverse(values)
+        closed, dense = closed_form_inverse(om), dpotri_inverse(values)
         eye = np.eye(2000)
         assert np.abs(values @ closed - eye).max() <= np.abs(values @ dense - eye).max()
         assert np.abs(closed - dense).max() <= 1e-9 * np.abs(closed).max()
@@ -312,7 +325,7 @@ class TestClosedFormRoute:
                          1 / one_minus_a2[1]]) / c
         off = -a / one_minus_a2 / c
         expected = (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)).astype(float)
-        np.testing.assert_allclose(weight_inverse(om), expected, rtol=1e-12)
+        np.testing.assert_allclose(closed_form_inverse(om), expected, rtol=1e-12)
 
     def test_tie_free_scalar_instrument_needs_no_jitter(self, rng):
         om = ivs.build_weight_matrix(rng.standard_normal((500, 1)), ivs.KernelSpec())
@@ -339,9 +352,10 @@ class TestClosedFormRoute:
         l_mat = om._apply_l(np.eye(60))
         assert np.allclose(l_mat @ l_mat.T, values, rtol=1e-10, atol=1e-14 * values.max())
         assert np.allclose(om._quadratic(m), np.einsum("ig,ig->g", values @ m, m), rtol=1e-10)
-        mat = np.ones((60, 60))
-        om._add_inverse(mat, 0.5)
-        assert np.allclose(mat - 1.0, 0.5 * np.linalg.inv(values), rtol=1e-8, atol=1e-8 * np.abs(mat).max())
+        z = rng.standard_normal(60)
+        s_mat = om._congruence(z, np.empty((60, 60)))
+        dense = l_mat.T @ cubic_design(z) @ l_mat
+        assert np.allclose(s_mat, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
 
     @pytest.mark.parametrize("two_instruments", [False, True])
     def test_ties_and_two_instruments_keep_the_dense_route(self, rng, two_instruments):
@@ -352,10 +366,17 @@ class TestClosedFormRoute:
         ds = ivs.Dataset(y=ds.y, z=ds.z, w=w)
         om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
         assert isinstance(om, _DenseWeightMatrix) and om.groups is None
-        # the bordered matrix is E + lam Omega^-1 with dpotri's inverse, bit for bit
+        # the bordered matrix holds chol' E chol, transformed in place by blocks;
+        # against the dense product it differs by a few ulps of its largest entry
+        s_mat = om._congruence(ds.z, np.empty((300, 300)))
+        dense = om.chol.T @ cubic_design(ds.z) @ om.chol
+        assert np.abs(s_mat - dense).max() <= 1e-14 * np.abs(dense).max()
         for lam in (1e-4, 1e-2):
-            system = _Factored(ds, lam)
-            assert np.array_equal(system.kkt, build_block_system(ds, lam).kkt)
+            fit = _Factored(ds, lam).fit(ds.y)
+            oracle = transformed_system(ds, lam)
+            sol = np.linalg.solve(oracle.kkt, oracle.rhs)
+            delta = oracle.factor @ sol[:300]
+            assert np.abs(fit.delta - delta).max() <= 1e-10 * np.abs(delta).max()
 
     def test_fit_cv_answers_agree_with_dense_route(self, tmp_path, monkeypatch):
         ds = g1_draw(2000, 3)

@@ -262,11 +262,21 @@ class TestTilt:
         # feasible at margin 1.2e-6, yet the dual's answer reads a KKT residual
         # near 7e4: a stall, not an answer and not an infeasibility
         ds = paper_draw("g3", 1015)
-        a_rows, _ = monotone._drop_null_rows(DEC.sign * ivs.derivative_smoother_matrix(ds, 1e-5) * ds.y)
+        a_rows, _ = monotone._normalized_constraints(DEC.sign * ivs.derivative_smoother_matrix(ds, 1e-5) * ds.y)
         margin, _ = monotone._phase_one(a_rows)
         assert margin > 1e-7
         with pytest.raises(ivs.SolverStallError, match="KKT residual"):
             ivs.tilt(ds, 1e-5, direction=DEC)
+
+    @pytest.mark.parametrize("g_id, seed, direction", [("g3", 1015, DEC), ("g2", 1011, INC), ("g2", 1015, DEC)])
+    def test_tied_knots_near_the_edge_of_feasibility_fail_typed(self, g_id, seed, direction):
+        # z rounded to one decimal ties knots, whose smoother rows and constraint rows
+        # coincide; the dual's Newton system can turn singular there, and phase-I
+        # then decides the verdict, as for every other uncertified exit
+        ds = paper_draw(g_id, seed)
+        ds = ivs.Dataset(y=ds.y, z=np.round(ds.z, 1), w=ds.w)
+        with pytest.raises((ivs.InfeasibleConstraintsError, ivs.SolverStallError)):
+            ivs.tilt(ds, 1e-5, direction=direction)
 
     def test_barrier_oracle_phase_one_finds_thin_feasible_weights(self):
         # the best margin here, 1.2e-6, is below the phase-I barrier gap at

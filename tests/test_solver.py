@@ -8,7 +8,6 @@ import scipy.linalg
 
 import ivspline as ivs
 from ivspline import monotone, selection, solver, spline
-from ivspline.kernel import WeightMatrix
 from conftest import (
     build_block_system,
     cubic_design,
@@ -20,6 +19,7 @@ from conftest import (
     qp_oracle,
     random_instance,
     separated_instance,
+    transformed_system,
     weight_values,
 )
 
@@ -219,14 +219,16 @@ class TestHatDiagnostics:
         gram = linear.T @ np.linalg.solve(system.penalized_cubic, linear)
         assert np.allclose(dense_inverse[ds.n :, ds.n :], -np.linalg.inv(gram), atol=1e-8)
 
-    def test_near_duplicate_instruments_degrade_conditioning(self):
-        # two instrument values one ulp apart: not an exact tie, so not grouped
+    def test_near_duplicate_instruments_keep_conditioning_bounded(self):
+        # two instrument values one ulp apart: not an exact tie, so not grouped, and
+        # jittered; the system in delta = L u never inverts the weight matrix, so
+        # its conditioning does not degrade with the near tie (it reads 14.6)
         z = np.array([0.0, 0.5, 1.0, 1.5])
         w = np.array([0.0, 1.0, 1.0 - 2.0**-53, 2.0])
         ds = ivs.Dataset(y=[0.1, 0.4, 0.5, 0.9], z=z, w=w)
         diag = hat_diagnostics(ds, 0.1)
         assert diag["jitter_applied"] > 0
-        assert diag["kkt_condition_estimate"] > 1e6
+        assert diag["kkt_condition_estimate"] < 1e3
 
 
 def paper_draw(g_id, n, seed):
@@ -269,21 +271,32 @@ class TestRefinement:
             for got, want in ((fit.delta, reference.delta), (fit.a, reference.a)):
                 assert np.abs(got - want).max() <= solver.REFINE_RTOL * np.abs(want).max()
 
-    @pytest.mark.parametrize("lam", [1e-5, 1e-2, 2.3])
+    @pytest.mark.parametrize("lam", [1e-10, 1e-11, 1e-12])
     def test_ill_conditioned_solve_runs_to_the_cap_bit_for_bit(self, monkeypatch, lam):
-        # nearly tied instruments give condition 1e11-1e18: the rule keeps every
+        # near interpolation the condition reads 3e11-5e13: the rule keeps every
         # correction, and the answer is that of fixed-count refinement
-        ds = paper_draw("g3", 500, seed=0)
-        ds = ivs.Dataset(y=ds.y, z=ds.z, w=near_ties(ds.w))
+        ds = paper_draw("g1", 500, seed=501)
         smoother, steps, _ = smoother_solve(ds, lam)
         assert steps == solver._REFINEMENT_STEPS
         assert np.array_equal(smoother, self.capped(monkeypatch, lambda: smoother_solve(ds, lam))[0])
         system = solver._Factored(ds, lam)
         rhs = derivative_rhs(ds.z)
-        sol = scipy.linalg.lu_solve(system.lu, rhs)
+        rhs = np.concatenate([system.omega._apply_lt(rhs[: ds.n]), rhs[ds.n :]])
+        sol = scipy.linalg.lu_solve(system.lu, rhs, trans=1)
         for _ in range(solver._REFINEMENT_STEPS):
-            sol = sol + scipy.linalg.lu_solve(system.lu, rhs - system.kkt @ sol)
-        assert np.array_equal(smoother, sol[: ds.n].T)
+            sol = sol + scipy.linalg.lu_solve(system.lu, system._residual(rhs, sol)[0], trans=1)
+        assert np.array_equal(smoother, system.omega._apply_l(sol[:-2]).T)
+
+    @pytest.mark.parametrize("lam", [1e-5, 1e-2])
+    def test_near_ties_leave_the_system_well_conditioned(self, lam):
+        # nearly tied instruments made the system in delta, whose block held
+        # lam Omega^-1, read condition 1e11-1e18; in u = L^-1 delta it reads below 1e6
+        ds = paper_draw("g3", 500, seed=0)
+        ds = ivs.Dataset(y=ds.y, z=ds.z, w=near_ties(ds.w))
+        system = solver._Factored(ds, lam)
+        assert system.omega.jitter_applied > 0
+        assert system.condition < 1e7
+        assert smoother_solve(ds, lam)[1] == 0
 
     def test_well_conditioned_solve_stops_before_correcting(self):
         ds = paper_draw("g3", 200, seed=3)
@@ -297,7 +310,7 @@ class TestRefinement:
     def test_converged_correction_ends_refinement(self):
         # the unrefined bound misses the tolerance, and one correction below it suffices
         ds = paper_draw("g1", 500, seed=501)
-        system = solver._Factored(ds, 1e-2)
+        system = solver._Factored(ds, 1e-8)
         _, steps, eta = monotone._smoother(system)
         assert system.condition * eta > solver.REFINE_RTOL
         assert steps == 1
@@ -354,65 +367,89 @@ def two_instrument_draw(n, seed=7):
     return ivs.Dataset(y=ds.y, z=ds.z, w=w)
 
 
+def assembled(monkeypatch, ds, lam):
+    """The fit at lam, and the bordered matrix the package assembled for it, copied before its LU."""
+    matrices = []
+    lu_factor = scipy.linalg.lu_factor
+    with monkeypatch.context() as patch:
+        # the package factors the F-ordered transpose of the matrix in place
+        patch.setattr(scipy.linalg, "lu_factor", lambda a, **kw: matrices.append(a.T.copy()) or lu_factor(a, **kw))
+        fit = ivs.fit(ds, lam)
+    assert len(matrices) == 1
+    return fit, matrices[0]
+
+
+def rounded_draw(n, seed=7):
+    """The scalar draw with its instrument rounded to one decimal: the grouped route."""
+    ds = paper_draw("g1", n, seed)
+    return ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
+
+
 class TestBlockFill:
-    """E is written into the bordered matrix a row block at a time, entry for entry."""
+    """L'EL is written into the bordered matrix by blocks, and matches the dense product."""
 
     SIZES = [spline._CUBIC_BLOCK - 1, spline._CUBIC_BLOCK, 2 * spline._CUBIC_BLOCK + 3]
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("draw", [scalar_draw, two_instrument_draw])
-    def test_matrix_equals_the_dense_assembly(self, draw, n):
+    def test_matrix_equals_the_dense_assembly(self, monkeypatch, draw, n):
+        # against [[L'EL + lam I, L'Z], [Z'L, 0]] with L from a dense Cholesky
+        # factorization of the weight matrix; they differ by a few ulps of the largest entry
         ds = draw(n)
         for lam in (1e-4, 0.3):
-            kkt = solver._kkt_matrix(ivs.build_design(ds.z), ivs.build_weight_matrix(ds.w), lam)
-            assert np.array_equal(kkt, build_block_system(ds, lam).kkt)
+            _, kkt = assembled(monkeypatch, ds, lam)
+            dense = transformed_system(ds, lam).kkt
+            assert kkt.shape == dense.shape == (n + 2, n + 2)
+            assert np.abs(kkt - dense).max() <= 1e-13 * np.abs(dense).max()
+            assert np.all(kkt[n:, n:] == 0.0)
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("draw", [scalar_draw, two_instrument_draw])
     def test_fit_equals_a_solve_on_the_dense_assembly(self, draw, n):
+        # within the dense solve's own accuracy: condition (at most 2.1e5 here) times roundoff
         ds = draw(n)
         for lam in (1e-4, 0.3):
             fit = ivs.fit(ds, lam)
-            dense = build_block_system(ds, lam)
-            lu = scipy.linalg.lu_factor(dense.kkt)
-            sol = scipy.linalg.lu_solve(lu, dense.rhs)
-            for _ in range(fit.diagnostics["refinement_steps"]):
-                sol = sol + scipy.linalg.lu_solve(lu, dense.rhs - dense.kkt @ sol)
-            assert np.array_equal(fit.delta, sol[:n])
-            assert np.array_equal(fit.a, sol[n:])
+            dense = transformed_system(ds, lam)
+            sol = np.linalg.solve(dense.kkt, dense.rhs)
+            delta = dense.factor @ sol[:n]
+            assert np.abs(fit.delta - delta).max() <= 1e-10 * np.abs(delta).max()
+            assert np.abs(fit.a - sol[n:]).max() <= 1e-10 * np.abs(sol[n:]).max()
             cubic = cubic_design(ds.z)
             assert fit.diagnostics["roughness"] == pytest.approx(fit.delta @ cubic @ fit.delta, rel=1e-13)
 
     @pytest.mark.parametrize("lam", [1e-4, 0.3])
-    def test_grouped_matrix_equals_the_dense_assembly(self, lam):
-        # G'EG of the rounded instrument's groups, from the whole dense E
-        ds = scalar_draw(2 * spline._CUBIC_BLOCK + 3)
-        ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
-        om = ivs.build_weight_matrix(ds.w)
-        linear, groups = ivs.build_design(ds.z), om.groups
-        m = len(groups)
-        cubic = groups.sum(groups.sum(cubic_design(ds.z)).T)
-        dense = np.zeros((m + 2, m + 2))
-        dense[:m, :m] = 0.5 * (cubic + cubic.T)
-        om._add_inverse(dense[:m, :m], lam)
-        dense[:m, m:] = groups.sum(linear)
-        dense[m:, :m] = groups.sum(linear).T
-        assert np.array_equal(solver._kkt_matrix(linear, om, lam), dense)
+    def test_grouped_matrix_equals_the_dense_assembly(self, monkeypatch, lam):
+        # G'EG of the rounded instrument's groups, summed by the package a block of
+        # columns at a time, against the whole dense E and the dense factor L = G Lbar
+        ds = rounded_draw(2 * spline._CUBIC_BLOCK + 3)
+        m = len(ivs.build_weight_matrix(ds.w).groups)
+        fit, kkt = assembled(monkeypatch, ds, lam)
+        dense = transformed_system(ds, lam)
+        assert kkt.shape == dense.kkt.shape == (m + 2, m + 2)
+        assert np.abs(kkt - dense.kkt).max() <= 1e-13 * np.abs(dense.kkt).max()
+        sol = np.linalg.solve(dense.kkt, dense.rhs)
+        delta = dense.factor @ sol[:m]
+        assert np.abs(fit.delta - delta).max() <= 1e-10 * np.abs(delta).max()
 
-    @pytest.mark.parametrize("n", [solver._KKT_BLOCK - 3, 2 * solver._KKT_BLOCK - 2,
-                                   3 * solver._KKT_BLOCK + 5])
-    def test_reformed_rows_equal_the_assembled_matrix(self, n):
-        # the refinement residual's row blocks, entry for entry, and their
-        # products as the whole matrix's, for one column and for n
+    @pytest.mark.parametrize("n", [189, 382, 581])
+    def test_reformed_rows_equal_the_assembled_matrix(self, monkeypatch, n):
+        # the refinement residual forms K x from L, E by row blocks and L', never
+        # from the matrix; at sizes off the row blocks of E and of the factor
+        # (128 and 32 rows) it equals the assembled matrix's product, for one
+        # column and for n, to a few ulps of its scale
         ds = scalar_draw(n)
-        linear, om = ivs.build_design(ds.z), ivs.build_weight_matrix(ds.w)
         rng = np.random.default_rng(n)
         for lam in (1e-4, 0.3):
-            kkt = solver._kkt_matrix(linear, om, lam)
-            inverse = om._inverse_entries(lam)
-            assert np.array_equal(solver._kkt_product(linear, inverse, np.eye(n + 2)), kkt)
+            _, kkt = assembled(monkeypatch, ds, lam)
+            system = solver._Factored(ds, lam)
+            zero = np.zeros((n + 2, n + 2))
+            product = -system._residual(zero, np.eye(n + 2))[0]
+            assert np.abs(product - kkt).max() <= 1e-13 * np.abs(kkt).max()
             for x in (rng.standard_normal(n + 2), np.asfortranarray(rng.standard_normal((n + 2, n)))):
-                assert np.array_equal(solver._kkt_product(linear, inverse, x), kkt @ x)
+                product = -system._residual(np.zeros(x.shape), x)[0]
+                scale = np.abs(kkt).max() * np.abs(x).max() * np.sqrt(n)
+                assert np.abs(product - kkt @ x).max() <= 1e-14 * scale
 
     @pytest.mark.parametrize("n", SIZES)
     def test_blocks_equal_the_dense_designs(self, n):
@@ -438,13 +475,31 @@ def traced(build):
 
 class TestMemoryFootprint:
     def test_factored_system_keeps_only_its_lu(self):
-        # the closed-form route factors the matrix in place and re-forms its
-        # rows for the residuals, so the LU is its one (n + 2)^2 array
+        # the matrix is factored in place and the residuals are formed from
+        # L, E and L', so the LU is the one (n + 2)^2 array kept
         n = 1000
         ds = scalar_draw(n, seed=11)
         system, kept = traced(lambda: solver._Factored(ds, 1e-3))
-        assert system.kkt is None
+        assert not hasattr(system, "kkt")
         assert kept <= (n + 2) ** 2 * 8 + 1e6
+
+    @pytest.mark.parametrize("route", ["closed form", "grouped"])
+    def test_factor_and_fit_peak(self, route):
+        # L'EL is written straight into the bordered array and transformed in
+        # place, so a factor and a fit peak at that one (m + 2)^2 array (8 MB at
+        # n = 1000) plus row blocks; the grouped route builds no n x n E
+        if route == "closed form":
+            ds, bound = scalar_draw(1000, seed=11), 12.5e6
+        else:
+            ds, bound = paper_draw("g1", 2000, seed=12), 8e6
+            ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
+        tracemalloc.start()
+        try:
+            solver._Factored(ds, 1e-3).fit(ds.y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_grouped_system_keeps_no_n_by_n_array(self):
         # the rounded instrument's (m + 2) system; one 2000 x 2000 matrix would be 32 MB
@@ -502,12 +557,15 @@ class TestPathSolver:
 
     @pytest.mark.parametrize("n", [spline._CUBIC_BLOCK + 5, 1000])
     def test_in_place_congruence_equals_the_two_pass_product(self, n):
-        # L'EL from E in sorted order with in-place band solves, against the
-        # generic route's two passes of L' over E in observation order
+        # L'EL from E in sorted order, transformed in place by row blocks and then
+        # by column blocks, against two passes of L' over the dense E in
+        # observation order; they round alike to a few ulps of the largest entry
         ds = scalar_draw(n)
         om = ivs.build_weight_matrix(ds.w)
-        in_place = om._congruence(spline._cubic_design, ds.z)
-        assert np.array_equal(in_place, WeightMatrix._congruence(om, spline._cubic_design, ds.z))
+        in_place = om._congruence(ds.z, np.empty((n, n)))
+        two_pass = om._apply_lt(om._apply_lt(cubic_design(ds.z)).T)
+        assert np.abs(in_place - two_pass).max() <= 1e-14 * np.abs(two_pass).max()
+        assert np.abs(in_place - in_place.T).max() <= 1e-14 * np.abs(two_pass).max()
 
     def test_coefficients_is_one_column_of_path(self):
         ds = random_instance(45, n=20)

@@ -1,8 +1,8 @@
 """Exactly tied instruments: the grouped (m + 2) system against oracles that never group.
 
-With tied instrument rows Omega = G Omegabar G' is singular, delta = G nu,
-and the fit solves [[G'EG + lam Omegabar^-1, G'Z], [Z'G, 0]] (nu; a) = (G'y; 0)
-with no jitter.  The oracles here work on the n x n matrix rebuilt from
+With tied instrument rows Omega = G Omegabar G' is singular and its factor
+L = G Lbar is n x m, so delta = L u and the fit solves
+[[L'EL + lam I, L'Z], [Z'L, 0]] (u; a) = (L'y; 0) with no jitter.  The oracles here work on the n x n matrix rebuilt from
 ``kernel_weight`` and on the dense cubic design; none of them reaches the
 group map.
 """
