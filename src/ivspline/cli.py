@@ -89,7 +89,7 @@ def cmd_fit(args) -> int:
         },
         "kernel": {"family": "laplace", "variance": 1.0, "standardize": True},
     }
-    direction = None if args.monotone == "none" else MonotoneDirection.from_string(args.monotone)
+    direction = None if args.monotone == "none" else MonotoneDirection(args.monotone)
     if args.cv:
         model, result = _fit_selected(ds, CvConfig(seed=args.seed), direction)
         doc["lambda_selected_by"] = "cv"
@@ -102,8 +102,6 @@ def cmd_fit(args) -> int:
             "criterion_weight_matrix": "full-sample",
         }
     else:
-        if not (np.isfinite(args.lam) and args.lam > 0):
-            raise ValueError(f"--lambda must be positive, got {args.lam}")
         doc["lambda_selected_by"] = "flag"
         if direction is None:
             model = fit(ds, args.lam)
@@ -146,11 +144,6 @@ def _lambda_star_summary(lambda_stars: np.ndarray, grid: np.ndarray) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    for name, rho in (("--rho-ev", args.rho_ev), ("--rho-wz", args.rho_wz)):
-        if not (np.isfinite(rho) and abs(rho) < 1.0):
-            raise ValueError(f"{name} must lie strictly inside (-1, 1), got {rho}")
-    if args.reps < 2:
-        raise ValueError("--reps must be at least 2")
     cfg = DgpConfig(n=args.n, rho_ev=args.rho_ev, rho_wz=args.rho_wz, g_id=f"g{args.g}", seed=args.seed)
     estimator = "constrained" if args.constrained else "unconstrained"
     cv = CvConfig(seed=args.seed)

@@ -47,11 +47,12 @@ class SingularKernelError(IvsplineError):
 class ConditioningError(IvsplineError):
     """A bordered system cannot be solved in floating point.
 
-    Raised when the bordered matrix [[L'EL + lam I, L'Z], [Z'L, 0]] has a
-    non-finite entry, or a condition estimate that overflows (an
-    overflowing lambda), before any solve, and when a solve produces
-    non-finite output.  ``condition_estimate`` is the system's inf-norm
-    condition estimate, inf in the first two cases.
+    Raised when the bordered matrix [[L'EL + lam I, L'Z], [Z'L, 0]] (or,
+    for a lambda path, its block L'EL) has a non-finite entry, or a
+    condition estimate that overflows (an overflowing lambda), before any
+    solve, and when a solve produces non-finite output.
+    ``condition_estimate`` is the system's inf-norm condition estimate, inf
+    in the first two cases.
     """
 
     def __init__(self, message, condition_estimate=None):

@@ -84,15 +84,6 @@ class MonotoneDirection(enum.Enum):
     def sign(self) -> float:
         return 1.0 if self is MonotoneDirection.INCREASING else -1.0
 
-    @classmethod
-    def from_string(cls, text: str) -> "MonotoneDirection":
-        try:
-            return cls(text)
-        except ValueError:
-            raise ValueError(
-                f"direction must be 'increasing' or 'decreasing', got {text!r}"
-            ) from None
-
 
 @dataclass(frozen=True)
 class TiltWeights:
@@ -138,8 +129,8 @@ def derivative_smoother_matrix(ds: Dataset, lam: float) -> np.ndarray:
 
 def _smoother(system: _Factored) -> tuple[np.ndarray, int, float]:
     """L, and the refinement steps and backward error of its solve (see :meth:`_Factored.solve`)."""
-    sol, steps, eta = system.solve(_derivative_rhs(system.knots))
-    return sol[: system.knots.shape[0]].T, steps, eta
+    delta, _, steps, eta = system.solve(_derivative_rhs(system.knots))
+    return delta.T, steps, eta
 
 
 def _normalized_constraints(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,21 +142,15 @@ def _normalized_constraints(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``ACTIVE_SLACK_RTOL`` serve them all and keep the dual Newton system
     balanced.
     """
-    if a.size == 0:
-        return a, np.array([], dtype=int)
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return a[:0], np.array([], dtype=int)
-    keep = np.flatnonzero(np.abs(a).max(axis=1) > 1e-14 * scale)
+    row_max = np.abs(a).max(axis=1)
+    keep = np.flatnonzero(row_max > 1e-14 * row_max.max())
     kept = a[keep]
     return kept / np.linalg.norm(kept, axis=1, keepdims=True), keep
 
 
 def _active(slack: np.ndarray) -> np.ndarray:
     """Rows whose slack is at most ``ACTIVE_SLACK_RTOL`` relative to the largest."""
-    if not slack.size:
-        return np.array([], dtype=int)
-    return np.flatnonzero(slack <= ACTIVE_SLACK_RTOL * max(1.0, float(slack.max())))
+    return np.flatnonzero(slack <= ACTIVE_SLACK_RTOL * max(1.0, float(slack.max(initial=0.0))))
 
 
 def _margin_bound(x: np.ndarray, d: np.ndarray) -> float:
@@ -220,10 +205,12 @@ def tilt(ds: Dataset, lam: float,
          direction: MonotoneDirection = MonotoneDirection.INCREASING) -> TiltWeights:
     """Solve the tilting program and return the optimal simplex weights.
 
-    If uniform weights already satisfy the sign constraints they are returned
-    immediately: uniform maximizes the objective over the whole simplex, so
-    feasibility implies optimality.  Otherwise the dual is maximized over a
-    growing working set of constraint rows (see the module docstring).
+    The dual is maximized over a growing working set of constraint rows (see
+    the module docstring).  The ascent starts at uniform weights with an
+    empty working set, where its gradient is zero, so when uniform weights
+    already satisfy the sign constraints its first polish returns them:
+    uniform maximizes the objective over the whole simplex, so feasibility
+    implies optimality.
     Raises :class:`InfeasibleConstraintsError` when an ascent iterate
     certifies that no weights are feasible.  An ascent that ends uncertified
     -- the line search finds no ascent step, ``STEP_CAP`` iterations pass, or
@@ -237,23 +224,6 @@ def tilt(ds: Dataset, lam: float,
 def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> TiltWeights:
     a_rows, kept = _normalized_constraints(direction.sign * smoother * y[None, :])
     n = y.shape[0]
-
-    slack = a_rows.sum(axis=1)
-    if a_rows.size == 0 or slack.min() >= 0.0:
-        return TiltWeights(
-            p=np.full(n, 1.0 / n),
-            objective=0.0,
-            kkt_residual=0.0,
-            active_constraints=kept[_active(slack)],
-            diagnostics={
-                "newton_steps": 0,
-                "slack": slack,
-                "working_set": np.array([], dtype=int),
-                "multipliers": np.zeros(0),
-                "duality_gap": 0.0,
-            },
-        )
-
     work: list[int] = []
     x = np.array([0.5])  # (nu, mu_W); nu = 1/2 with no multipliers gives q = 1
     steps = 0
@@ -276,14 +246,14 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
             slack = a_rows @ q
             outside = slack.copy()
             outside[work] = np.inf
-            worst = int(np.argmin(outside))
-            if outside[worst] >= -VIOLATION_TOL:
+            # initial=inf: zero outcomes leave no rows, and no row is violated
+            if outside.min(initial=np.inf) >= -VIOLATION_TOL:
                 # the certificate reads the dual after the same final step,
                 # which leaves stationarity second order in its size
                 x = x + step
                 d = basis @ x
                 break
-            work.append(worst)
+            work.append(int(np.argmin(outside)))
             x = np.append(x, 0.0)
             continue
 

@@ -130,7 +130,8 @@ class _Factored:
         lt_linear = self.omega._apply_lt(self.linear)
         m = lt_linear.shape[0]
         kkt = np.zeros((m + 2, m + 2))
-        self.omega._congruence(ds.z, kkt[:m, :m])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing E is rejected below
+            self.omega._congruence(ds.z, kkt[:m, :m])
         kkt[np.diag_indices(m)] += self.lam
         kkt[:m, m:] = lt_linear
         kkt[m:, :m] = lt_linear.T
@@ -167,13 +168,14 @@ class _Factored:
         resid[:-2] -= self.lam * u
         return resid, delta
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
         """Solve the bordered system in delta and a, for one or many (n + 2)-row right-hand sides b.
 
         The first n rows of b are mapped through L', the system is solved for
-        (u; a) by LU with iterative refinement, and delta = L u is returned
-        with a.  Also returned are the number of refinement corrections made,
-        and the normwise backward error max_j |r_j| / (|K| |x_j| + |b_j|)
+        (u; a) by LU with iterative refinement, and (delta, a, steps, eta) is
+        returned: delta = L u (n rows) and a (2 rows), with one column per
+        column of b; the number of refinement corrections made; and the
+        normwise backward error max_j |r_j| / (|K| |x_j| + |b_j|)
         (inf-norms, in the coordinates u) of the last residual r = b - K x
         formed, rounded to ``CONDITION_DIGITS``; NaN when the step cap is 0
         and no residual was formed.  Refinement stops once condition *
@@ -206,14 +208,12 @@ class _Factored:
             )
         if delta is None:  # the residual's delta = L u is of an earlier answer, or none was formed
             delta = self.omega._apply_l(sol[:-2])
-        return np.concatenate([delta, sol[-2:]]), steps, _significant(eta)
+        return delta, sol[-2:], steps, _significant(eta)
 
     def fit(self, y: np.ndarray) -> SplineFit:
         """The fitted spline for outcome vector y, with :func:`fit`'s diagnostics."""
-        n = y.shape[0]
         groups = self.omega.groups
-        sol, steps, eta = self.solve(np.concatenate([y, np.zeros(2)]))
-        delta, a = sol[:n], sol[n:]
+        delta, a, steps, eta = self.solve(np.concatenate([y, np.zeros(2)]))
         e_delta = _cubic_product(self.knots, delta)
         residuals = y - self.linear @ a - e_delta
         rough = float(delta @ e_delta)
@@ -264,7 +264,8 @@ class PathSolver:
     work plus one back-transformation, which :meth:`path` does for a whole
     grid in one matrix product.  It is the system :class:`_Factored` factors
     at one lambda; used where many lambda values are solved on the same data
-    (CV grids).
+    (CV grids).  An S with a non-finite entry (an overflowing cubic design)
+    raises :class:`ConditioningError` before the eigendecomposition.
     """
 
     def __init__(self, ds: Dataset):
@@ -275,8 +276,12 @@ class PathSolver:
         # S is written in place, and eigh overwrites its F-ordered transpose with the
         # vectors; the upper half of the transpose is the lower half of S
         m = ds.n if omega.groups is None else len(omega.groups)
-        s_mat = omega._congruence(ds.z, np.empty((m, m)))
-        evals, vecs = scipy.linalg.eigh(s_mat.T, lower=False, driver="evd", overwrite_a=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing E is rejected below
+            s_mat = omega._congruence(ds.z, np.empty((m, m)))
+        if not np.isfinite(lapack.dlange("1", s_mat.T)):
+            raise ConditioningError("S = L'EL has non-finite entries", condition_estimate=float("inf"))
+        evals, vecs = scipy.linalg.eigh(s_mat.T, lower=False, driver="evd", overwrite_a=True,
+                                        check_finite=False)
         self._evals = evals
         self._zt = vecs.T @ omega._apply_lt(linear)
         self._yt = vecs.T @ omega._apply_lt(ds.y)

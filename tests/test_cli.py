@@ -221,6 +221,19 @@ class TestFitCommand:
         assert "solver error" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
+    def test_overflowing_design_is_solver_error_under_cv(self, tmp_path, capsys):
+        # z scaled by 1e103 overflows the cubic design; every CV fold fails typed
+        ds = ivs.generate(ivs.DgpConfig(n=60, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=0))["dataset"]
+        csv_in = tmp_path / "d.csv"
+        ivs.write_csv(ivs.Dataset(y=ds.y, z=1e103 * ds.z, w=ds.w), csv_in)
+        code = main([
+            "fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
+            "--cv", "--out", str(tmp_path / "o.json"),
+        ])
+        assert code == 3
+        assert "solver error" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     def test_repeated_column_name_exit_code(self, tmp_path):
         csv_in = tmp_path / "dup.csv"
         csv_in.write_text("y,z,w,w\n1,0.1,2,5\n2,0.2,3,6\n3,0.4,4,8\n", encoding="utf-8")
@@ -325,6 +338,14 @@ class TestSimulateCommand:
         cfg = ivs.DgpConfig(n=5, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=1)
         with pytest.raises(ivs.SizeError):
             ivs.monte_carlo(cfg, "unconstrained", 3)
+
+    @pytest.mark.parametrize("flag, value", [("--rho-wz", "nan"), ("--reps", "1")])
+    def test_library_checks_give_input_error(self, tmp_path, capsys, flag, value):
+        args = {"--g": "1", "--n": "50", "--rho-ev": "0.5", "--rho-wz": "0.9", "--reps": "5",
+                "--seed": "1", "--out-dir": str(tmp_path / "x"), flag: value}
+        assert main(["simulate", *[item for pair in args.items() for item in pair]]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_rho_validation_exit_code(self, tmp_path):
         code = main([

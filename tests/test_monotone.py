@@ -108,19 +108,33 @@ class TestDerivativeSmoother:
 
 
 class TestTilt:
+    @staticmethod
+    def assert_exactly_uniform(weights, n):
+        # the ascent's first polish returns q = 1 with a zero Newton step, so
+        # every certificate of the uniform answer is exactly zero
+        assert np.all(weights.p == 1.0 / n)
+        assert weights.objective == 0.0
+        assert weights.kkt_residual == 0.0
+        assert weights.diagnostics["duality_gap"] == 0.0
+        assert weights.diagnostics["newton_steps"] == 0
+        assert weights.diagnostics["working_set"].size == 0
+        assert weights.diagnostics["multipliers"].size == 0
+
     def test_uniform_when_already_monotone(self):
-        ds = increasing_dataset(4)
-        weights = ivs.tilt(ds, 0.2, direction=INC)
-        assert np.abs(weights.p - 1.0 / ds.n).max() <= 1e-6
-        assert weights.objective == pytest.approx(0.0, abs=1e-12)
-        assert weights.kkt_residual <= 1e-8
-        assert len(weights.active_constraints) == 0
+        # a linear outcome, and the stress-grid draw g3/200/1008 at lambda = 1e-3
+        draw = ivs.generate(ivs.DgpConfig(n=200, rho_ev=0.5, rho_wz=0.9, g_id="g3", seed=1008))["dataset"]
+        for ds, lam in ((increasing_dataset(4), 0.2), (draw, 1e-3)):
+            weights = ivs.tilt(ds, lam, direction=INC)
+            self.assert_exactly_uniform(weights, ds.n)
+            assert len(weights.active_constraints) == 0
 
     def test_zero_outcomes_give_uniform(self):
+        # every constraint row vanishes, so the program has no rows at all
         ds = ivs.Dataset(y=np.zeros(6), z=np.linspace(0, 1, 6), w=np.linspace(0, 1, 6) + 0.1)
         weights = ivs.tilt(ds, 0.1)
-        assert np.allclose(weights.p, 1.0 / 6.0)
-        assert weights.objective == 0.0
+        self.assert_exactly_uniform(weights, ds.n)
+        assert weights.diagnostics["slack"].size == 0
+        assert weights.active_constraints.size == 0
 
     def test_simplex_membership(self):
         ds = wiggly_instance(1)
@@ -233,10 +247,10 @@ class TestTilt:
         assert with_active >= 10
 
     def test_direction_parsing(self):
-        assert ivs.MonotoneDirection.from_string("increasing") is INC
-        assert ivs.MonotoneDirection.from_string("decreasing") is DEC
+        assert ivs.MonotoneDirection("increasing") is INC
+        assert ivs.MonotoneDirection("decreasing") is DEC
         with pytest.raises(ValueError):
-            ivs.MonotoneDirection.from_string("sideways")
+            ivs.MonotoneDirection("sideways")
 
     def test_near_infeasible_program_raises_instead_of_returning(self):
         # the dual ascent converges here to weights with a KKT residual near

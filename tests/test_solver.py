@@ -85,17 +85,26 @@ class TestFit:
             with pytest.raises(ValueError):
                 ivs.fit(ds, bad)
 
-    @pytest.mark.parametrize("instruments", [1, 2])
-    def test_overflowing_lambda_is_a_conditioning_error(self, instruments):
-        # lam Omega^-1 overflows to inf on the closed-form (1) and dense (2) routes;
-        # the matrix is rejected before it is factored, without a RuntimeWarning
+    @pytest.mark.parametrize("case, lam", [
+        pytest.param("one instrument", 1e308, id="1"),
+        pytest.param("two instruments", 1e308, id="2"),
+        pytest.param("overflowing design", 1e-3, id="overflowing-design"),
+    ])
+    def test_overflowing_lambda_is_a_conditioning_error(self, case, lam):
+        # At lam = 1e308 the bordered matrix is numerically singular on the
+        # closed-form (1) and dense (2) routes: its condition estimate is
+        # non-finite.  With z scaled by 1e103 the cubic design |z_i - z_j|^3
+        # overflows and the matrix has non-finite entries.  Either way it is
+        # rejected before any solve, without a RuntimeWarning.
         ds = random_instance(6, n=12)
-        if instruments == 2:
+        if case == "two instruments":
             ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.column_stack([ds.w[:, 0], ds.z]))
+        elif case == "overflowing design":
+            ds = overflowing_draw()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ivs.ConditioningError, match="non-finite") as err:
-                ivs.fit(ds, 1e308)
+                ivs.fit(ds, lam)
         assert err.value.condition_estimate == float("inf")
 
     def test_collinear_z_rejected(self):
@@ -235,6 +244,12 @@ def paper_draw(g_id, n, seed):
     return ivs.generate(ivs.DgpConfig(n=n, rho_ev=0.5, rho_wz=0.9, g_id=g_id, seed=seed))["dataset"]
 
 
+def overflowing_draw():
+    """A g1 draw (n = 60) with z scaled by 1e103, so |z_i - z_j|^3 overflows."""
+    ds = paper_draw("g1", 60, seed=0)
+    return ivs.Dataset(y=ds.y, z=1e103 * ds.z, w=ds.w)
+
+
 def smoother_solve(ds, lam):
     return monotone._smoother(solver._Factored(ds, lam))
 
@@ -303,7 +318,7 @@ class TestRefinement:
         system = solver._Factored(ds, 1e-5)
         for rhs in (np.concatenate([ds.y, np.zeros(2)]),
                     derivative_rhs(ds.z)):
-            _, steps, eta = system.solve(rhs)
+            _, _, steps, eta = system.solve(rhs)
             assert steps == 0
             assert 0.0 < system.condition * eta <= solver.REFINE_RTOL
 
@@ -320,7 +335,7 @@ class TestRefinement:
         ds = random_instance(4, n=30)
         system = solver._Factored(ds, 1e-3)
         rhs = np.concatenate([ds.y, np.zeros(2)])
-        _, steps, eta = self.capped(monkeypatch, lambda: system.solve(rhs), cap)
+        _, _, steps, eta = self.capped(monkeypatch, lambda: system.solve(rhs), cap)
         assert steps == cap
         # no residual is formed at a zero cap, so there is no backward error to report
         assert np.isnan(eta) if cap == 0 else 0.0 <= eta < 1e-14
@@ -590,6 +605,15 @@ class TestPathSolver:
         assert valid.tolist() == [True, False, True]
         assert np.all(np.isnan(delta[:, 1])) and np.all(np.isnan(a[:, 1]))
         assert np.all(np.isfinite(delta[:, [0, 2]]))
+
+    def test_overflowing_design_is_a_conditioning_error(self):
+        # S = L'EL is scanned once for non-finite entries before eigh, which
+        # then skips its own check; no RuntimeWarning escapes the overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ivs.ConditioningError, match="non-finite") as err:
+                ivs.PathSolver(overflowing_draw())
+        assert err.value.condition_estimate == float("inf")
 
     def test_path_rejects_nonpositive_lambda(self):
         solver = ivs.PathSolver(random_instance(47, n=10))
