@@ -5,9 +5,11 @@ regularization level by 2-fold cross-validation, fits, and evaluates on a
 fixed grid of 100 points on [-2, 2].  Pointwise squared bias and
 across-replication variance then average over the grid.  Replication seeds
 are split deterministically from the master seed, so the report is
-bit-reproducible.
+bit-reproducible.  The replications run in forked worker processes, one
+per core, and the report is the same as a serial run's, bit for bit.
 
-Run time: around half a minute at these settings.
+Run time: about 1.5 s on a 2-core machine (2.5 s with the replications
+run one at a time).
 """
 
 import ivspline as ivs

@@ -184,7 +184,8 @@ def _phase_one(a: np.ndarray) -> tuple[float, int]:
     res = linprog(np.append(np.zeros(n), -1.0), A_ub=np.column_stack([-a, np.ones(k)]), b_ub=np.zeros(k),
                   A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[n],
                   bounds=[(0.0, None)] * n + [(None, None)], options=tol)
-    return (-res.fun, int(np.argmax(np.abs(res.ineqlin.marginals)))) if res.success else (np.nan, 0)
+    # 0.0 - fun, not -fun: a best margin of exactly 0 reads +0, never -0, in the error message
+    return (0.0 - res.fun, int(np.argmax(np.abs(res.ineqlin.marginals)))) if res.success else (np.nan, 0)
 
 
 def _uncertified(a: np.ndarray, kept: np.ndarray, reason: str, steps: int,

@@ -15,6 +15,9 @@ normalized to unit variance against a standard Gaussian regressor.
 from __future__ import annotations
 
 import csv
+import functools
+import importlib
+import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -30,6 +33,13 @@ from .spline import evaluate
 GRID_POINTS = 100
 GRID_LO, GRID_HI = -2.0, 2.0
 MAX_FAILURE_SHARE = 0.05
+
+# The extension modules that link numpy's and scipy's BLAS, and the names of
+# OpenBLAS's thread-count setter in the builds that bundle it (symbol-suffixed
+# in the scipy-openblas wheels) and in a plain OpenBLAS.
+_BLAS_MODULES = ("numpy.linalg._umath_linalg", "scipy.linalg._fblas")
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 _G3_COEF = np.sqrt(10.0 / 3.0)
 
@@ -126,6 +136,58 @@ def _fit_on_grid(ds: Dataset, grid, cv: CvConfig, rep: int, constrained: bool) -
     return evaluate(model, grid), result.lambda_star
 
 
+def _replicate(cfg: DgpConfig, estimator, cv: CvConfig, grid: np.ndarray,
+               rep: int) -> tuple[np.ndarray | None, float, str | None]:
+    """Replication ``rep``: its grid values (None if the fit failed), lambda* and failure type name."""
+    ds = generate(cfg, _rep_rng(cfg.seed, rep))["dataset"]
+    try:
+        if callable(estimator):
+            return np.asarray(estimator(ds, grid), dtype=float), np.nan, None
+        curve, lambda_star = _fit_on_grid(ds, grid, cv, rep, estimator == "constrained")
+        return curve, lambda_star, None
+    except (IvsplineError, np.linalg.LinAlgError) as exc:
+        return None, np.nan, type(exc).__name__
+
+
+@functools.cache
+def _blas_thread_setters() -> tuple | None:
+    """The thread-count setter of the BLAS under numpy and under scipy; None if either has none.
+
+    A forked process inherits BLAS already loaded, past the reach of the
+    environment variables BLAS reads at load, so the count is set by call.
+    """
+    import ctypes
+
+    libraries = [ctypes.CDLL(importlib.import_module(module).__file__) for module in _BLAS_MODULES]
+    setters = tuple(next((getattr(library, name) for name in _BLAS_SETTERS if hasattr(library, name)), None)
+                    for library in libraries)
+    return None if None in setters else setters
+
+
+def _one_blas_thread() -> None:
+    for setter in _blas_thread_setters():
+        setter(1)
+
+
+def _worker_pool(estimator, replications: int):
+    """Forked workers, one per usable core, for the replications; None to run them in this process.
+
+    None for a callable estimator (its state, such as a call counter, is per
+    process), in a daemonic process (which may not have children), on one
+    core, and where fork or a BLAS thread setter is missing.
+    """
+    import multiprocessing
+
+    if (callable(estimator) or not hasattr(os, "sched_getaffinity")
+            or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return None
+    workers = min(len(os.sched_getaffinity(0)), replications)
+    if workers < 2 or _blas_thread_setters() is None:
+        return None
+    return multiprocessing.get_context("fork").Pool(workers, _one_blas_thread)
+
+
 def monte_carlo(
     cfg: DgpConfig,
     estimator,
@@ -141,9 +203,19 @@ def monte_carlo(
     key, so results are reproducible regardless of execution order.
     Replication-level fit failures are excluded and counted, by exception
     type in ``failure_types``; more than 5% failures aborts the report.
+
+    The replications run in forked worker processes, one per core this
+    process may use, each with its BLAS pinned to one thread; the results
+    are gathered by replication index, so the report is bit-identical to a
+    serial run.  They run in this process instead for a callable estimator,
+    in a daemonic process, on one core, without the fork start method, or
+    when numpy's or scipy's BLAS has no OpenBLAS thread setter.  No worker
+    outlives the call.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
+    if not callable(estimator) and estimator not in ("unconstrained", "constrained"):
+        raise ValueError(f"unknown estimator {estimator!r}")
     if estimator in ("unconstrained", "constrained") and cfg.n < 3 * cv.folds:
         raise SizeError(
             f"cross-validation with {cv.folds} folds needs at least {3 * cv.folds} rows, got n = {cfg.n}"
@@ -151,24 +223,26 @@ def monte_carlo(
     grid = evaluation_grid()
     truth = true_function(cfg.g_id, grid)
 
+    replicate = functools.partial(_replicate, cfg, estimator, cv, grid)
+    pool = _worker_pool(estimator, replications)
+    if pool is None:
+        results = [replicate(rep) for rep in range(replications)]
+    else:
+        # one replication per task, so a slow one (a tilt that falls back to phase-I) holds up no other
+        with pool:
+            results = pool.map(replicate, range(replications), chunksize=1)
+
     curves = np.empty((replications, grid.size))
     lambda_stars = np.full(replications, np.nan)
     ok = np.ones(replications, dtype=bool)
     failure_types: Counter[str] = Counter()
-    for rep in range(replications):
-        sample = generate(cfg, _rep_rng(cfg.seed, rep))
-        try:
-            if callable(estimator):
-                curves[rep] = np.asarray(estimator(sample["dataset"], grid), dtype=float)
-            elif estimator in ("unconstrained", "constrained"):
-                curves[rep], lambda_stars[rep] = _fit_on_grid(
-                    sample["dataset"], grid, cv, rep, estimator == "constrained"
-                )
-            else:
-                raise ValueError(f"unknown estimator {estimator!r}")
-        except (IvsplineError, np.linalg.LinAlgError) as exc:
+    for rep, (curve, lambda_star, failure) in enumerate(results):
+        lambda_stars[rep] = lambda_star
+        if failure is None:
+            curves[rep] = curve
+        else:
             ok[rep] = False
-            failure_types[type(exc).__name__] += 1
+            failure_types[failure] += 1
 
     failures = int((~ok).sum())
     if failures > MAX_FAILURE_SHARE * replications:

@@ -1,5 +1,6 @@
 """Shared instance factories and independent oracles used across test modules."""
 
+import multiprocessing
 import os
 from types import SimpleNamespace
 
@@ -346,3 +347,10 @@ def natural_interpolant(z, values):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running, such as a Monte Carlo worker."""
+    yield
+    assert multiprocessing.active_children() == []

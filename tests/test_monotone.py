@@ -261,6 +261,14 @@ class TestTilt:
         assert err.value.worst_constraint is not None
         assert "phase-I" in str(err.value)
 
+    def test_zero_phase_one_margin_prints_without_a_sign(self):
+        # HiGHS reports a best margin of exactly 0 here; negating it gave "-0.000e+00"
+        ds = ivs.generate(ivs.DgpConfig(400, 0.5, 0.9, "g3", seed=11))["dataset"]
+        ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
+        with pytest.raises(ivs.InfeasibleConstraintsError) as err:
+            ivs.fit_monotone(ds, 1e-12, direction=DEC)
+        assert "knot index 275 (best attainable margin at most 0.000e+00)" in str(err.value)
+
     @pytest.mark.parametrize("steps", [0, 1, 2, 3])
     def test_near_infeasible_verdict_does_not_hinge_on_refinement(self, monkeypatch, steps):
         # the smoother's last digits change with the refinement count, and so

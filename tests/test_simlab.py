@@ -1,9 +1,19 @@
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ivspline as ivs
-from ivspline import selection
+from ivspline import selection, simlab
 from ivspline.simlab import _rep_cv_seed, _rep_rng
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestTrueFunction:
@@ -178,15 +188,15 @@ class TestMonteCarlo:
 
     def test_lambda_star_nan_where_replication_failed(self, monkeypatch):
         # CV succeeds in every replication; the fit after it fails once
+        # on replication 4's dataset, whichever process runs it
         cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=9)
-        calls = {"count": 0}
+        failing_y = ivs.generate(cfg, _rep_rng(cfg.seed, 4))["dataset"].y
         original = selection._Factored
 
-        def flaky(*args):
-            calls["count"] += 1
-            if calls["count"] == 5:
+        def flaky(ds, *args):
+            if np.array_equal(ds.y, failing_y):
                 raise ivs.ConditioningError("synthetic conditioning failure")
-            return original(*args)
+            return original(ds, *args)
 
         monkeypatch.setattr(selection, "_Factored", flaky)
         report = ivs.monte_carlo(cfg, "unconstrained", 21, cv=ivs.CvConfig(seed=1, grid=[1e-3, 1e-1]))
@@ -221,3 +231,131 @@ class TestMonteCarlo:
         report = ivs.monte_carlo(cfg, "unconstrained", 4, cv=cv)
         assert report.replications == 4
         assert report.mse > 0
+
+
+def same_bits(a, b):
+    """Every field of two Monte Carlo reports, floats compared bit for bit."""
+    floats = lambda r: [r.grid, r.lambda_stars, r.bias_sq, r.variance, r.mse,
+                        *(r.per_point[key] for key in sorted(r.per_point))]
+    others = lambda r: (sorted(r.per_point), r.replications, r.estimator_tag, r.failures, r.failure_types)
+    return (others(a) == others(b)
+            and all(np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(floats(a), floats(b))))
+
+
+def on_cores(monkeypatch, cores, *args, **kwargs):
+    """``monte_carlo`` as if this process could use ``cores`` cores; checks that it forked iff cores > 1."""
+    monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    pools = []
+    make_pool = simlab._worker_pool
+
+    def spy(*a):
+        pools.append(make_pool(*a))
+        return pools[-1]
+
+    monkeypatch.setattr(simlab, "_worker_pool", spy)
+    try:
+        return ivs.monte_carlo(*args, **kwargs)
+    finally:
+        monkeypatch.setattr(simlab, "_worker_pool", make_pool)
+        assert [pool is not None for pool in pools] == [cores > 1]
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("estimator", ["unconstrained", "constrained"])
+    def test_workers_report_equals_serial_bit_for_bit(self, monkeypatch, estimator):
+        cfg = ivs.DgpConfig(n=60, rho_ev=0.5, rho_wz=0.9, g_id="g3", seed=21)
+        cv = ivs.CvConfig(seed=4)
+        serial = on_cores(monkeypatch, 1, cfg, estimator, 6, cv=cv)
+        workers = on_cores(monkeypatch, 2, cfg, estimator, 6, cv=cv)
+        assert serial.failures == 0 and not np.isnan(serial.lambda_stars).any()
+        assert same_bits(serial, workers)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_typed_failures_counted_at_their_replications(self, monkeypatch, cores):
+        real = simlab._fit_on_grid
+
+        def stalling(ds, grid, cv, rep, constrained):
+            if rep in (1, 4):
+                raise ivs.SolverStallError("synthetic stall")
+            return real(ds, grid, cv, rep, constrained)
+
+        monkeypatch.setattr(simlab, "_fit_on_grid", stalling)
+        cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=22)
+        cv = ivs.CvConfig(seed=1, grid=[1e-3, 1e-1])
+        report = on_cores(monkeypatch, cores, cfg, "unconstrained", 40, cv=cv)
+        assert report.failure_types == {"SolverStallError": 2}
+        assert report.failures == 2 and report.replications == 38
+        assert np.flatnonzero(np.isnan(report.lambda_stars)).tolist() == [1, 4]
+
+    def test_untyped_error_in_a_worker_propagates_with_its_type(self, monkeypatch):
+        real = simlab._fit_on_grid
+
+        def broken(ds, grid, cv, rep, constrained):
+            if rep == 3:
+                raise ValueError("synthetic untyped failure")
+            return real(ds, grid, cv, rep, constrained)
+
+        monkeypatch.setattr(simlab, "_fit_on_grid", broken)
+        cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=23)
+        with pytest.raises(ValueError, match="synthetic untyped failure"):
+            on_cores(monkeypatch, 2, cfg, "unconstrained", 6, cv=ivs.CvConfig(seed=1, grid=[1e-3, 1e-1]))
+
+    def test_daemonic_caller_runs_serially(self, monkeypatch):
+        # a daemonic process may not have children: monte_carlo must not try
+        cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=24)
+        cv = ivs.CvConfig(seed=1, grid=[1e-3, 1e-1])
+        serial = on_cores(monkeypatch, 1, cfg, "unconstrained", 6, cv=cv)
+        monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: {0, 1})
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inner = pool.apply(ivs.monte_carlo, (cfg, "unconstrained", 6), {"cv": cv})
+        assert same_bits(serial, inner)
+
+    def test_workers_run_one_blas_thread_whatever_the_environment(self, tmp_path):
+        # BLAS reads OPENBLAS_NUM_THREADS when it loads, before any fork, so
+        # only the workers' thread setter can bring them down to one thread
+        script = textwrap.dedent("""
+            import ctypes, importlib, json, os, sys
+            import numpy as np
+            import ivspline as ivs
+            from ivspline import simlab
+
+            def getter(module):
+                library = ctypes.CDLL(importlib.import_module(module).__file__)
+                names = [name.replace("_set_", "_get_") for name in simlab._BLAS_SETTERS]
+                return next(getattr(library, name) for name in names if hasattr(library, name))
+
+            getters = [getter(module) for module in simlab._BLAS_MODULES]
+            fit_on_grid = simlab._fit_on_grid
+
+            def reading(*args):
+                with open(sys.argv[1], "a") as record:
+                    record.write(json.dumps([os.getpid()] + [get() for get in getters]) + "\\n")
+                return fit_on_grid(*args)
+
+            simlab._fit_on_grid = reading
+            cfg = ivs.DgpConfig(n=60, rho_ev=0.5, rho_wz=0.9, g_id="g3", seed=25)
+            cv = ivs.CvConfig(seed=6)
+            os.sched_getaffinity = lambda pid: {0, 1}
+            workers = ivs.monte_carlo(cfg, "constrained", 4, cv=cv)
+            parent = [get() for get in getters]
+            simlab._fit_on_grid = fit_on_grid
+            for setter in simlab._blas_thread_setters():
+                setter(1)
+            os.sched_getaffinity = lambda pid: {0}
+            serial = ivs.monte_carlo(cfg, "constrained", 4, cv=cv)
+            fields = lambda r: [r.mse, r.bias_sq, r.variance, r.lambda_stars.tobytes().hex(),
+                                *(r.per_point[key].tobytes().hex() for key in sorted(r.per_point))]
+            print(json.dumps({"pid": os.getpid(), "threads": parent,
+                              "same": fields(workers) == fields(serial)}))
+        """)
+        record = tmp_path / "threads.jsonl"
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        proc = subprocess.run([sys.executable, "-c", script, str(record)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        readings = [json.loads(line) for line in record.read_text().splitlines()]
+        assert out["threads"] == [2, 2]  # the parent's BLAS took the environment's two threads
+        assert len(readings) == 4 and all(pid != out["pid"] for pid, *_ in readings)
+        assert all(threads == [1, 1] for _, *threads in readings)
+        assert out["same"]
