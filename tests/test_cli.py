@@ -1,3 +1,6 @@
+import ctypes
+import sys
+
 import numpy as np
 import pytest
 
@@ -288,6 +291,29 @@ class TestFitCommand:
             "--lambda", "-0.5", "--out", str(tmp_path / "o.json"),
         ])
         assert code == 2
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+class TestMallocThresholds:
+    def test_large_blocks_stay_mapped_after_a_command(self, tmp_path):
+        # glibc's default would raise its mmap threshold to the 16 MiB block
+        # freed below and carve the 8 MiB one from the heap
+        mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None) if sys.platform.startswith("linux") else None
+        if mallinfo2 is None:
+            pytest.skip("needs glibc's mallinfo2")
+        mallinfo2.restype = _MallInfo2
+        csv_in = write_fit_csv(tmp_path / "d.csv", n=10, noise=0.1)
+        assert main(["fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
+                     "--lambda", "0.1", "--out", str(tmp_path / "fit.json")]) == 0
+        freed = np.ones(2 << 20)
+        del freed
+        before = mallinfo2().hblkhd
+        block = np.ones(1 << 20)
+        assert mallinfo2().hblkhd - before >= block.nbytes
 
 
 class TestSimulateCommand:
