@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datamodel import load_csv
+from .datamodel import _parse_cell, load_csv
 from .errors import (
     DegenerateInstrumentError,
     InfeasibleConstraintsError,
@@ -219,7 +219,7 @@ _W, _H, _MARGIN = 800.0, 600.0, 70.0
 
 
 def _read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
@@ -231,11 +231,10 @@ def _read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
         for row_number, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            try:
-                zs.append(float(row[0]))
-                gs.append(float(row[1]))
-            except (ValueError, IndexError):
-                raise ParseError(f"{path}: malformed data row {row_number}") from None
+            if len(row) < 2:
+                raise ParseError(f"{path}: malformed data row {row_number}", row=row_number)
+            zs.append(_parse_cell(row[0], row_number, CURVE_HEADER[0]))
+            gs.append(_parse_cell(row[1], row_number, CURVE_HEADER[1]))
     if not zs:
         raise ParseError(f"{path}: no data rows")
     return np.array(zs), np.array(gs)

@@ -120,7 +120,7 @@ def _parse_cell(text: str, row: int, column: str) -> float:
 
 
 def load_csv(path, y: str, z: str, w) -> Dataset:
-    """Read a UTF-8, comma-separated, headed CSV into a :class:`Dataset`.
+    """Read a UTF-8 (byte-order mark optional), comma-separated, headed CSV into a :class:`Dataset`.
 
     Parameters
     ----------
@@ -138,7 +138,7 @@ def load_csv(path, y: str, z: str, w) -> Dataset:
     w_names = [w] if isinstance(w, str) else list(w)
     if not w_names:
         raise SchemaError("at least one instrument column is required")
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

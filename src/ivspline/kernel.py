@@ -40,13 +40,16 @@ from scipy.linalg import blas
 
 from .errors import SingularKernelError
 from .datamodel import standardize_instruments
-from .spline import _CUBIC_BLOCK, _cubic_design, _radial_cubic
+from .spline import _CUBIC_BLOCK, _radial, _radial_design
 
 # Jitter schedule for a numerically singular weight matrix: add
 # tau * (trace/n) * I with tau escalating tenfold until Cholesky succeeds.
 JITTER_START = 1e-10
 JITTER_CAP = 1e-6
 JITTER_GROWTH = 10.0
+# Relative slack of the cap test: tau grows by repeated products, which can land
+# a few ulps above the rung that is the cap (1e-20 * 10^10 is 1.0000000000000002e-10).
+_JITTER_CAP_RTOL = 1e-12
 # Rows per diagonal block where a factor is applied a block at a time.  The
 # closed-form factor keeps the inverse of each of B's diagonal blocks, m x 32
 # values in all (0.5 MB at m = 2000); 32 rows applied it to one column and to m
@@ -152,14 +155,14 @@ class WeightMatrix:
         """
         groups = self.groups
         if groups is None:
-            _cubic_design(z if self.order is None else z[self.order], out=out)
+            _radial_design(z if self.order is None else z[self.order], 0, out)
         else:
             n = z.shape[0]
             grouped_z = z[groups.order]
             sums = np.empty((len(groups), n))
             for start in range(0, n, _CUBIC_BLOCK):
                 stop = start + _CUBIC_BLOCK
-                columns = _radial_cubic(grouped_z, z[start:stop])
+                columns = _radial(grouped_z, z[start:stop], 0)
                 sums[:, start:stop] = np.add.reduceat(columns, groups.starts, axis=0)
             sums = groups.sum(sums.T)
             out[...] = sums if self.order is None else sums[np.ix_(self.order, self.order)]
@@ -370,7 +373,7 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec = KernelSpec()) -> Weigh
                                        blocks=blocks)
     values = _pairwise_weights(rows, spec, n)
     base, tau = values.trace() / rows.shape[0], 0.0
-    while tau <= JITTER_CAP * (1.0 + 1e-12):
+    while tau <= JITTER_CAP * (1.0 + _JITTER_CAP_RTOL):
         jitter = tau * base
         chol = _attempt_cholesky(values, jitter)
         if chol is not None:

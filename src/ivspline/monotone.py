@@ -74,6 +74,9 @@ KKT_TOL = 1e-8
 STEP_CAP = 500
 LINE_SEARCH_CAP = 60
 ACTIVE_SLACK_RTOL = 1e-6
+# A constraint row whose largest entry is at most this fraction (about 50 eps) of
+# the largest row's is roundoff of a zero row, which normalizing would blow up.
+_VANISHING_ROW_RTOL = 1e-14
 
 
 class MonotoneDirection(enum.Enum):
@@ -143,7 +146,7 @@ def _normalized_constraints(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     balanced.
     """
     row_max = np.abs(a).max(axis=1)
-    keep = np.flatnonzero(row_max > 1e-14 * row_max.max())
+    keep = np.flatnonzero(row_max > _VANISHING_ROW_RTOL * row_max.max())
     kept = a[keep]
     return kept / np.linalg.norm(kept, axis=1, keepdims=True), keep
 

@@ -6,8 +6,8 @@ points; the stitched out-of-fold prediction vector is scored by the moment
 criterion with the full-sample weight matrix, and the minimizing lambda
 wins, ties going to the smallest candidate.  Every candidate is handled at
 once: one path solve per fold gives all its coefficient columns, one matrix
-product its out-of-fold predictions, and one application of the weight
-matrix's factor scores them all as ||L'r||^2.
+product (by row blocks of the basis) its out-of-fold predictions, and one
+application of the weight matrix's factor scores them all as ||L'r||^2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import IvsplineError, SelectionError, SizeError
 from .kernel import WeightMatrix, build_weight_matrix
 from .monotone import MonotoneDirection, _fit_monotone
 from .solver import PathSolver, _Factored
-from .spline import SplineFit, _radial_cubic
+from .spline import SplineFit, _radial_product
 
 GRID_SIZE = 400
 GRID_P_LOW = 1e-5
@@ -113,7 +113,7 @@ def _cross_validate(ds: Dataset, cfg: CvConfig) -> tuple[CvResult, WeightMatrix]
         delta, a, ok = solver.path(grid)
         valid &= ok
         z_out = ds.z[held_out]
-        tilde[held_out] = _radial_cubic(z_out, sub.z) @ delta + a[0] + np.outer(z_out, a[1])
+        tilde[held_out] = _radial_product(z_out, sub.z, delta) + a[0] + np.outer(z_out, a[1])
         del solver, delta, a  # freed before the next fold's solver is built
 
     if not valid.any():

@@ -31,7 +31,7 @@ from scipy.linalg import lapack
 from .datamodel import Dataset
 from .errors import CollinearityError, ConditioningError
 from .kernel import WeightMatrix, build_weight_matrix, moment_criterion
-from .spline import SplineFit, _cubic_product, build_design
+from .spline import SplineFit, _radial_product, build_design
 
 # Most iterative-refinement corrections a solve makes.  Solves near
 # interpolation (lambda of 1e-10 and below on the paper's draws) run to it.
@@ -51,6 +51,10 @@ REFINE_RTOL = 1e-8
 # factor, so later digits carry no information; they also changed in the last
 # place between repeated fits of one dataset, which made fit artifacts differ.
 CONDITION_DIGITS = 3
+# A path column is invalid where a shifted eigenvalue s_k + lam is below this
+# fraction of max(1, |S|): eigh's eigenvalues err by about m eps |S| (4e-13 |S|
+# at m = 2000), so below it 1 / (s_k + lam) has fewer than three correct digits.
+_SHIFT_RTOL = 1e-10
 
 
 def _check_lambda(lam: float) -> float:
@@ -162,7 +166,7 @@ class _Factored:
         delta = self.omega._apply_l(u)
         resid = np.empty_like(rhs)
         np.subtract(rhs[-2:], self.linear.T @ delta, out=resid[-2:])
-        fitted = _cubic_product(self.knots, delta)
+        fitted = _radial_product(self.knots, self.knots, delta)
         fitted += self.linear @ a
         np.subtract(rhs[:-2], self.omega._apply_lt(fitted), out=resid[:-2])
         resid[:-2] -= self.lam * u
@@ -214,7 +218,7 @@ class _Factored:
         """The fitted spline for outcome vector y, with :func:`fit`'s diagnostics."""
         groups = self.omega.groups
         delta, a, steps, eta = self.solve(np.concatenate([y, np.zeros(2)]))
-        e_delta = _cubic_product(self.knots, delta)
+        e_delta = _radial_product(self.knots, self.knots, delta)
         residuals = y - self.linear @ a - e_delta
         rough = float(delta @ e_delta)
         crit = moment_criterion(residuals, self.omega)
@@ -306,7 +310,7 @@ class PathSolver:
         if not np.all(np.isfinite(grid) & (grid > 0.0)):
             raise ValueError("regularization parameters must be positive and finite")
         shifted = self._evals[:, None] + grid
-        valid = np.abs(shifted).min(axis=0) > 1e-10 * self._scale
+        valid = np.abs(shifted).min(axis=0) > _SHIFT_RTOL * self._scale
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv = 1.0 / shifted
             g00, g01, g11, r0, r1 = self._moments.T @ inv

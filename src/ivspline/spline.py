@@ -9,6 +9,11 @@ The two constraints kill the quadratic growth of the sum, so g is linear
 outside the knot range (naturality).  This form needs no sorting of the
 knots and no rescaling of z, which keeps the bookkeeping between the design
 matrices and the instrument weight matrix trivial.
+
+The basis is |d|^3 / 12 at d = z - Z_i, with derivatives d |d| / 4 and |d| / 2.
+``_radial`` forms a block of any of the three.  ``_radial_design`` writes an
+n x n design, and ``_radial_product`` multiplies a block into a vector or
+matrix, both a block of rows at a time; every user of the basis calls these.
 """
 
 from __future__ import annotations
@@ -20,81 +25,67 @@ import numpy as np
 from .errors import SizeError
 
 
-def _sign_plus(u: np.ndarray) -> np.ndarray:
-    """sign(u) with the convention sign(0) = +1."""
-    return np.where(u >= 0, 1.0, -1.0)
-
-
-# Rows per block where a design is produced a block at a time (E, E v and the
-# derivative smoother's right-hand side): a block's temporaries are 2 MB each
-# at n = 2000, so no n x n temporary stands beside the result.
+# Rows per block where the basis is formed or multiplied a block at a time:
+# a block's temporaries are 2 MB each at n = 2000, so no n x n temporary
+# stands beside the result.
 _CUBIC_BLOCK = 128
 
 
-def _radial_cubic(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The len(u) x len(v) matrix |u_i - v_j|^3 / 12, cubed by multiplication (into ``out`` if given)."""
-    d = np.subtract.outer(u, v)
-    np.abs(d, out=d)
-    cubic = np.multiply(d, d, out=out)
-    cubic *= d
-    cubic /= 12.0
-    return cubic
+def _radial(u: np.ndarray, v: np.ndarray, order: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The len(u) x len(v) block of the basis's order-th derivative at d = u_i - v_j (into ``out`` if given).
 
-
-def _cubic_design(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The n x n cubic design E, |z_i - z_j|^3 / 12, written in row blocks (into ``out`` if given).
-
-    Every entry rounds as in ``_radial_cubic(z, z)``, so E is exactly symmetric.
+    Order 0 is |d|^3 / 12, cubed by multiplication; order 1 d |d| / 4; order 2 |d| / 2.
     """
-    n = z.shape[0]
-    out = np.empty((n, n)) if out is None else out
-    for start in range(0, n, _CUBIC_BLOCK):
+    d = np.subtract.outer(u, v)
+    if order == 0:
+        block = np.multiply(np.abs(d, out=d), d, out=out)
+    else:
+        block = np.abs(d, out=out)
+    if order < 2:
+        block *= d
+    block /= (12.0, 4.0, 2.0)[order]
+    return block
+
+
+def _radial_product(u: np.ndarray, v: np.ndarray, x: np.ndarray, order: int = 0) -> np.ndarray:
+    """``_radial(u, v, order) @ x`` for a vector or matrix x, bit for bit, with no len(u) x len(v) array.
+
+    The block is formed and multiplied ``_CUBIC_BLOCK`` rows at a time.
+    """
+    out = np.empty(u.shape[:1] + x.shape[1:])
+    for start in range(0, u.shape[0], _CUBIC_BLOCK):
         stop = start + _CUBIC_BLOCK
-        _radial_cubic(z[start:stop], z, out=out[start:stop])
+        out[start:stop] = _radial(u[start:stop], v, order) @ x
     return out
 
 
-def _cubic_product(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """E v for the cubic design E of knots z and a vector or matrix v, formed ``_CUBIC_BLOCK`` rows at a time.
+def _radial_design(z: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
+    """The n x n design ``_radial(z, z, order)`` written into ``out`` ``_CUBIC_BLOCK`` rows at a time.
 
-    Each row block rounds like the same rows of E, so no n x n array is made.
+    Order 0 is the cubic design E, exactly symmetric; order 1 is exactly antisymmetric.
     """
-    n = z.shape[0]
-    out = np.empty((n,) + v.shape[1:])
-    for start in range(0, n, _CUBIC_BLOCK):
+    for start in range(0, z.shape[0], _CUBIC_BLOCK):
         stop = start + _CUBIC_BLOCK
-        out[start:stop] = _radial_cubic(z[start:stop], z) @ v
+        _radial(z[start:stop], z, order, out=out[start:stop])
     return out
 
 
 def _derivative_rhs(z: np.ndarray) -> np.ndarray:
     """B' for the knot-derivative design B = [D, 1 (0, 1)]: an (n + 2) x n F-ordered view.
 
-    D has entries sign(z_i - z_j) (z_i - z_j)^2 / 4 (sign(0) = +1), written
-    as d |d| / 4 with d = z_i - z_j.  B is written ``_CUBIC_BLOCK`` contiguous
-    rows at a time, and its transpose is returned, in the layout LAPACK reads;
-    the last two rows of B' are zeros and ones.
+    D = ``_radial(z, z, 1)`` is written into the C-ordered B, and B' is
+    returned, in the layout LAPACK reads; its last two rows are zeros and ones.
     """
     n = z.shape[0]
     out = np.empty((n, n + 2))
-    for start in range(0, n, _CUBIC_BLOCK):
-        stop = start + _CUBIC_BLOCK
-        diff = np.subtract.outer(z[start:stop], z)
-        block = np.abs(diff, out=out[start:stop, :n])
-        block *= diff
-        block /= 4.0
+    _radial_design(z, 1, out[:, :n])
     out[:, n] = 0.0
     out[:, n + 1] = 1.0
     return out.T
 
 
 def build_design(z: np.ndarray) -> np.ndarray:
-    """The n x 2 linear design, columns (1, z_i), of at least 3 knots.
-
-    The cubic design E is never returned whole: the weight matrix writes
-    L'EL into the bordered matrix, and the solver forms E v a row block at a
-    time.
-    """
+    """The n x 2 linear design, columns (1, z_i), of at least 3 knots."""
     z = np.asarray(z, dtype=float).reshape(-1)
     n = z.shape[0]
     if n < 3:
@@ -144,31 +135,30 @@ class SplineFit:
         )
 
 
+def _evaluate(fit: SplineFit, z, order: int) -> np.ndarray | float:
+    """The fit's order-th derivative at z (scalar or array): the radial sum plus the linear part's."""
+    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    out = _radial_product(z_arr, fit.knots, fit.delta, order)
+    if order == 0:
+        out = fit.a[0] + fit.a[1] * z_arr + out
+    elif order == 1:
+        out = fit.a[1] + out
+    return float(out[0]) if np.ndim(z) == 0 else out
+
+
 def evaluate(fit: SplineFit, z) -> np.ndarray | float:
     """Spline value at z (scalar or array); linear extrapolation beyond the knots."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    diff = z_arr[:, None] - fit.knots[None, :]
-    out = fit.a[0] + fit.a[1] * z_arr + (np.abs(diff) ** 3 @ fit.delta) / 12.0
-    return float(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+    return _evaluate(fit, z, 0)
 
 
 def evaluate_derivative(fit: SplineFit, z) -> np.ndarray | float:
-    """First derivative a1 + (1/4) sum_i delta_i sign(z - Z_i) (z - Z_i)^2.
-
-    sign(0) = +1 by convention; the squared factor makes the choice
-    numerically irrelevant but fixes bit-level reproducibility.
-    """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    diff = z_arr[:, None] - fit.knots[None, :]
-    out = fit.a[1] + ((_sign_plus(diff) * diff**2) @ fit.delta) / 4.0
-    return float(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+    """First derivative a1 + (1/4) sum_i delta_i (z - Z_i) |z - Z_i|."""
+    return _evaluate(fit, z, 1)
 
 
 def evaluate_second_derivative(fit: SplineFit, z) -> np.ndarray | float:
     """Second derivative (1/2) sum_i delta_i |z - Z_i|; zero outside the knot range."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    out = (np.abs(z_arr[:, None] - fit.knots[None, :]) @ fit.delta) / 2.0
-    return float(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+    return _evaluate(fit, z, 2)
 
 
 def roughness(fit: SplineFit) -> float:
@@ -178,4 +168,4 @@ def roughness(fit: SplineFit) -> float:
     constraints; on that subspace the cubic design is positive semidefinite.
     E delta is formed by row blocks, as in a fit's ``roughness`` diagnostic.
     """
-    return float(fit.delta @ _cubic_product(fit.knots, fit.delta))
+    return float(fit.delta @ _radial_product(fit.knots, fit.knots, fit.delta))

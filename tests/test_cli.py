@@ -196,6 +196,18 @@ class TestFitCommand:
         assert np.all(np.diff(ghat) >= -1e-9 * (1 + np.abs(ghat).max()))
         assert "tilt" in doc
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet tools write "CSV UTF-8" with a byte-order mark before the header
+        plain = write_fit_csv(tmp_path / "plain.csv", n=10, noise=0.1)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for csv_in in (plain, marked):
+            assert main(["fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
+                         "--lambda", "0.1", "--out", str(tmp_path / f"{csv_in.stem}.json")]) == 0
+        plain_doc, marked_doc = (read_document(tmp_path / f"{p}.json") for p in ("plain", "marked"))
+        plain_doc["provenance"]["input"] = marked_doc["provenance"]["input"]
+        assert plain_doc == marked_doc
+
     def test_schema_error_exit_code(self, tmp_path):
         csv_in = write_fit_csv(tmp_path / "d.csv")
         code = main([
@@ -415,6 +427,23 @@ class TestPlotCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
         assert main(["plot", str(bad), "--out", str(tmp_path / "p.svg")]) == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, cell):
+        # a non-finite value would make NaN axis labels and polyline points
+        curve = self.make_curve(tmp_path / "c.csv")
+        lines = curve.read_text().splitlines()
+        lines[3] = f"0.5,{cell},1.0"
+        curve.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "p.svg"
+        assert main(["plot", str(curve), "--out", str(out)]) == 2
+        assert "non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        curve = self.make_curve(tmp_path / "c.csv")
+        curve.write_bytes(b"\xef\xbb\xbf" + curve.read_bytes())
+        assert main(["plot", str(curve), "--out", str(tmp_path / "p.svg")]) == 0
 
     def test_deterministic_output(self, tmp_path):
         curve = self.make_curve(tmp_path / "c.csv")

@@ -61,6 +61,13 @@ class TestLoadCsv:
         ds = ivs.load_csv(f, y="y", z="z", w=["w1", "w2"])
         assert ds.p == 2
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        f = tmp_path / "bom.csv"
+        f.write_bytes(b"\xef\xbb\xbfy,z,w\n1.0,0.1,2.0\n2.0,0.2,3.0\n3.0,0.3,4.0\n")
+        ds = ivs.load_csv(f, y="y", z="z", w="w")
+        assert np.array_equal(ds.y, [1.0, 2.0, 3.0])
+        assert np.array_equal(ds.w[:, 0], [2.0, 3.0, 4.0])
+
     def test_round_trip_is_exact(self, tmp_path, rng):
         ds = ivs.Dataset(
             y=rng.standard_normal(7) * 1e3,

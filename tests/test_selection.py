@@ -5,6 +5,7 @@ import pytest
 
 import ivspline as ivs
 import ivspline.selection as selection
+import ivspline.spline as spline
 from conftest import cv_oracle, path_spectrum, random_instance, weight_values
 
 
@@ -165,3 +166,26 @@ class TestBatchedScanAgainstOracle:
         assert np.all(np.isfinite(result.curve[:, 1]))
         assert np.allclose(result.curve[:, 1], oracle, rtol=1e-8, atol=0)
         assert result.lambda_star_index == int(np.argmin(oracle))
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_blocked_predictions_equal_the_whole_product(self, rounded):
+        # held-out folds of 150 rows, more than one row block of the basis: the
+        # curve equals the scan with each fold's whole held-out design bit for bit
+        ds = ivs.generate(ivs.DgpConfig(n=300, rho_ev=0.5, rho_wz=0.7, g_id="g3", seed=9))["dataset"]
+        if rounded:
+            ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
+        cfg = ivs.CvConfig(seed=1)
+        result = ivs.cross_validate(ds, cfg=cfg)
+        tilde = np.empty((ds.n, cfg.grid.size))
+        valid = np.ones(cfg.grid.size, dtype=bool)
+        for fold in range(cfg.folds):
+            held = result.fold_assignment == fold
+            assert held.sum() > spline._CUBIC_BLOCK
+            sub = ivs.Dataset(y=ds.y[~held], z=ds.z[~held], w=ds.w[~held])
+            delta, a, ok = ivs.PathSolver(sub).path(cfg.grid)
+            valid &= ok
+            d = np.abs(np.subtract.outer(ds.z[held], sub.z))
+            tilde[held] = (d * d * d / 12.0) @ delta + a[0] + np.outer(ds.z[held], a[1])
+        criteria = ivs.build_weight_matrix(ds.w)._quadratic(ds.y[:, None] - tilde)
+        criteria[~valid] = np.inf
+        assert np.array_equal(result.curve[:, 1], criteria)

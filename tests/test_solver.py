@@ -469,13 +469,13 @@ class TestBlockFill:
     @pytest.mark.parametrize("n", SIZES)
     def test_blocks_equal_the_dense_designs(self, n):
         z = scalar_draw(n).z
-        assert np.array_equal(spline._cubic_design(z), cubic_design(z))
+        assert np.array_equal(spline._radial_design(z, 0, np.empty((n, n))), cubic_design(z))
         assert np.array_equal(spline._derivative_rhs(z), derivative_rhs(z))
 
     def test_block_product_equals_the_dense_product(self):
         z = scalar_draw(2 * spline._CUBIC_BLOCK + 3).z
         v = np.random.default_rng(0).standard_normal(z.shape[0])
-        assert np.array_equal(spline._cubic_product(z, v), cubic_design(z) @ v)
+        assert np.array_equal(spline._radial_product(z, z, v), cubic_design(z) @ v)
 
 
 def traced(build):

@@ -4,7 +4,7 @@ from numpy.polynomial import polynomial as P
 
 import ivspline as ivs
 from conftest import natural_interpolant, random_instance, roughness_exact_integral
-from ivspline.spline import _cubic_design, _derivative_rhs
+from ivspline.spline import _CUBIC_BLOCK, _derivative_rhs, _radial, _radial_design, _radial_product
 
 
 def derivative_block(z):
@@ -14,7 +14,7 @@ def derivative_block(z):
 
 class TestBuildDesign:
     def test_cubic_entries(self):
-        cubic = _cubic_design(np.array([0.0, 0.5, 1.0]))
+        cubic = _radial_design(np.array([0.0, 0.5, 1.0]), 0, np.empty((3, 3)))
         assert cubic[0, 1] == pytest.approx(0.5**3 / 12)
         assert cubic[0, 2] == pytest.approx(1.0 / 12)
         assert np.all(np.diag(cubic) == 0)
@@ -44,6 +44,62 @@ class TestBuildDesign:
     def test_too_small(self):
         with pytest.raises(ivs.SizeError):
             ivs.build_design(np.array([0.0, 1.0]))
+
+
+def whole_matrix_evaluators(fit, z):
+    """Value, first and second derivative at z from whole len(z) x n matrices.
+
+    |d|**3 by power and scaled after the product, and sign(d) d**2 with
+    sign(0) = +1: other roundings than the package's row blocks.
+    """
+    diff = z[:, None] - fit.knots[None, :]
+    value = fit.a[0] + fit.a[1] * z + (np.abs(diff) ** 3 @ fit.delta) / 12.0
+    first = fit.a[1] + ((np.where(diff >= 0, 1.0, -1.0) * diff**2) @ fit.delta) / 4.0
+    second = (np.abs(diff) @ fit.delta) / 2.0
+    return value, first, second
+
+
+class TestRadialBlocks:
+    """One blocked product of the basis and its derivatives rounds like the whole block."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_product_equals_the_whole_block(self, order):
+        rng = np.random.default_rng(order)
+        u = rng.standard_normal(2 * _CUBIC_BLOCK + 37)
+        v = rng.standard_normal(150)
+        for x in (rng.standard_normal(150), rng.standard_normal((150, 7))):
+            product = _radial_product(u, v, x, order)
+            assert product.shape == u.shape + x.shape[1:]
+            assert np.array_equal(product, _radial(u, v, order) @ x)
+
+    def test_orders_are_the_basis_and_its_derivatives(self):
+        d = np.array([-1.5, -0.5, 0.0, 0.5, 2.0])
+        assert np.array_equal(_radial(d, np.zeros(1), 0)[:, 0], np.abs(d) ** 3 / 12)
+        assert np.array_equal(_radial(d, np.zeros(1), 1)[:, 0], d * np.abs(d) / 4)
+        assert np.array_equal(_radial(d, np.zeros(1), 2)[:, 0], np.abs(d) / 2)
+
+    @pytest.mark.parametrize("g_id", ["g1", "g2", "g3"])
+    def test_evaluators_equal_the_whole_matrix_formulas(self, g_id):
+        # more points than a row block, the knots themselves (d = 0) among them;
+        # the derivatives match bit for bit, and the value, which the package
+        # cubes by multiplication and scales before the product, within
+        # 2 gamma_k sum |terms|, the bound on a k-term sum evaluated two ways
+        ds = ivs.generate(ivs.DgpConfig(n=300, rho_ev=0.5, rho_wz=0.7, g_id=g_id, seed=5))["dataset"]
+        z = np.concatenate([np.linspace(-4.0, 4.0, 201), ds.z[:100]])
+        for lam in (1e-5, 1e-2):
+            fit = ivs.fit(ds, lam)
+            value, first, second = whole_matrix_evaluators(fit, z)
+            assert np.array_equal(ivs.evaluate_derivative(fit, z), first)
+            assert np.array_equal(ivs.evaluate_second_derivative(fit, z), second)
+            radial = np.abs(z[:, None] - fit.knots) ** 3 @ np.abs(fit.delta) / 12
+            terms = np.abs(fit.a[0]) + np.abs(fit.a[1] * z) + radial
+            k, u = fit.n + 2, np.finfo(float).eps / 2
+            assert np.all(np.abs(ivs.evaluate(fit, z) - value) <= 2 * k * u / (1 - k * u) * terms)
+            for point in (z[0], z[250]):
+                _, first, second = whole_matrix_evaluators(fit, np.array([point]))
+                assert ivs.evaluate_derivative(fit, point) == first[0]
+                assert ivs.evaluate_second_derivative(fit, point) == second[0]
+                assert isinstance(ivs.evaluate(fit, point), float)
 
 
 class TestEvaluate:
