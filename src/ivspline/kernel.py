@@ -55,9 +55,12 @@ _JITTER_CAP_RTOL = 1e-12
 # values in all (0.5 MB at m = 2000); 32 rows applied it to one column and to m
 # columns faster than 16 or 64 at m = 200 to 2000.
 _FACTOR_BLOCK = 32
-# Rows per block where the dense Cholesky factor is applied in place to both
-# sides of L'EL (BLAS dtrmm needs a contiguous array): at m = 2000, 128 rows
-# took 0.37 s, 32 rows 0.64 s and 256 rows 0.45 s.
+# Rows per block where the dense Cholesky factor is applied in place, to both
+# sides of L'EL (BLAS dtrmm needs a contiguous array) and to L'm.  At m = 2000,
+# 128 rows took 0.37 s for L'EL, 32 rows 0.64 s and 256 rows 0.45 s; against
+# dtrmm (one BLAS thread), L'm took 1.9 against 3.6 ms on one column, 55 against
+# 46 ms on 400 and 207-237 against 163-172 ms on 2002 (0.27 against 0.22 ms on
+# 202 at m = 200).
 _DENSE_BLOCK = 128
 
 
@@ -112,11 +115,12 @@ class WeightMatrix:
     each diagonal entry of Omegabar (zero unless its Cholesky factorization
     needed it), the map ``groups`` of tied rows (None when every row is
     distinct) and a factor Lbar with Lbar Lbar' = Omegabar, whose
-    representation is a subclass's.  The package reaches Omega only through
-    ``_apply_lt`` (L'm, n rows in, m out), ``_apply_l`` (Lm, m rows in, n
-    out), ``_congruence`` (L'EL for the cubic design E) and ``_quadratic``
-    (columnwise r' Omega r = ||L'r||^2), with L = G Lbar; neither the dense
-    n x n matrix nor an inverse is ever formed.
+    representation is a subclass's: its ``order`` P, ``_factor_t`` (x := T'x
+    in place) and ``_factor_l`` (Lbar m).  The package reaches Omega only
+    through ``_apply_lt`` (L'm, n rows in, m out), ``_apply_l`` (Lm, m rows
+    in, n out), ``_congruence`` (L'EL for the cubic design E) and
+    ``_quadratic`` (columnwise r' Omega r = ||L'r||^2), with L = G Lbar;
+    neither the dense n x n matrix nor an inverse is ever formed.
     """
 
     w: np.ndarray = field(repr=False)
@@ -131,8 +135,11 @@ class WeightMatrix:
         return self.w.shape[0]
 
     def _apply_lt(self, m: np.ndarray) -> np.ndarray:
-        """L'm = Lbar' G'm, one row per group."""
-        return self._factor_lt(m if self.groups is None else self.groups.sum(m))
+        """L'm = T' P G'm, one row per group: G'm (a copy of m without ties) in ``order``, T' in place."""
+        x = m if self.groups is None else self.groups.sum(m)
+        x = np.array(x, dtype=float) if self.order is None else np.asarray(x, dtype=float)[self.order]
+        self._factor_t(x)
+        return x
 
     def _apply_l(self, m: np.ndarray) -> np.ndarray:
         """Lm = G Lbar m, one row per observation."""
@@ -177,10 +184,6 @@ class _DenseWeightMatrix(WeightMatrix):
 
     chol: np.ndarray = field(repr=False)
 
-    def _factor_lt(self, m: np.ndarray) -> np.ndarray:
-        cols = m.reshape(m.shape[0], -1)
-        return blas.dtrmm(1.0, self.chol, cols, lower=1, trans_a=1).reshape(m.shape)
-
     def _factor_l(self, m: np.ndarray) -> np.ndarray:
         cols = m.reshape(m.shape[0], -1)
         return blas.dtrmm(1.0, self.chol, cols, lower=1).reshape(m.shape)
@@ -217,11 +220,6 @@ class _BidiagonalWeightMatrix(WeightMatrix):
     order: np.ndarray = field(repr=False)
     band: np.ndarray = field(repr=False)
     blocks: np.ndarray = field(repr=False)
-
-    def _factor_lt(self, m: np.ndarray) -> np.ndarray:
-        x = np.asarray(m, dtype=float)[self.order]
-        self._factor_t(x)
-        return x
 
     def _factor_l(self, m: np.ndarray) -> np.ndarray:
         # B^-1 x forward by blocks: row i of it reads rows up to i.  The copy is

@@ -57,6 +57,8 @@ class CvConfig:
             raise ValueError(f"fold count must be an integer, got {self.folds!r}")
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,10 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("n must be at least 3")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 3:
+            raise ValueError(f"n must be an integer of at least 3, got {self.n!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name, rho in (("rho_ev", self.rho_ev), ("rho_wz", self.rho_wz)):
             if not (np.isfinite(rho) and abs(rho) < 1.0):
                 raise ValueError(f"{name} must lie strictly inside (-1, 1), got {rho}")
@@ -116,7 +118,7 @@ class McReport:
     per_point: dict = field(repr=False)
     replications: int
     estimator_tag: str
-    lambda_stars: np.ndarray = field(repr=False)  # per requested replication; NaN if failed or callable
+    lambda_stars: np.ndarray = field(repr=False)  # per requested replication; NaN if failed
     failures: int = 0
     failure_types: dict = field(default_factory=dict)  # exception class name -> count
 
@@ -136,14 +138,12 @@ def _fit_on_grid(ds: Dataset, grid, cv: CvConfig, rep: int, constrained: bool) -
     return evaluate(model, grid), result.lambda_star
 
 
-def _replicate(cfg: DgpConfig, estimator, cv: CvConfig, grid: np.ndarray,
+def _replicate(cfg: DgpConfig, constrained: bool, cv: CvConfig, grid: np.ndarray,
                rep: int) -> tuple[np.ndarray | None, float, str | None]:
     """Replication ``rep``: its grid values (None if the fit failed), lambda* and failure type name."""
     ds = generate(cfg, _rep_rng(cfg.seed, rep))["dataset"]
     try:
-        if callable(estimator):
-            return np.asarray(estimator(ds, grid), dtype=float), np.nan, None
-        curve, lambda_star = _fit_on_grid(ds, grid, cv, rep, estimator == "constrained")
+        curve, lambda_star = _fit_on_grid(ds, grid, cv, rep, constrained)
         return curve, lambda_star, None
     except (IvsplineError, np.linalg.LinAlgError) as exc:
         return None, np.nan, type(exc).__name__
@@ -169,16 +169,15 @@ def _one_blas_thread() -> None:
         setter(1)
 
 
-def _worker_pool(estimator, replications: int):
+def _worker_pool(replications: int):
     """Forked workers, one per usable core, for the replications; None to run them in this process.
 
-    None for a callable estimator (its state, such as a call counter, is per
-    process), in a daemonic process (which may not have children), on one
-    core, and where fork or a BLAS thread setter is missing.
+    None in a daemonic process (which may not have children), on one core,
+    and where fork or a BLAS thread setter is missing.
     """
     import multiprocessing
 
-    if (callable(estimator) or not hasattr(os, "sched_getaffinity")
+    if (not hasattr(os, "sched_getaffinity")
             or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
         return None
@@ -196,35 +195,33 @@ def monte_carlo(
 ) -> McReport:
     """Replicate the draw/select/fit/evaluate pipeline and aggregate grid errors.
 
-    ``estimator`` is "unconstrained", "constrained" (monotone increasing,
-    the shape of the one monotone test curve, g3), or -- for harness
-    self-tests -- a callable mapping (dataset, grid) to fitted grid values.
-    Per-replication RNG streams are split off the master seed by a counter
-    key, so results are reproducible regardless of execution order.
+    ``estimator`` is "unconstrained" or "constrained" (monotone increasing,
+    the shape of the one monotone test curve, g3).  Per-replication RNG
+    streams are split off the master seed by a counter key, so results are
+    reproducible regardless of execution order.
     Replication-level fit failures are excluded and counted, by exception
     type in ``failure_types``; more than 5% failures aborts the report.
 
     The replications run in forked worker processes, one per core this
     process may use, each with its BLAS pinned to one thread; the results
     are gathered by replication index, so the report is bit-identical to a
-    serial run.  They run in this process instead for a callable estimator,
-    in a daemonic process, on one core, without the fork start method, or
-    when numpy's or scipy's BLAS has no OpenBLAS thread setter.  No worker
-    outlives the call.
+    serial run.  They run in this process instead in a daemonic process, on
+    one core, without the fork start method, or when numpy's or scipy's BLAS
+    has no OpenBLAS thread setter.  No worker outlives the call.
     """
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
-    if not callable(estimator) and estimator not in ("unconstrained", "constrained"):
+    if not isinstance(replications, (int, np.integer)) or replications < 2:
+        raise ValueError(f"replications must be an integer of at least 2, got {replications!r}")
+    if estimator not in ("unconstrained", "constrained"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    if estimator in ("unconstrained", "constrained") and cfg.n < 3 * cv.folds:
+    if cfg.n < 3 * cv.folds:
         raise SizeError(
             f"cross-validation with {cv.folds} folds needs at least {3 * cv.folds} rows, got n = {cfg.n}"
         )
     grid = evaluation_grid()
     truth = true_function(cfg.g_id, grid)
 
-    replicate = functools.partial(_replicate, cfg, estimator, cv, grid)
-    pool = _worker_pool(estimator, replications)
+    replicate = functools.partial(_replicate, cfg, estimator == "constrained", cv, grid)
+    pool = _worker_pool(replications)
     if pool is None:
         results = [replicate(rep) for rep in range(replications)]
     else:
@@ -255,7 +252,6 @@ def monte_carlo(
     bias_sq_point = (mean_curve - truth) ** 2
     var_point = ((kept - mean_curve) ** 2).mean(axis=0)
     mse_point = bias_sq_point + var_point
-    tag = estimator if isinstance(estimator, str) else getattr(estimator, "__name__", "custom")
     return McReport(
         grid=grid,
         bias_sq=float(bias_sq_point.mean()),
@@ -269,7 +265,7 @@ def monte_carlo(
             "truth": truth,
         },
         replications=int(ok.sum()),
-        estimator_tag=tag,
+        estimator_tag=estimator,
         failures=failures,
         failure_types=dict(sorted(failure_types.items())),
         lambda_stars=lambda_stars,

@@ -38,6 +38,9 @@ class TestCvConfig:
             ivs.CvConfig(folds=1)
         with pytest.raises(ValueError):
             ivs.CvConfig(folds=2.5)
+        for seed in (1.5, -1):
+            with pytest.raises(ValueError, match="seed"):
+                ivs.CvConfig(seed=seed)
 
 
 class TestCrossValidate:

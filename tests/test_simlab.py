@@ -82,22 +82,37 @@ class TestGenerate:
             ivs.DgpConfig(n=50, rho_ev=0.5, rho_wz=-1.0)
         with pytest.raises(ValueError):
             ivs.DgpConfig(n=50, rho_ev=0.5, rho_wz=0.5, g_id="g9")
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ivs.DgpConfig(n=60.0, rho_ev=0.5, rho_wz=0.9)
+        for seed in (1.5, -1):
+            with pytest.raises(ValueError, match="seed"):
+                ivs.DgpConfig(n=50, rho_ev=0.5, rho_wz=0.9, seed=seed)
+
+
+def stub_fit(monkeypatch, curve):
+    """Make every replication's fit ``curve(ds, grid, rep)`` with lambda* NaN; forked workers inherit it.
+
+    A stub keyed by the replication index answers the same in every process,
+    so the aggregation is also checked through the worker pool.
+    """
+    monkeypatch.setattr(simlab, "_fit_on_grid",
+                        lambda ds, grid, cv, rep, constrained: (curve(ds, grid, rep), np.nan))
 
 
 class TestMonteCarlo:
-    def test_truth_oracle_has_zero_errors(self):
+    def test_truth_oracle_has_zero_errors(self, monkeypatch):
         cfg = ivs.DgpConfig(n=30, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=1)
-        oracle = lambda ds, grid: ivs.true_function("g1", grid)
-        report = ivs.monte_carlo(cfg, oracle, replications=5)
+        stub_fit(monkeypatch, lambda ds, grid, rep: ivs.true_function("g1", grid))
+        report = ivs.monte_carlo(cfg, "unconstrained", replications=5)
         # zero up to the roundoff of averaging identical curves
         assert report.bias_sq == pytest.approx(0.0, abs=1e-25)
         assert report.variance == pytest.approx(0.0, abs=1e-25)
         assert report.mse == pytest.approx(0.0, abs=1e-25)
 
-    def test_constant_zero_estimator(self):
+    def test_constant_zero_estimator(self, monkeypatch):
         cfg = ivs.DgpConfig(n=30, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=2)
-        zero = lambda ds, grid: np.zeros_like(grid)
-        report = ivs.monte_carlo(cfg, zero, replications=5)
+        stub_fit(monkeypatch, lambda ds, grid, rep: np.zeros_like(grid))
+        report = ivs.monte_carlo(cfg, "unconstrained", replications=5)
         # closed-form grid average of the squared first curve over the fixed grid
         grid = ivs.evaluation_grid()
         expected = float(np.mean((grid**2 / np.sqrt(2)) ** 2))
@@ -105,10 +120,10 @@ class TestMonteCarlo:
         assert report.bias_sq == pytest.approx(expected, rel=1e-12)
         assert report.mse == pytest.approx(expected, rel=1e-12)
 
-    def test_decomposition_identity_pointwise(self):
+    def test_decomposition_identity_pointwise(self, monkeypatch):
         cfg = ivs.DgpConfig(n=40, rho_ev=0.5, rho_wz=0.9, g_id="g2", seed=3)
-        noisy = lambda ds, grid: ivs.true_function("g2", grid) + ds.y[0]
-        report = ivs.monte_carlo(cfg, noisy, replications=7)
+        stub_fit(monkeypatch, lambda ds, grid, rep: ivs.true_function("g2", grid) + ds.y[0])
+        report = ivs.monte_carlo(cfg, "unconstrained", replications=7)
         pp = report.per_point
         assert np.allclose(pp["mse"], pp["bias_sq"] + pp["variance"], atol=1e-10)
         assert report.mse == pytest.approx(report.bias_sq + report.variance, abs=1e-10)
@@ -122,56 +137,73 @@ class TestMonteCarlo:
         assert a.variance == b.variance
         assert np.array_equal(a.per_point["mean_curve"], b.per_point["mean_curve"])
 
-    def test_failures_excluded_and_capped(self):
+    def test_failures_excluded_and_capped(self, monkeypatch):
         cfg = ivs.DgpConfig(n=30, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=5)
-        calls = {"count": 0}
 
-        def flaky(ds, grid, fail_every=25):
-            calls["count"] += 1
-            if calls["count"] % fail_every == 0:
-                raise ivs.SolverStallError("synthetic failure")
-            return ivs.true_function("g1", grid)
+        def flaky(fail_every):
+            def curve(ds, grid, rep):
+                if (rep + 1) % fail_every == 0:
+                    raise ivs.SolverStallError("synthetic failure")
+                return ivs.true_function("g1", grid)
+            return curve
 
-        report = ivs.monte_carlo(cfg, flaky, replications=50)
+        stub_fit(monkeypatch, flaky(25))  # replications 24 and 49 fail
+        report = ivs.monte_carlo(cfg, "unconstrained", replications=50)
         assert report.failures == 2
         assert report.replications == 48
-        calls["count"] = 0
+        stub_fit(monkeypatch, flaky(3))
         with pytest.raises(ivs.IvsplineError, match="failed"):
-            ivs.monte_carlo(cfg, lambda ds, g: flaky(ds, g, fail_every=3), replications=50)
+            ivs.monte_carlo(cfg, "unconstrained", replications=50)
 
-    def test_failure_types_counted_by_exception_class(self):
+    def test_failure_types_counted_by_exception_class(self, monkeypatch):
         cfg = ivs.DgpConfig(n=30, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=6)
-        calls = {"count": 0}
 
-        def flaky(ds, grid):
-            calls["count"] += 1
-            if calls["count"] in (7, 19):
+        def flaky(ds, grid, rep):
+            if rep in (6, 18):
                 raise ivs.SolverStallError("synthetic stall")
-            if calls["count"] == 31:
+            if rep == 30:
                 raise ivs.ConditioningError("synthetic conditioning failure")
             return ivs.true_function("g1", grid)
 
-        report = ivs.monte_carlo(cfg, flaky, replications=60)
+        stub_fit(monkeypatch, flaky)
+        report = ivs.monte_carlo(cfg, "unconstrained", replications=60)
         assert report.failures == 3
         assert report.failure_types == {"ConditioningError": 1, "SolverStallError": 2}
         assert list(report.failure_types) == sorted(report.failure_types)
 
-    def test_replication_validation(self):
+    def test_replication_validation(self, monkeypatch):
         cfg = ivs.DgpConfig(n=30, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=6)
+
+        def no_pool(replications):
+            raise AssertionError("a worker pool was started before the arguments were checked")
+
+        monkeypatch.setattr(simlab, "_worker_pool", no_pool)
         with pytest.raises(ValueError):
             ivs.monte_carlo(cfg, "unconstrained", 1)
+        with pytest.raises(ValueError, match="replications"):
+            ivs.monte_carlo(cfg, "unconstrained", 3.0)
+        with pytest.raises(ValueError, match="unknown estimator"):
+            ivs.monte_carlo(cfg, "foo", 3)
+        with pytest.raises(ValueError, match="unknown estimator"):
+            ivs.monte_carlo(cfg, lambda ds, grid: np.zeros_like(grid), 3)
 
-    def test_report_csv_layout(self, tmp_path):
+    def test_report_csv_layout(self, monkeypatch, tmp_path):
         from ivspline.simlab import write_report_csv
 
         cfg = ivs.DgpConfig(n=30, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=7)
-        report = ivs.monte_carlo(cfg, lambda ds, grid: np.zeros_like(grid), replications=3)
+        stub_fit(monkeypatch, lambda ds, grid, rep: ds.y[0] * grid)
+        report = ivs.monte_carlo(cfg, "unconstrained", replications=3)
         out = tmp_path / "report.csv"
         write_report_csv(report, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "z,bias_sq,variance,mse"
         assert len(lines) == 102  # header + 100 grid rows + summary
         assert lines[-1].startswith("ALL,")
+        # .17g reads back to the same doubles, the summary row included
+        pp = report.per_point
+        expected = np.column_stack([report.grid, pp["bias_sq"], pp["variance"], pp["mse"]]).tolist()
+        assert [[float(cell) for cell in line.split(",")] for line in lines[1:-1]] == expected
+        assert [float(cell) for cell in lines[-1].split(",")[1:]] == [report.bias_sq, report.variance, report.mse]
 
     def test_lambda_stars_on_custom_grid(self):
         cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=9)
@@ -179,12 +211,6 @@ class TestMonteCarlo:
         report = ivs.monte_carlo(cfg, "unconstrained", 4, cv=ivs.CvConfig(seed=1, grid=grid))
         assert report.lambda_stars.shape == (4,)
         assert np.isin(report.lambda_stars, grid).all()
-
-    def test_lambda_stars_nan_for_callable_estimator(self):
-        cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=9)
-        report = ivs.monte_carlo(cfg, lambda ds, grid: np.zeros_like(grid), replications=3)
-        assert report.lambda_stars.shape == (3,)
-        assert np.isnan(report.lambda_stars).all()
 
     def test_lambda_star_nan_where_replication_failed(self, monkeypatch):
         # CV succeeds in every replication; the fit after it fails once
