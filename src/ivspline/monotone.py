@@ -132,7 +132,7 @@ def derivative_smoother_matrix(ds: Dataset, lam: float) -> np.ndarray:
 
 def _smoother(system: _Factored) -> tuple[np.ndarray, int, float]:
     """L, and the refinement steps and backward error of its solve (see :meth:`_Factored.solve`)."""
-    delta, _, steps, eta = system.solve(_derivative_rhs(system.knots))
+    delta, _, steps, eta, _ = system.solve(_derivative_rhs(system.knots))
     return delta.T, steps, eta
 
 

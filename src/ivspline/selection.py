@@ -8,14 +8,18 @@ wins, ties going to the smallest candidate.  Every candidate is handled at
 once: one path solve per fold gives all its coefficient columns, one matrix
 product (by row blocks of the basis) its out-of-fold predictions, and one
 application of the weight matrix's factor scores them all as ||L'r||^2.
+Large folds are solved side by side in forked workers (see
+:func:`cross_validate`); the scoring stays in the calling process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._workers import _map, _worker_pool
 from .datamodel import Dataset
 from .errors import IvsplineError, SelectionError, SizeError
 from .kernel import WeightMatrix, build_weight_matrix
@@ -30,6 +34,14 @@ GRID_P_HIGH = 0.7
 # Criterion gaps below this relative threshold count as ties (noise-free data
 # produce pure-roundoff criteria that must resolve to the smallest lambda).
 TIE_RTOL = 1e-12
+
+# Smallest training-fold system order m (distinct instrument rows) at which
+# the folds run in forked workers.  Starting and closing the pool costs about
+# 20 ms.  In three sweeps of two-fold CV on g1 draws (2 cores, one BLAS
+# thread), workers took 3.1 times the serial time at m = 100, 0.94-1.23 at
+# m = 400, 0.99-1.18 at 500, 0.90-0.98 at 600 and 0.61-0.68 at 1000
+# (BENCH_fold_workers.json).
+_FOLD_WORKER_MIN_ORDER = 600
 
 
 def default_grid() -> np.ndarray:
@@ -85,9 +97,38 @@ def cross_validate(ds: Dataset, cfg: CvConfig = CvConfig()) -> CvResult:
     Each fold fit uses the fold's own weight matrix, but the out-of-fold
     prediction vector is scored against the full-sample weight matrix.  A
     fold-level solve failure marks that lambda invalid; if every lambda is
-    invalid a :class:`SelectionError` is raised.
+    invalid, or a training fold cannot be fitted at all (the first such fold
+    is named), a :class:`SelectionError` is raised.
+
+    When every training fold has at least ``_FOLD_WORKER_MIN_ORDER``
+    distinct instrument rows, the folds run in forked workers, one per core
+    up to the fold count, each with its BLAS pinned to one thread; they run
+    in this process instead under the conditions where
+    :func:`~ivspline.simlab.monte_carlo` runs serially (a daemonic caller,
+    such as a Monte Carlo worker, among them).  The predictions are
+    gathered in fold order, so the result is bit-identical to a serial run
+    at one BLAS thread.  No worker outlives the call.
     """
     return _cross_validate(ds, cfg)[0]
+
+
+def _fold_predictions(ds: Dataset, assignment: np.ndarray, grid: np.ndarray,
+                      fold_id: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Fold ``fold_id``'s held-out predictions at every grid lambda and their validity.
+
+    None if the training subsample cannot be fitted.  The fold's solver is
+    built, used and freed here, in a worker when the folds run in workers.
+    """
+    held_out = assignment == fold_id
+    train = ~held_out
+    sub = Dataset(y=ds.y[train], z=ds.z[train], w=ds.w[train])
+    try:
+        solver = PathSolver(sub)
+    except IvsplineError:
+        return None
+    delta, a, valid = solver.path(grid)
+    z_out = ds.z[held_out]
+    return _radial_product(z_out, sub.z, delta) + a[0] + np.outer(z_out, a[1]), valid
 
 
 def _cross_validate(ds: Dataset, cfg: CvConfig) -> tuple[CvResult, WeightMatrix]:
@@ -99,24 +140,20 @@ def _cross_validate(ds: Dataset, cfg: CvConfig) -> tuple[CvResult, WeightMatrix]
     assignment = _fold_assignment(ds.n, cfg.folds, cfg.seed)
     omega_full = build_weight_matrix(ds.w)
 
+    # the smallest training fold's system order m: its distinct instrument rows
+    rows = np.arange(ds.n) if omega_full.groups is None else omega_full.groups.index
+    order = min(np.unique(rows[assignment != fold_id]).size for fold_id in range(cfg.folds))
+    pool = _worker_pool(cfg.folds) if order >= _FOLD_WORKER_MIN_ORDER else None
+
     grid = cfg.grid
     tilde = np.zeros((ds.n, grid.size))
     valid = np.ones(grid.size, dtype=bool)
-    for fold_id in range(cfg.folds):
-        held_out = assignment == fold_id
-        train = ~held_out
-        sub = Dataset(y=ds.y[train], z=ds.z[train], w=ds.w[train])
-        try:
-            solver = PathSolver(sub)
-        except IvsplineError:
-            raise SelectionError(
-                f"fold {fold_id}: training subsample cannot be fitted"
-            ) from None
-        delta, a, ok = solver.path(grid)
-        valid &= ok
-        z_out = ds.z[held_out]
-        tilde[held_out] = _radial_product(z_out, sub.z, delta) + a[0] + np.outer(z_out, a[1])
-        del solver, delta, a  # freed before the next fold's solver is built
+    folds = _map(functools.partial(_fold_predictions, ds, assignment, grid), cfg.folds, pool)
+    for fold_id, fold in enumerate(folds):
+        if fold is None:
+            raise SelectionError(f"fold {fold_id}: training subsample cannot be fitted")
+        tilde[assignment == fold_id] = fold[0]
+        valid &= fold[1]
 
     if not valid.any():
         raise SelectionError("every candidate lambda failed on at least one fold")

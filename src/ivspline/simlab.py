@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import csv
 import functools
-import importlib
-import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._workers import _map, _worker_pool
 from .datamodel import Dataset
 from .errors import IvsplineError, SizeError
 from .monotone import MonotoneDirection
@@ -33,13 +32,6 @@ from .spline import evaluate
 GRID_POINTS = 100
 GRID_LO, GRID_HI = -2.0, 2.0
 MAX_FAILURE_SHARE = 0.05
-
-# The extension modules that link numpy's and scipy's BLAS, and the names of
-# OpenBLAS's thread-count setter in the builds that bundle it (symbol-suffixed
-# in the scipy-openblas wheels) and in a plain OpenBLAS.
-_BLAS_MODULES = ("numpy.linalg._umath_linalg", "scipy.linalg._fblas")
-_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                 "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 _G3_COEF = np.sqrt(10.0 / 3.0)
 
@@ -149,44 +141,6 @@ def _replicate(cfg: DgpConfig, constrained: bool, cv: CvConfig, grid: np.ndarray
         return None, np.nan, type(exc).__name__
 
 
-@functools.cache
-def _blas_thread_setters() -> tuple | None:
-    """The thread-count setter of the BLAS under numpy and under scipy; None if either has none.
-
-    A forked process inherits BLAS already loaded, past the reach of the
-    environment variables BLAS reads at load, so the count is set by call.
-    """
-    import ctypes
-
-    libraries = [ctypes.CDLL(importlib.import_module(module).__file__) for module in _BLAS_MODULES]
-    setters = tuple(next((getattr(library, name) for name in _BLAS_SETTERS if hasattr(library, name)), None)
-                    for library in libraries)
-    return None if None in setters else setters
-
-
-def _one_blas_thread() -> None:
-    for setter in _blas_thread_setters():
-        setter(1)
-
-
-def _worker_pool(replications: int):
-    """Forked workers, one per usable core, for the replications; None to run them in this process.
-
-    None in a daemonic process (which may not have children), on one core,
-    and where fork or a BLAS thread setter is missing.
-    """
-    import multiprocessing
-
-    if (not hasattr(os, "sched_getaffinity")
-            or multiprocessing.current_process().daemon
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return None
-    workers = min(len(os.sched_getaffinity(0)), replications)
-    if workers < 2 or _blas_thread_setters() is None:
-        return None
-    return multiprocessing.get_context("fork").Pool(workers, _one_blas_thread)
-
-
 def monte_carlo(
     cfg: DgpConfig,
     estimator,
@@ -207,7 +161,9 @@ def monte_carlo(
     are gathered by replication index, so the report is bit-identical to a
     serial run.  They run in this process instead in a daemonic process, on
     one core, without the fork start method, or when numpy's or scipy's BLAS
-    has no OpenBLAS thread setter.  No worker outlives the call.
+    has no OpenBLAS thread setter.  No worker outlives the call.  The
+    workers are daemonic, so each replication's cross-validation runs its
+    folds serially in the worker (see :func:`~ivspline.selection.cross_validate`).
     """
     if not isinstance(replications, (int, np.integer)) or replications < 2:
         raise ValueError(f"replications must be an integer of at least 2, got {replications!r}")
@@ -221,13 +177,8 @@ def monte_carlo(
     truth = true_function(cfg.g_id, grid)
 
     replicate = functools.partial(_replicate, cfg, estimator == "constrained", cv, grid)
-    pool = _worker_pool(replications)
-    if pool is None:
-        results = [replicate(rep) for rep in range(replications)]
-    else:
-        # one replication per task, so a slow one (a tilt that falls back to phase-I) holds up no other
-        with pool:
-            results = pool.map(replicate, range(replications), chunksize=1)
+    # one replication per task, so a slow one (a tilt that falls back to phase-I) holds up no other
+    results = _map(replicate, replications, _worker_pool(replications))
 
     curves = np.empty((replications, grid.size))
     lambda_stars = np.full(replications, np.nan)

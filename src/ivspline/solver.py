@@ -64,29 +64,6 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def _check_rank(z: np.ndarray) -> None:
-    if np.unique(z).size < 2:
-        raise CollinearityError(
-            "linear design is rank deficient: needs at least two distinct z values"
-        )
-
-
-def _check_group_rank(z: np.ndarray, omega: WeightMatrix) -> None:
-    """With tied instruments the linear block is G'Z, of rank 2 only if the groups' mean z differ.
-
-    The means are compared to within the roundoff of summing n values.
-    """
-    groups = omega.groups
-    if groups is None:
-        return
-    means = groups.sum(z) / groups.sum(np.ones_like(z))
-    if np.ptp(means) <= z.shape[0] * np.finfo(float).eps * np.abs(z).max():
-        raise CollinearityError(
-            f"linear design is rank deficient on the {len(groups)} instrument groups: "
-            "every group has the same mean z"
-        )
-
-
 def _significant(value: float) -> float:
     """``value`` rounded to ``CONDITION_DIGITS`` significant digits."""
     return float(f"{value:.{CONDITION_DIGITS}g}")
@@ -103,6 +80,40 @@ def _condition_estimate(lu: np.ndarray, anorm: float) -> float:
 def _column_max(a: np.ndarray) -> np.ndarray:
     """max |a| of each column (of the vector, for 1-D ``a``), without an |a| temporary."""
     return np.maximum(a.max(axis=0), -a.min(axis=0))
+
+
+def _assemble(ds: Dataset, omega: WeightMatrix | None, lam: float | None):
+    """(omega, Z, L'Z, matrix, its inf-norm) for both solvers: S = L'EL for ``lam`` None, else K, S in place.
+
+    A linear block of rank below 2 raises :class:`CollinearityError`: one
+    distinct z, or with ties (L'Z = Lbar'G'Z) group means of z equal to within
+    the roundoff of summing n values; a non-finite entry :class:`ConditioningError`.
+    """
+    if np.unique(ds.z).size < 2:
+        raise CollinearityError("linear design is rank deficient: needs at least two distinct z values")
+    linear = build_design(ds.z)
+    omega = build_weight_matrix(ds.w) if omega is None else omega
+    groups = omega.groups
+    if groups is not None:
+        means = groups.sum(ds.z) / groups.sum(np.ones_like(ds.z))
+        if np.ptp(means) <= ds.n * np.finfo(float).eps * np.abs(ds.z).max():
+            raise CollinearityError(f"linear design is rank deficient on the {len(groups)} instrument groups: "
+                                    "every group has the same mean z")
+    lt_linear = omega._apply_lt(linear)
+    m = lt_linear.shape[0]
+    matrix = np.empty((m, m)) if lam is None else np.zeros((m + 2, m + 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing E is rejected below
+        omega._congruence(ds.z, matrix[:m, :m])
+    if lam is not None:
+        matrix[np.diag_indices(m)] += lam
+        matrix[:m, m:] = lt_linear
+        matrix[m:, :m] = lt_linear.T
+    # the 1-norm of the F-ordered transpose, taken with no copy
+    norm = lapack.dlange("1", matrix.T)
+    if not np.isfinite(norm):
+        what = "S = L'EL" if lam is None else f"bordered matrix at lambda {lam:.3e}"
+        raise ConditioningError(f"{what} has non-finite entries", condition_estimate=float("inf"))
+    return omega, linear, lt_linear, matrix, norm
 
 
 class _Factored:
@@ -126,27 +137,10 @@ class _Factored:
 
     def __init__(self, ds: Dataset, lam: float, omega: WeightMatrix | None = None):
         self.lam = _check_lambda(lam)
-        _check_rank(ds.z)
         self.knots = ds.z
-        self.linear = build_design(ds.z)
-        self.omega = build_weight_matrix(ds.w) if omega is None else omega
-        _check_group_rank(ds.z, self.omega)
-        lt_linear = self.omega._apply_lt(self.linear)
-        m = lt_linear.shape[0]
-        kkt = np.zeros((m + 2, m + 2))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing E is rejected below
-            self.omega._congruence(ds.z, kkt[:m, :m])
-        kkt[np.diag_indices(m)] += self.lam
-        kkt[:m, m:] = lt_linear
-        kkt[m:, :m] = lt_linear.T
         # K' is the F-ordered transpose, factored in place; solves pass trans=1 to solve with K.
-        # Its 1-norm is K's inf-norm, the norm the backward error reads, taken with no copy
-        self.norm = lapack.dlange("1", kkt.T)
-        if not np.isfinite(self.norm):
-            raise ConditioningError(
-                f"bordered matrix has non-finite entries at lambda {self.lam:.3e}",
-                condition_estimate=float("inf"),
-            )
+        # Its 1-norm is K's inf-norm, the norm the backward error reads
+        self.omega, self.linear, _, kkt, self.norm = _assemble(ds, omega, self.lam)
         self.lu = scipy.linalg.lu_factor(kkt.T, overwrite_a=True, check_finite=False)
         self.condition = _condition_estimate(self.lu[0], self.norm)
         if not np.isfinite(self.condition):
@@ -156,28 +150,30 @@ class _Factored:
                 condition_estimate=self.condition,
             )
 
-    def _residual(self, rhs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """rhs - K x and delta = L u, with K x = (L'(E delta + Z a) + lam u; Z'delta) for x = (u; a).
+    def _residual(self, rhs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(rhs - K x, delta = L u, E delta) for x = (u; a), with K x = (L'(E delta + Z a) + lam u; Z'delta).
 
         E delta is formed by row blocks, so no (m + 2)^2 or n x n array is
-        made beyond the columns of x.
+        made beyond the columns of x; it is handed back only for a vector x,
+        for the fit to reuse, and is None otherwise.
         """
         u, a = x[:-2], x[-2:]
         delta = self.omega._apply_l(u)
         resid = np.empty_like(rhs)
         np.subtract(rhs[-2:], self.linear.T @ delta, out=resid[-2:])
         fitted = _radial_product(self.knots, self.knots, delta)
+        e_delta = fitted.copy() if fitted.ndim == 1 else None
         fitted += self.linear @ a
         np.subtract(rhs[:-2], self.omega._apply_lt(fitted), out=resid[:-2])
         resid[:-2] -= self.lam * u
-        return resid, delta
+        return resid, delta, e_delta
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float, np.ndarray | None]:
         """Solve the bordered system in delta and a, for one or many (n + 2)-row right-hand sides b.
 
         The first n rows of b are mapped through L', the system is solved for
-        (u; a) by LU with iterative refinement, and (delta, a, steps, eta) is
-        returned: delta = L u (n rows) and a (2 rows), with one column per
+        (u; a) by LU with iterative refinement, and (delta, a, steps, eta,
+        e_delta) is returned: delta = L u (n rows) and a (2 rows), with one column per
         column of b; the number of refinement corrections made; and the
         normwise backward error max_j |r_j| / (|K| |x_j| + |b_j|)
         (inf-norms, in the coordinates u) of the last residual r = b - K x
@@ -186,15 +182,16 @@ class _Factored:
         backward error is at most ``REFINE_RTOL``, once a correction is at
         most ``REFINE_RTOL`` of its column of the solution, or after
         ``_REFINEMENT_STEPS`` corrections; the residual of the capped answer
-        is not formed.
+        is not formed.  ``e_delta`` is the last residual's E delta for a
+        vector b when it is of the returned answer, else None.
         """
         n = self.knots.shape[0]
         rhs = np.concatenate([self.omega._apply_lt(rhs[:n]), rhs[n:]])
         sol = scipy.linalg.lu_solve(self.lu, rhs, trans=1)
-        steps, eta, delta = 0, np.nan, None
+        steps, eta, delta, e_delta = 0, np.nan, None, None
         rhs_max, sol_max = _column_max(rhs), _column_max(sol)
         while steps < _REFINEMENT_STEPS:
-            resid, delta = self._residual(rhs, sol)
+            resid, delta, e_delta = self._residual(rhs, sol)
             with np.errstate(invalid="ignore"):  # 0 / 0 only for a zero column, whose residual is 0
                 eta = float(np.nan_to_num(_column_max(resid) / (self.norm * sol_max + rhs_max)).max())
             if self.condition * eta <= REFINE_RTOL:
@@ -202,7 +199,7 @@ class _Factored:
             correction = scipy.linalg.lu_solve(self.lu, resid, trans=1)
             sol += correction
             sol_max = _column_max(sol)
-            steps, delta = steps + 1, None
+            steps, delta, e_delta = steps + 1, None, None
             if np.all(_column_max(correction) <= REFINE_RTOL * sol_max):
                 break
         if not np.all(np.isfinite(sol)):
@@ -212,13 +209,14 @@ class _Factored:
             )
         if delta is None:  # the residual's delta = L u is of an earlier answer, or none was formed
             delta = self.omega._apply_l(sol[:-2])
-        return delta, sol[-2:], steps, _significant(eta)
+        return delta, sol[-2:], steps, _significant(eta), e_delta
 
     def fit(self, y: np.ndarray) -> SplineFit:
         """The fitted spline for outcome vector y, with :func:`fit`'s diagnostics."""
         groups = self.omega.groups
-        delta, a, steps, eta = self.solve(np.concatenate([y, np.zeros(2)]))
-        e_delta = _radial_product(self.knots, self.knots, delta)
+        delta, a, steps, eta, e_delta = self.solve(np.concatenate([y, np.zeros(2)]))
+        if e_delta is None:  # a correction was made after the last residual, or none was formed
+            e_delta = _radial_product(self.knots, self.knots, delta)
         residuals = y - self.linear @ a - e_delta
         rough = float(delta @ e_delta)
         crit = moment_criterion(residuals, self.omega)
@@ -273,21 +271,13 @@ class PathSolver:
     """
 
     def __init__(self, ds: Dataset):
-        _check_rank(ds.z)
-        linear = build_design(ds.z)
-        omega = build_weight_matrix(ds.w)
-        _check_group_rank(ds.z, omega)
-        # S is written in place, and eigh overwrites its F-ordered transpose with the
-        # vectors; the upper half of the transpose is the lower half of S
-        m = ds.n if omega.groups is None else len(omega.groups)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing E is rejected below
-            s_mat = omega._congruence(ds.z, np.empty((m, m)))
-        if not np.isfinite(lapack.dlange("1", s_mat.T)):
-            raise ConditioningError("S = L'EL has non-finite entries", condition_estimate=float("inf"))
+        # eigh overwrites S's F-ordered transpose with the vectors; the upper
+        # half of the transpose is the lower half of S
+        omega, _, lt_linear, s_mat, _ = _assemble(ds, None, None)
         evals, vecs = scipy.linalg.eigh(s_mat.T, lower=False, driver="evd", overwrite_a=True,
                                         check_finite=False)
         self._evals = evals
-        self._zt = vecs.T @ omega._apply_lt(linear)
+        self._zt = vecs.T @ lt_linear
         self._yt = vecs.T @ omega._apply_lt(ds.y)
         zt0, zt1 = self._zt.T
         # products whose inverse-eigenvalue-weighted sums give the 2 x 2 Gram

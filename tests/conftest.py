@@ -16,6 +16,7 @@ import scipy.integrate  # noqa: E402
 import scipy.linalg  # noqa: E402
 
 import ivspline as ivs  # noqa: E402
+from ivspline import _workers, selection  # noqa: E402
 from ivspline.selection import _fold_assignment  # noqa: E402
 
 
@@ -342,6 +343,25 @@ def natural_interpolant(z, values):
     kkt[n:, :n] = linear.T
     sol = np.linalg.solve(kkt, np.concatenate([values, np.zeros(2)]))
     return ivs.SplineFit(a=sol[n:], delta=sol[:n], knots=z, lam=1.0)
+
+
+def cv_on_cores(monkeypatch, cores):
+    """Let cross-validation see ``cores`` usable cores; the returned list records whether each pool it asks for starts.
+
+    One entry per call of ``selection._worker_pool``: none when the folds are
+    too small to ask, False when the folds run serially anyway.
+    """
+    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    started = []
+    make_pool = selection._worker_pool
+
+    def spy(tasks):
+        pool = make_pool(tasks)
+        started.append(pool is not None)
+        return pool
+
+    monkeypatch.setattr(selection, "_worker_pool", spy)
+    return started
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import ivspline as ivs
 import ivspline.selection as selection
 import ivspline.spline as spline
-from conftest import cv_oracle, path_spectrum, random_instance, weight_values
+from conftest import cv_on_cores, cv_oracle, path_spectrum, random_instance, weight_values
 
 
 def linear_noise_free(n=12, seed=0):
@@ -192,3 +193,74 @@ class TestBatchedScanAgainstOracle:
         criteria = ivs.build_weight_matrix(ds.w)._quadratic(ds.y[:, None] - tilde)
         criteria[~valid] = np.inf
         assert np.array_equal(result.curve[:, 1], criteria)
+
+
+def same_cv(a, b):
+    """Every field of two CV results, the curve compared bit for bit."""
+    return (a.curve.tobytes() == b.curve.tobytes() and a.lambda_star == b.lambda_star
+            and a.lambda_star_index == b.lambda_star_index and a.boundary_hit == b.boundary_hit
+            and a.invalid_candidates == b.invalid_candidates
+            and np.array_equal(a.fold_assignment, b.fold_assignment))
+
+
+class TestFoldWorkers:
+    """The folds run in forked workers only where they are large enough; the answer is the serial one."""
+
+    def test_workers_equal_serial_bit_for_bit(self, monkeypatch):
+        # one candidate is singular on fold 0, so both routes count an invalid candidate
+        monkeypatch.setattr(selection, "_FOLD_WORKER_MIN_ORDER", 1)
+        ds = random_instance(11, n=30)
+        held = selection._fold_assignment(ds.n, 2, 4) == 0
+        singular = -path_spectrum(ivs.Dataset(y=ds.y[~held], z=ds.z[~held], w=ds.w[~held])).min()
+        cfg = ivs.CvConfig(grid=np.sort(np.append(ivs.default_grid()[::20], singular)), seed=4)
+        results = {}
+        for cores in (1, 2):
+            started = cv_on_cores(monkeypatch, cores)
+            results[cores] = ivs.cross_validate(ds, cfg)
+            assert started == [cores > 1]
+        assert results[1].invalid_candidates == 1
+        assert same_cv(results[1], results[2])
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_no_process_starts_below_the_constant(self, monkeypatch, rounded):
+        # the rounded instrument leaves about 70 distinct rows among 2000, so
+        # its folds' order m is far below the constant although n / 2 is not
+        if rounded:
+            ds = ivs.generate(ivs.DgpConfig(n=2000, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=3))["dataset"]
+            ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
+            assert ds.n // 2 >= selection._FOLD_WORKER_MIN_ORDER
+        else:
+            ds = random_instance(12, n=60)
+
+        def no_fork(*args):
+            raise AssertionError("the fork context was touched below the fold-size constant")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        started = cv_on_cores(monkeypatch, 2)
+        result = ivs.cross_validate(ds, ivs.CvConfig(seed=2))
+        assert started == []
+        assert np.isfinite(result.curve[result.lambda_star_index, 1])
+
+    def test_daemonic_caller_runs_serially(self, monkeypatch):
+        # a daemonic process may not have children: starting a pool in one raises
+        monkeypatch.setattr(selection, "_FOLD_WORKER_MIN_ORDER", 1)
+        ds, cfg = random_instance(13, n=40), ivs.CvConfig(seed=3)
+        cv_on_cores(monkeypatch, 1)
+        serial = ivs.cross_validate(ds, cfg)
+        cv_on_cores(monkeypatch, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inner = pool.apply(ivs.cross_validate, (ds, cfg))
+        assert same_cv(serial, inner)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_unfittable_fold_raises_the_same_error_on_both_routes(self, monkeypatch, cores):
+        # z is constant on each fold, so neither training subsample has two
+        # distinct z values; both routes name the first fold
+        monkeypatch.setattr(selection, "_FOLD_WORKER_MIN_ORDER", 1)
+        cfg = ivs.CvConfig(seed=5)
+        ds = random_instance(14, n=20)
+        ds = ivs.Dataset(y=ds.y, z=selection._fold_assignment(ds.n, 2, 5).astype(float), w=ds.w)
+        started = cv_on_cores(monkeypatch, cores)
+        with pytest.raises(ivs.SelectionError, match=r"^fold 0: training subsample cannot be fitted$"):
+            ivs.cross_validate(ds, cfg)
+        assert started == [cores > 1]

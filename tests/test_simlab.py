@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ivspline as ivs
-from ivspline import selection, simlab
+from ivspline import _workers, selection, simlab
 from ivspline.simlab import _rep_cv_seed, _rep_rng
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -270,7 +270,7 @@ def same_bits(a, b):
 
 def on_cores(monkeypatch, cores, *args, **kwargs):
     """``monte_carlo`` as if this process could use ``cores`` cores; checks that it forked iff cores > 1."""
-    monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(cores)))
     pools = []
     make_pool = simlab._worker_pool
 
@@ -331,7 +331,7 @@ class TestWorkers:
         cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=24)
         cv = ivs.CvConfig(seed=1, grid=[1e-3, 1e-1])
         serial = on_cores(monkeypatch, 1, cfg, "unconstrained", 6, cv=cv)
-        monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: {0, 1})
         with multiprocessing.get_context("fork").Pool(1) as pool:
             inner = pool.apply(ivs.monte_carlo, (cfg, "unconstrained", 6), {"cv": cv})
         assert same_bits(serial, inner)
@@ -343,14 +343,14 @@ class TestWorkers:
             import ctypes, importlib, json, os, sys
             import numpy as np
             import ivspline as ivs
-            from ivspline import simlab
+            from ivspline import _workers, simlab
 
             def getter(module):
                 library = ctypes.CDLL(importlib.import_module(module).__file__)
-                names = [name.replace("_set_", "_get_") for name in simlab._BLAS_SETTERS]
+                names = [name.replace("_set_", "_get_") for name in _workers._BLAS_SETTERS]
                 return next(getattr(library, name) for name in names if hasattr(library, name))
 
-            getters = [getter(module) for module in simlab._BLAS_MODULES]
+            getters = [getter(module) for module in _workers._BLAS_MODULES]
             fit_on_grid = simlab._fit_on_grid
 
             def reading(*args):
@@ -365,7 +365,7 @@ class TestWorkers:
             workers = ivs.monte_carlo(cfg, "constrained", 4, cv=cv)
             parent = [get() for get in getters]
             simlab._fit_on_grid = fit_on_grid
-            for setter in simlab._blas_thread_setters():
+            for setter in _workers._blas_thread_setters():
                 setter(1)
             os.sched_getaffinity = lambda pid: {0}
             serial = ivs.monte_carlo(cfg, "constrained", 4, cv=cv)

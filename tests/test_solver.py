@@ -318,9 +318,14 @@ class TestRefinement:
         system = solver._Factored(ds, 1e-5)
         for rhs in (np.concatenate([ds.y, np.zeros(2)]),
                     derivative_rhs(ds.z)):
-            _, _, steps, eta = system.solve(rhs)
+            delta, _, steps, eta, e_delta = system.solve(rhs)
             assert steps == 0
             assert 0.0 < system.condition * eta <= solver.REFINE_RTOL
+            # the residual's E delta comes back for one column only, with the bits of a new product
+            if rhs.ndim == 1:
+                assert np.array_equal(e_delta, spline._radial_product(ds.z, ds.z, delta))
+            else:
+                assert e_delta is None
 
     def test_converged_correction_ends_refinement(self):
         # the unrefined bound misses the tolerance, and one correction below it suffices
@@ -335,8 +340,9 @@ class TestRefinement:
         ds = random_instance(4, n=30)
         system = solver._Factored(ds, 1e-3)
         rhs = np.concatenate([ds.y, np.zeros(2)])
-        _, _, steps, eta = self.capped(monkeypatch, lambda: system.solve(rhs), cap)
+        _, _, steps, eta, e_delta = self.capped(monkeypatch, lambda: system.solve(rhs), cap)
         assert steps == cap
+        assert e_delta is None  # the last residual formed, if any, is of an answer corrected since
         # no residual is formed at a zero cap, so there is no backward error to report
         assert np.isnan(eta) if cap == 0 else 0.0 <= eta < 1e-14
 
