@@ -21,7 +21,6 @@ from .errors import (
     ParseError,
     SchemaError,
     SelectionError,
-    SingularKernelError,
     SizeError,
     SolverStallError,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "SizeError",
     "DegenerateInstrumentError",
     "CollinearityError",
-    "SingularKernelError",
     "ConditioningError",
     "SelectionError",
     "InfeasibleConstraintsError",

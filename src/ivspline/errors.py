@@ -37,11 +37,8 @@ class DegenerateInstrumentError(IvsplineError):
 
 
 class CollinearityError(IvsplineError):
-    """The linear part of the design is rank deficient (fewer than two distinct z values)."""
-
-
-class SingularKernelError(IvsplineError):
-    """The instrument weight matrix stayed non-positive-definite past the jitter cap."""
+    """The linear part of the design is rank deficient: fewer than two distinct z values, or L'Z of
+    numerical rank below 2, as when instrument groups, exactly or nearly tied, have equal mean z."""
 
 
 class ConditioningError(IvsplineError):

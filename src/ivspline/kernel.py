@@ -17,16 +17,17 @@ rescale the criterion and are absorbed by the regularization parameter.
 
 Rows that tie exactly give equal rows of the matrix, so with G the n x m
 indicator of the m distinct (standardized) instrument rows it factors as
-Omega = G Omegabar G', where Omegabar is the same weight on the distinct rows
-and is positive definite.  The factor is then L = G Lbar with Lbar Lbar' =
-Omegabar, an n x m matrix held as the row-to-group map and Lbar; without ties
-G = I and the map is absent.  For a scalar instrument Omegabar is an
-Ornstein-Uhlenbeck covariance, whose Cholesky factor in sorted order is a
-formula with a bidiagonal inverse; when the distinct values pass the pivot
-screen, Lbar is applied through that formula by blocks, in O(m) storage.
-Several instruments, or nearly tied values, keep the dense Cholesky factor of
-Omegabar only: it is factored in place (with jitter while near ties leave it
-numerically singular).  Omega^-1 is never formed on either route.
+Omega = G Omegabar G', where Omegabar is the same weight on the distinct rows.
+The factor is then L = G Lbar with Lbar Lbar' = Omegabar, an n x r matrix
+held as the row-to-group map and Lbar; without ties G = I and the map is
+absent.  For a scalar instrument Omegabar is an Ornstein-Uhlenbeck
+covariance, whose Cholesky factor in sorted order is a formula with a
+bidiagonal inverse; when the distinct values pass the pivot screen, Lbar is
+applied through that formula by blocks, in O(m) storage, and r = m.  Several
+instruments, or nearly tied values, keep only the pivoted Cholesky factor of
+Omegabar, which stops at its numerical rank r: Lbar is m x r, and near ties
+that leave Omegabar numerically singular lower r instead of being perturbed
+away.  Omega^-1 is never formed on either route.
 """
 
 from __future__ import annotations
@@ -35,21 +36,11 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
-from .errors import SingularKernelError
 from .datamodel import standardize_instruments
 from .spline import _CUBIC_BLOCK, _radial, _radial_design
 
-# Jitter schedule for a numerically singular weight matrix: add
-# tau * (trace/n) * I with tau escalating tenfold until Cholesky succeeds.
-JITTER_START = 1e-10
-JITTER_CAP = 1e-6
-JITTER_GROWTH = 10.0
-# Relative slack of the cap test: tau grows by repeated products, which can land
-# a few ulps above the rung that is the cap (1e-20 * 10^10 is 1.0000000000000002e-10).
-_JITTER_CAP_RTOL = 1e-12
 # Rows per diagonal block where a factor is applied a block at a time.  The
 # closed-form factor keeps the inverse of each of B's diagonal blocks, m x 32
 # values in all (0.5 MB at m = 2000); 32 rows applied it to one column and to m
@@ -111,23 +102,21 @@ class _Groups:
 class WeightMatrix:
     """Symmetric positive-semidefinite matrix Omega with entries n^-2 omega(W_i - W_j).
 
-    Held as the (standardized) instrument ``w``, the ``jitter_applied`` to
-    each diagonal entry of Omegabar (zero unless its Cholesky factorization
-    needed it), the map ``groups`` of tied rows (None when every row is
-    distinct) and a factor Lbar with Lbar Lbar' = Omegabar, whose
-    representation is a subclass's: its ``order`` P, ``_factor_t`` (x := T'x
-    in place) and ``_factor_l`` (Lbar m).  The package reaches Omega only
-    through ``_apply_lt`` (L'm, n rows in, m out), ``_apply_l`` (Lm, m rows
-    in, n out), ``_congruence`` (L'EL for the cubic design E) and
-    ``_quadratic`` (columnwise r' Omega r = ||L'r||^2), with L = G Lbar;
-    neither the dense n x n matrix nor an inverse is ever formed.
+    Held as the (standardized) instrument ``w``, the map ``groups`` of tied
+    rows (None when every row is distinct) and a factor Lbar with Lbar Lbar'
+    = Omegabar on the m distinct rows, of ``rank`` r columns, whose
+    representation is a subclass's: its ``order`` P, ``_factor_t`` (T'x in
+    place on x's first r rows) and ``_factor_l`` (Lbar m).  The package
+    reaches Omega only through ``_apply_lt`` (L'm, n rows in, r out),
+    ``_apply_l`` (Lm, r rows in, n out), ``_congruence`` (L'EL for the cubic
+    design E) and ``_quadratic`` (columnwise r' Omega r = ||L'r||^2), with
+    L = G Lbar; neither the dense n x n matrix nor an inverse is ever formed.
     """
 
     w: np.ndarray = field(repr=False)
-    jitter_applied: float
     groups: _Groups | None = field(default=None, repr=False, kw_only=True)
-    # the m rows of Lbar in the order its factor works in: a permutation P of
-    # the distinct rows, with Lbar' = T' P for a triangular T; None for P = I
+    # the m rows of Lbar in the order its factor works in: a permutation P of the
+    # distinct rows, with Lbar' = T' P for an m x r lower-trapezoidal T; None for P = I
     order: ClassVar[np.ndarray | None] = None
 
     @property
@@ -135,11 +124,11 @@ class WeightMatrix:
         return self.w.shape[0]
 
     def _apply_lt(self, m: np.ndarray) -> np.ndarray:
-        """L'm = T' P G'm, one row per group: G'm (a copy of m without ties) in ``order``, T' in place."""
+        """L'm = T' P G'm, r rows: G'm (a copy of m without ties) in ``order``, T' in place."""
         x = m if self.groups is None else self.groups.sum(m)
         x = np.array(x, dtype=float) if self.order is None else np.asarray(x, dtype=float)[self.order]
         self._factor_t(x)
-        return x
+        return x[: self.rank]
 
     def _apply_l(self, m: np.ndarray) -> np.ndarray:
         """Lm = G Lbar m, one row per observation."""
@@ -152,46 +141,67 @@ class WeightMatrix:
         return np.einsum("i...,i...->...", lt, lt)
 
     def _congruence(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """L'EL written into the m x m array ``out`` (any layout), E the cubic design of knots z.
+        """L'EL written into the r x r array ``out`` (any layout), E the cubic design of knots z.
 
         P G'EG P' is written first: without ties E in sorted order by row
         blocks, with them G'E a block of columns at a time.  The factor's T'
-        is then applied in place to the rows and to the columns, so no other
-        m x m or n x n array is made (with ties, one m x n array of group
-        sums).  ``out`` is L'EL up to roundoff, not exactly symmetric.
+        is then applied in place to the rows and to the first r rows'
+        columns, so no other m x m or n x n array is made when r = m (with
+        ties, one m x n array of group sums); below full rank P G'EG P' is
+        written into one m x m scratch array.  ``out`` is L'EL up to
+        roundoff, not exactly symmetric.
         """
         groups = self.groups
+        m = z.shape[0] if groups is None else len(groups)
+        full = out if out.shape[0] == m else np.empty((m, m))
         if groups is None:
-            _radial_design(z if self.order is None else z[self.order], 0, out)
+            _radial_design(z if self.order is None else z[self.order], 0, full)
         else:
             n = z.shape[0]
             grouped_z = z[groups.order]
-            sums = np.empty((len(groups), n))
+            sums = np.empty((m, n))
             for start in range(0, n, _CUBIC_BLOCK):
                 stop = start + _CUBIC_BLOCK
                 columns = _radial(grouped_z, z[start:stop], 0)
                 sums[:, start:stop] = np.add.reduceat(columns, groups.starts, axis=0)
             sums = groups.sum(sums.T)
-            out[...] = sums if self.order is None else sums[np.ix_(self.order, self.order)]
-        self._factor_t(out)
-        self._factor_t(out.T)
+            full[...] = sums if self.order is None else sums[np.ix_(self.order, self.order)]
+        self._factor_t(full)
+        self._factor_t(full[: self.rank].T)
+        if full is not out:
+            out[...] = full[: self.rank, : self.rank]
         return out
 
 
 @dataclass(frozen=True)
 class _DenseWeightMatrix(WeightMatrix):
-    """Omegabar through its lower Cholesky factor ``chol``: any instrument dimension, near ties included."""
+    """Omegabar = P'T T'P through its pivoted Cholesky factor: any instrument dimension, near ties included.
 
+    ``order`` holds the pivot order P and ``chol`` the m x r lower-trapezoidal
+    T, r the numerical rank at which the factorization stopped.
+    """
+
+    order: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
 
+    @property
+    def rank(self) -> int:
+        return self.chol.shape[1]
+
     def _factor_l(self, m: np.ndarray) -> np.ndarray:
+        """P'T m: dtrmm with T's leading r x r triangle (read as its F-ordered transpose), a product for rows r on."""
         cols = m.reshape(m.shape[0], -1)
-        return blas.dtrmm(1.0, self.chol, cols, lower=1).reshape(m.shape)
+        r = self.rank
+        out = np.empty((self.chol.shape[0], cols.shape[1]))
+        out[self.order[:r]] = blas.dtrmm(1.0, self.chol[:r].T, cols, lower=0, trans_a=1)
+        out[self.order[r:]] = self.chol[r:] @ cols
+        return out.reshape((-1,) + m.shape[1:])
 
     def _factor_t(self, x: np.ndarray) -> None:
-        """x := chol' x in place, forward by blocks; row block i of chol' x reads rows from the block's start on."""
-        for start in range(0, x.shape[0], _DENSE_BLOCK):
-            stop = start + _DENSE_BLOCK
+        """x[:r] := T' x in place, forward by blocks; row block i of T' x reads rows from the block's start on."""
+        r = self.rank
+        for start in range(0, r, _DENSE_BLOCK):
+            stop = min(start + _DENSE_BLOCK, r)
             x[start:stop] = self.chol[start:, start:stop].T @ x[start:]
 
 
@@ -220,6 +230,10 @@ class _BidiagonalWeightMatrix(WeightMatrix):
     order: np.ndarray = field(repr=False)
     band: np.ndarray = field(repr=False)
     blocks: np.ndarray = field(repr=False)
+
+    @property
+    def rank(self) -> int:
+        return self.band.shape[1]
 
     def _factor_l(self, m: np.ndarray) -> np.ndarray:
         # B^-1 x forward by blocks: row i of it reads rows up to i.  The copy is
@@ -270,32 +284,14 @@ def _pairwise_weights(w: np.ndarray, spec: KernelSpec, n: int | None = None) -> 
     return values
 
 
-def _attempt_cholesky(values: np.ndarray, jitter: float):
-    """Lower Cholesky factor of values + jitter I, or None if that is numerically not PD.
-
-    One copy takes the jitter and is factored in place (its transpose is F-ordered).
-    LAPACK accepts trailing pivots of pure roundoff (e.g. for exactly duplicated
-    instrument rows), so a relative pivot threshold screens the factor as well.
-    """
-    candidate = values.copy()
-    candidate[np.diag_indices_from(candidate)] += jitter
-    threshold = values.shape[0] * np.finfo(float).eps * candidate.diagonal().max()
-    try:
-        chol = scipy.linalg.cholesky(candidate.T, lower=True, overwrite_a=True)
-    except scipy.linalg.LinAlgError:
-        return None
-    if (np.diag(chol) ** 2).min() <= threshold:
-        return None
-    return chol
-
-
 def _bidiagonal(rows: np.ndarray, spec: KernelSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(order, band, blocks) of the closed-form factor on a scalar instrument's m distinct values.
 
     None where two values nearly tie: 1 - a_i^2 are the Cholesky pivots of K
-    in sorted order, so this is the relative pivot screen of
-    :func:`_attempt_cholesky`.  ``blocks`` stacks the inverses of B's
-    diagonal blocks, the last one padded to ``_FACTOR_BLOCK`` rows.
+    in sorted order, so this is the rank test of the dense route's pivoted
+    Cholesky factorization (a pivot at most m eps times the largest diagonal
+    entry ends it).  ``blocks`` stacks the inverses of B's diagonal blocks,
+    the last one padded to ``_FACTOR_BLOCK`` rows.
     """
     m = rows.shape[0]
     b = spec.scale
@@ -353,11 +349,11 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec = KernelSpec()) -> Weigh
     that tie exactly are grouped, and the factor is built on the m distinct
     rows only (without ties m = n and no map is kept).  A scalar instrument
     whose distinct values pass the Cholesky pivot screen gets the
-    closed-form bidiagonal factor.  Otherwise a copy of the dense m x m
-    matrix is factored in place, with escalating diagonal jitter while it is
-    not numerically positive definite (distinct instrument rows nearly
-    coincide), and only the factor is kept; past the cap a
-    :class:`SingularKernelError` is raised.
+    closed-form bidiagonal factor.  Otherwise the dense m x m matrix is
+    factored in place by LAPACK's pivoted Cholesky (dpstrf, Higham 2002,
+    Accuracy and Stability of Numerical Algorithms, sec. 10.3), which stops
+    once every remaining pivot is at most m eps times the largest diagonal
+    entry; only the m x r factor at that numerical rank r is kept.
     """
     w = np.asarray(w, dtype=float).reshape(len(w), -1)
     n = w.shape[0]
@@ -367,20 +363,18 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec = KernelSpec()) -> Weigh
     scalar = _bidiagonal(rows, spec, n) if w.shape[1] == 1 else None
     if scalar is not None:
         order, band, blocks = scalar
-        return _BidiagonalWeightMatrix(w=w, jitter_applied=0.0, groups=groups, order=order, band=band,
-                                       blocks=blocks)
+        return _BidiagonalWeightMatrix(w=w, groups=groups, order=order, band=band, blocks=blocks)
+    # dpstrf overwrites the F-ordered transpose in place; its upper U = T' read in C
+    # order is T (at m = 2000, one BLAS thread: 113 ms as for dpotrf, 140 ms lower).
+    # The cutoff is the closed form's pivot screen; dpstrf's default takes eps as 2^-53
     values = _pairwise_weights(rows, spec, n)
-    base, tau = values.trace() / rows.shape[0], 0.0
-    while tau <= JITTER_CAP * (1.0 + _JITTER_CAP_RTOL):
-        jitter = tau * base
-        chol = _attempt_cholesky(values, jitter)
-        if chol is not None:
-            return _DenseWeightMatrix(w=w, jitter_applied=float(jitter), groups=groups, chol=chol)
-        tau = tau * JITTER_GROWTH if tau else JITTER_START
-    raise SingularKernelError(
-        "weight matrix is singular beyond the jitter cap; "
-        "distinct instrument rows nearly coincide"
-    )
+    tol = rows.shape[0] * np.finfo(float).eps * values.diagonal().max()
+    factor, pivots, rank, _ = lapack.dpstrf(values.T, tol=tol, lower=0, overwrite_a=1)
+    # copy the r columns out below full rank, so the m x m array is freed
+    chol = factor.T if rank == factor.shape[0] else np.ascontiguousarray(factor[:rank].T)
+    for j in range(rank - 1):  # dpstrf leaves the other triangle as it found it
+        chol[j, j + 1 :] = 0.0
+    return _DenseWeightMatrix(w=w, groups=groups, order=pivots - 1, chol=chol)
 
 
 def moment_criterion(residuals: np.ndarray, omega: WeightMatrix) -> float:

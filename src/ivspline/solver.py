@@ -4,13 +4,13 @@ Minimizing  (Y - Za - E delta)' Omega (Y - Za - E delta) + lam * delta' E delta
 over the natural-spline constraint Z' delta = 0, where Z is the n x 2 linear
 design and E the cubic design, makes the first block row of the stationarity
 conditions, times Omega, lam delta = Omega (Y - Za - E delta).  So delta lies
-in the range of a factor L of Omega = L L' (n x m: m = n without ties, the
-number of distinct instrument rows with them, see :mod:`ivspline.kernel`),
+in the range of a factor L of Omega = L L' (n x m, m the weight matrix's
+numerical rank on the distinct instrument rows, see :mod:`ivspline.kernel`),
 and with delta = L u the program is the (m + 2) system
 
     [[S + lam I, L'Z], [Z'L, 0]] (u; a) = (L'Y; 0),   S = L'EL,
 
-solved exactly, with no inverse of Omega and no jitter for tied instruments.
+solved exactly, with no inverse of Omega and nothing added to it.
 :class:`_Factored` LU-factors it for one lambda; :class:`PathSolver`
 diagonalizes S once for a whole lambda grid.
 
@@ -51,6 +51,14 @@ REFINE_RTOL = 1e-8
 # factor, so later digits carry no information; they also changed in the last
 # place between repeated fits of one dataset, which made fit artifacts differ.
 CONDITION_DIGITS = 3
+# L'Z (z scaled to max |z| = 1) has rank below 2 where its smaller singular value
+# is at most sqrt(m) times this share of its larger, m the distinct instrument
+# rows.  Equal group means of z leave L'z = mean L'1 to roundoff on exact ties,
+# but near ties keep rows of L that differ by the square root of their pivots,
+# which the factor keeps above m eps, so there only to about sqrt(m eps)
+# (binary instruments nudged 1-4 ulps apart with equal group means, m = 8 to
+# 2000: 7e-10 to 1e-8; continuous, rounded and nudged paper draws: 0.8-0.95).
+_COLLINEAR_RTOL = float(np.sqrt(np.finfo(float).eps))
 # A path column is invalid where a shifted eigenvalue s_k + lam is below this
 # fraction of max(1, |S|): eigh's eigenvalues err by about m eps |S| (4e-13 |S|
 # at m = 2000), so below it 1 / (s_k + lam) has fewer than three correct digits.
@@ -86,20 +94,20 @@ def _assemble(ds: Dataset, omega: WeightMatrix | None, lam: float | None):
     """(omega, Z, L'Z, matrix, its inf-norm) for both solvers: S = L'EL for ``lam`` None, else K, S in place.
 
     A linear block of rank below 2 raises :class:`CollinearityError`: one
-    distinct z, or with ties (L'Z = Lbar'G'Z) group means of z equal to within
-    the roundoff of summing n values; a non-finite entry :class:`ConditioningError`.
+    distinct z, or L'Z of numerical rank below 2 (with ties L'Z = Lbar'G'Z,
+    so group means of z that are all equal, exactly or across near ties); a
+    non-finite entry :class:`ConditioningError`.
     """
     if np.unique(ds.z).size < 2:
         raise CollinearityError("linear design is rank deficient: needs at least two distinct z values")
     linear = build_design(ds.z)
     omega = build_weight_matrix(ds.w) if omega is None else omega
-    groups = omega.groups
-    if groups is not None:
-        means = groups.sum(ds.z) / groups.sum(np.ones_like(ds.z))
-        if np.ptp(means) <= ds.n * np.finfo(float).eps * np.abs(ds.z).max():
-            raise CollinearityError(f"linear design is rank deficient on the {len(groups)} instrument groups: "
-                                    "every group has the same mean z")
     lt_linear = omega._apply_lt(linear)
+    rows = omega.n if omega.groups is None else len(omega.groups)
+    low, high = scipy.linalg.svdvals(lt_linear / [1.0, np.abs(ds.z).max()])[[-1, 0]]
+    if low <= np.sqrt(rows) * _COLLINEAR_RTOL * high:
+        raise CollinearityError(f"linear design is rank deficient on the instrument factor of rank {omega.rank}: "
+                                "L'Z has rank below 2 (the instrument groups have the same mean z)")
     m = lt_linear.shape[0]
     matrix = np.empty((m, m)) if lam is None else np.zeros((m + 2, m + 2))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing E is rejected below
@@ -213,7 +221,6 @@ class _Factored:
 
     def fit(self, y: np.ndarray) -> SplineFit:
         """The fitted spline for outcome vector y, with :func:`fit`'s diagnostics."""
-        groups = self.omega.groups
         delta, a, steps, eta, e_delta = self.solve(np.concatenate([y, np.zeros(2)]))
         if e_delta is None:  # a correction was made after the last residual, or none was formed
             e_delta = _radial_product(self.knots, self.knots, delta)
@@ -230,8 +237,7 @@ class _Factored:
                 "roughness": rough,
                 "objective": crit + self.lam * rough,
                 "constraint_residual": float(np.abs(self.linear.T @ delta).max()),
-                "jitter_applied": self.omega.jitter_applied,
-                "instrument_groups": self.omega.n if groups is None else len(groups),
+                "instrument_groups": self.omega.rank,
                 "kkt_condition_estimate": self.condition,
                 "refinement_steps": steps,
                 "backward_error": eta,
@@ -245,8 +251,8 @@ def fit(ds: Dataset, lam: float) -> SplineFit:
     ``lam`` is the estimator's only tuning parameter: the criterion's weight
     matrix is always ``build_weight_matrix(ds.w)``.  Diagnostics carry the
     criterion value at the solution, the roughness delta' E delta, the
-    natural-spline constraint residual, the weight-matrix jitter, the number
-    m of distinct instrument rows (``instrument_groups``; n without ties),
+    natural-spline constraint residual, the order m of the system in u
+    (``instrument_groups``, the weight matrix's rank on the distinct rows),
     an inf-norm condition estimate of the bordered system in u = L^-1 delta
     (see the module docstring), and the solve's
     ``refinement_steps`` and normwise ``backward_error`` (see

@@ -101,8 +101,8 @@ class SplineFit:
     (one per knot, satisfying the two natural-spline constraints), ``knots``
     the z values in dataset order.  ``diagnostics`` records, for the solve
     that produced the fit, ``criterion``, ``roughness``, ``objective``,
-    ``constraint_residual``, ``jitter_applied``, ``instrument_groups`` (the
-    number of distinct instrument rows), ``kkt_condition_estimate``,
+    ``constraint_residual``, ``instrument_groups`` (the weight matrix's rank
+    on the distinct instrument rows), ``kkt_condition_estimate``,
     ``refinement_steps`` and ``backward_error``.  A monotone refit adds
     ``smoother_refinement_steps``, ``smoother_backward_error``,
     ``tilt_objective``, ``tilt_kkt_residual`` and ``tilt_active_constraints``.

@@ -59,7 +59,8 @@ def near_ties(w, decimals=1, step=2.0**-49):
 
     The step is a few ulps at the instrument's scale, so no two rows tie
     exactly but repeats stay close enough to fail the weight matrix's pivot
-    screen: the near-tie case, which the jitter loop serves.
+    screen: the near-tie case, where the dense route's pivoted Cholesky
+    factor stops below full rank.
     """
     w = np.round(np.asarray(w, dtype=float), decimals)
     flat = w.reshape(-1)
@@ -99,19 +100,9 @@ def kernel_weight(spec, d):
 
 
 def weight_values(om, spec=ivs.KernelSpec()):
-    """The dense n x n weight matrix of ``om``, jitter included, from ``kernel_weight``.
-
-    n^-2 omega(W_i - W_j) on the standardized instruments ``om.w``.  The
-    jitter sits on the diagonal without ties, and on every pair of one group
-    with them: G (Omegabar + jitter I) G'.
-    """
+    """The dense n x n weight matrix of ``om`` from ``kernel_weight``: n^-2 omega(W_i - W_j) on ``om.w``."""
     w = om.w
-    values = kernel_weight(spec, w[:, None, :] - w[None, :, :]) / om.n**2
-    if om.groups is None:
-        values[np.diag_indices(om.n)] += om.jitter_applied
-    elif om.jitter_applied:
-        values += om.jitter_applied * np.equal.outer(om.groups.index, om.groups.index)
-    return values
+    return kernel_weight(spec, w[:, None, :] - w[None, :, :]) / om.n**2
 
 
 def weight_inverse(om):
@@ -171,21 +162,27 @@ def build_block_system(ds, lam):
 
 
 def weight_factor(om):
-    """The n x m factor L = G Lbar of ``om``, rebuilt densely from ``weight_values``.
+    """The n x r factor L = G Lbar of ``om``, rebuilt densely from ``weight_values``.
 
     Lbar is the lower Cholesky factor of the weights on the distinct rows,
     taken in the order ``om.order`` (the sorted order on the closed-form
     route, where the package's factor is that Cholesky factor by a formula;
-    observation order on the dense route), with its rows put back in group
-    order.  So this is the package's factor up to rounding, and
-    [[L'EL + lam I, L'Z], [Z'L, 0]] is the package's bordered matrix.
+    the pivot order on the dense route), with its rows put back in group
+    order.  Below full rank r it is the Cholesky factor of the leading
+    r x r block in that order, extended to the other rows by a triangular
+    solve: the pivoted factor stopped at r.  So this is the package's factor
+    up to rounding, and [[L'EL + lam I, L'Z], [Z'L, 0]] is the package's
+    bordered matrix.
     """
     values = weight_values(om)
     groups = om.groups
     rows = np.arange(om.n) if groups is None else groups.order[groups.starts]  # one row per group
     order = np.arange(rows.size) if om.order is None else om.order
-    factor = np.empty((rows.size, rows.size))
-    factor[order] = np.linalg.cholesky(values[np.ix_(rows[order], rows[order])])
+    permuted = values[np.ix_(rows[order], rows[order])]
+    r = om.rank
+    lead = np.linalg.cholesky(permuted[:r, :r])
+    factor = np.empty((rows.size, r))
+    factor[order] = np.vstack([lead, scipy.linalg.solve_triangular(lead, permuted[:r, r:], lower=True).T])
     return factor if groups is None else factor[groups.index]
 
 
@@ -232,7 +229,7 @@ def hat_diagnostics(ds, lam):
 
     with Et = E + lam Omega^-1, and ``block_inverse_check`` is the max-norm
     residual of that inverse times the bordered matrix minus the identity.
-    The condition estimate and jitter are those ``ivs.fit`` reports.
+    The condition estimate and the system order are those ``ivs.fit`` reports.
     """
     system = build_block_system(ds, lam)
     n = ds.n
@@ -249,7 +246,7 @@ def hat_diagnostics(ds, lam):
     return {
         "kkt_condition_estimate": diagnostics["kkt_condition_estimate"],
         "block_inverse_check": float(np.abs(inverse @ system.kkt - np.eye(n + 2)).max()),
-        "jitter_applied": diagnostics["jitter_applied"],
+        "instrument_groups": diagnostics["instrument_groups"],
     }
 
 

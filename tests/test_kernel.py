@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.linalg import lapack
 
 import ivspline as ivs
@@ -19,7 +18,7 @@ from conftest import (
     weight_values,
 )
 from ivspline.cli import main, read_document
-from ivspline.kernel import _attempt_cholesky, _BidiagonalWeightMatrix, _DenseWeightMatrix, _pairwise_weights
+from ivspline.kernel import _BidiagonalWeightMatrix, _DenseWeightMatrix, _pairwise_weights
 from ivspline.solver import _Factored
 
 SQRT2 = math.sqrt(2.0)
@@ -31,7 +30,7 @@ def pairwise(om, spec=ivs.KernelSpec()):
 
 
 def factor_product(om):
-    """L L' through the package's own factor operations, jitter included."""
+    """L L' through the package's own factor operations."""
     return om._apply_l(om._apply_lt(np.eye(om.n)))
 
 
@@ -84,13 +83,26 @@ class TestBuildWeightMatrix:
         assert values.shape == (1, 1)
         assert values[0, 0] == pytest.approx(SQRT2 / 2)
 
-    def test_near_duplicate_rows_need_jitter(self):
+    def test_near_duplicate_rows_lower_the_rank(self):
         # three rows one ulp apart: distinct, so not grouped, but numerically singular
         w = 1.0 - np.arange(3.0)[:, None] * 2.0**-53
         om = ivs.build_weight_matrix(w, ivs.KernelSpec(standardize=False))
         assert om.groups is None
-        assert om.jitter_applied > 0
-        assert np.linalg.eigvalsh(weight_values(om)).min() > 0
+        assert om.rank < 3 and om.chol.shape == (3, om.rank)
+        values = weight_values(om)
+        assert np.abs(factor_product(om) - values).max() <= 3 * np.finfo(float).eps * values.max()
+
+    def test_near_tie_factor_holds_m_by_r_values(self):
+        # the factor keeps m x r values, and L L' misses Omega by at most the
+        # Schur complement it left, whose entries are below its m eps max diag cutoff
+        # (they reach half of it here)
+        om = ivs.build_weight_matrix(near_ties(g1_draw(500, 0).w), ivs.KernelSpec())
+        assert isinstance(om, _DenseWeightMatrix) and om.groups is None
+        r = om.rank
+        assert r < 100 and om.chol.shape == (500, r) and om.chol.size == 500 * r
+        factor = om._apply_l(np.eye(r))
+        values = pairwise(om)
+        assert np.abs(factor @ factor.T - values).max() <= 500 * np.finfo(float).eps * values.max()
 
     def test_duplicate_constant_column_standardized_errors(self):
         with pytest.raises(ivs.DegenerateInstrumentError):
@@ -136,7 +148,7 @@ class TestBuildWeightMatrix:
         values = pairwise(om)
         eig = np.linalg.eigvalsh(values)
         assert eig.min() >= -1e-10 * np.abs(values).max()
-        assert om.jitter_applied == 0.0
+        assert om.rank == 12
 
     def test_translation_invariance(self, rng):
         w = rng.standard_normal((8, 1))
@@ -160,36 +172,12 @@ class TestBuildWeightMatrix:
         om = ivs.build_weight_matrix(rng.standard_normal((7, 1)), ivs.KernelSpec())
         assert np.allclose(weight_values(om) @ closed_form_inverse(om), np.eye(7), atol=1e-10)
 
-    def test_jitter_escalates_tenfold_until_the_factor_passes(self, monkeypatch):
-        # pairs one ulp apart fail the unjittered factorization; from a start far
-        # below the pivot screen the jitter climbs rung by rung, one Cholesky
-        # call each, and a cap one rung below the rung that passed is fatal
-        w = np.repeat([[0.5], [1.0], [1.5]], 2, axis=0)
-        w[1::2] = np.nextafter(w[1::2], 0.0)
-        spec = ivs.KernelSpec(standardize=False)
-        calls = []
-        cholesky = scipy.linalg.cholesky
-        monkeypatch.setattr(scipy.linalg, "cholesky", lambda *a, **k: calls.append(1) or cholesky(*a, **k))
-        monkeypatch.setattr(ivs.kernel, "JITTER_START", 1e-20)
-        om = ivs.build_weight_matrix(w, spec)
-        assert om.groups is None
-        base = _pairwise_weights(om.w, spec).trace() / 6
-        rungs = round(math.log10(om.jitter_applied / base / 1e-20))
-        assert rungs >= 2
-        assert om.jitter_applied == pytest.approx(1e-20 * 10.0**rungs * base, rel=1e-12)
-        assert len(calls) == rungs + 2
-        assert np.array_equal(om.chol, _attempt_cholesky(_pairwise_weights(om.w, spec), om.jitter_applied))
-        monkeypatch.setattr(ivs.kernel, "JITTER_CAP", 1e-20 * 10.0 ** (rungs - 1))
-        calls.clear()
-        with pytest.raises(ivs.SingularKernelError, match="jitter cap"):
-            ivs.build_weight_matrix(w, spec)
-        assert len(calls) == rungs + 1
-
     @pytest.mark.parametrize("kind", ["rounded", "two instruments"])
     def test_dense_route_holds_only_its_factor(self, rng, kind):
-        # one n x n array stays (the factor), and the build peaks at the
-        # matrix plus the one copy that is factored in place; the rounded
-        # values are nudged apart into near ties, which are not grouped
+        # at most one n x n array stays (the factor, n x r at the numerical rank
+        # r), and the build peaks at the matrix, factored in place, plus one
+        # temporary (the instrument differences, or the r columns copied out);
+        # the rounded values are nudged apart into near ties, which are not grouped
         n = 2000
         w = near_ties(rng.standard_normal((n, 1))) if kind == "rounded" else rng.standard_normal((n, 2))
         tracemalloc.start()
@@ -202,6 +190,15 @@ class TestBuildWeightMatrix:
         held = sum(getattr(om, f.name).nbytes for f in dataclasses.fields(om)
                    if isinstance(getattr(om, f.name), np.ndarray))
         assert held <= 8 * (n * n + 10 * n)
+        assert peak <= 2.2 * n * n * 8
+        # L'EL, r x r, is formed within the same bound (below full rank through one n x n scratch array)
+        out = np.empty((om.rank, om.rank))
+        tracemalloc.start()
+        try:
+            om._congruence(rng.standard_normal(n), out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 2.2 * n * n * 8
 
 
@@ -327,10 +324,10 @@ class TestClosedFormRoute:
         expected = (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)).astype(float)
         np.testing.assert_allclose(closed_form_inverse(om), expected, rtol=1e-12)
 
-    def test_tie_free_scalar_instrument_needs_no_jitter(self, rng):
+    def test_tie_free_scalar_instrument_keeps_full_rank(self, rng):
         om = ivs.build_weight_matrix(rng.standard_normal((500, 1)), ivs.KernelSpec())
         assert isinstance(om, _BidiagonalWeightMatrix)
-        assert om.jitter_applied == 0.0
+        assert om.rank == 500
 
     def test_build_stores_no_dense_matrix(self, rng):
         w = rng.standard_normal((2000, 1))
@@ -366,16 +363,18 @@ class TestClosedFormRoute:
         ds = ivs.Dataset(y=ds.y, z=ds.z, w=w)
         om = ivs.build_weight_matrix(ds.w, ivs.KernelSpec())
         assert isinstance(om, _DenseWeightMatrix) and om.groups is None
-        # the bordered matrix holds chol' E chol, transformed in place by blocks;
+        r = om.rank
+        assert (r == 300) == two_instruments
+        # the bordered matrix holds chol' P E P' chol, transformed in place by blocks;
         # against the dense product it differs by a few ulps of its largest entry
-        s_mat = om._congruence(ds.z, np.empty((300, 300)))
-        dense = om.chol.T @ cubic_design(ds.z) @ om.chol
+        s_mat = om._congruence(ds.z, np.empty((r, r)))
+        dense = om.chol.T @ cubic_design(ds.z[om.order]) @ om.chol
         assert np.abs(s_mat - dense).max() <= 1e-14 * np.abs(dense).max()
         for lam in (1e-4, 1e-2):
             fit = _Factored(ds, lam).fit(ds.y)
             oracle = transformed_system(ds, lam)
             sol = np.linalg.solve(oracle.kkt, oracle.rhs)
-            delta = oracle.factor @ sol[:300]
+            delta = oracle.factor @ sol[:r]
             assert np.abs(fit.delta - delta).max() <= 1e-10 * np.abs(delta).max()
 
     def test_fit_cv_answers_agree_with_dense_route(self, tmp_path, monkeypatch):
@@ -387,7 +386,7 @@ class TestClosedFormRoute:
 
         def dense(w, spec=ivs.KernelSpec()):
             om = ivs.kernel.build_weight_matrix(w, spec)
-            return _DenseWeightMatrix(w=om.w, jitter_applied=0.0, chol=np.linalg.cholesky(pairwise(om, spec)))
+            return _DenseWeightMatrix(w=om.w, order=np.arange(om.n), chol=np.linalg.cholesky(pairwise(om, spec)))
 
         monkeypatch.setattr(ivs.selection, "build_weight_matrix", dense)
         monkeypatch.setattr(ivs.solver, "build_weight_matrix", dense)

@@ -97,8 +97,8 @@ class TestDerivativeSmoother:
 
     @pytest.mark.parametrize("lam", [1e-5, 1e-2, 2.3])
     def test_reproduces_linear_outcomes_on_nearly_tied_instrument(self, lam):
-        # the same instrument nudged a few ulps apart: no groups, and the
-        # jittered bordered system's condition is 1e11-1e18
+        # the same instrument nudged a few ulps apart: no groups, the factor
+        # stops at rank 54, and the bordered system's condition is 129-3.1e5
         ds = ivs.generate(ivs.DgpConfig(n=500, rho_ev=0.5, rho_wz=0.9, g_id="g3", seed=0))["dataset"]
         ds = ivs.Dataset(y=ds.y, z=ds.z, w=near_ties(ds.w))
         smoother = ivs.derivative_smoother_matrix(ds, lam)

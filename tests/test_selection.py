@@ -7,7 +7,7 @@ import pytest
 import ivspline as ivs
 import ivspline.selection as selection
 import ivspline.spline as spline
-from conftest import cv_on_cores, cv_oracle, path_spectrum, random_instance, weight_values
+from conftest import cv_on_cores, cv_oracle, near_ties, path_spectrum, random_instance, weight_values
 
 
 def linear_noise_free(n=12, seed=0):
@@ -221,13 +221,15 @@ class TestFoldWorkers:
         assert results[1].invalid_candidates == 1
         assert same_cv(results[1], results[2])
 
-    @pytest.mark.parametrize("rounded", [False, True])
-    def test_no_process_starts_below_the_constant(self, monkeypatch, rounded):
+    @pytest.mark.parametrize("ties", [False, True, "near"])
+    def test_no_process_starts_below_the_constant(self, monkeypatch, ties):
         # the rounded instrument leaves about 70 distinct rows among 2000, so
-        # its folds' order m is far below the constant although n / 2 is not
-        if rounded:
+        # its folds' order m is far below the constant although n / 2 is not;
+        # nudged a few ulps apart, every row is distinct, but the weight
+        # matrix's numerical rank, which bounds m, stays near 70
+        if ties:
             ds = ivs.generate(ivs.DgpConfig(n=2000, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=3))["dataset"]
-            ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1))
+            ds = ivs.Dataset(y=ds.y, z=ds.z, w=np.round(ds.w, 1) if ties is True else near_ties(ds.w))
             assert ds.n // 2 >= selection._FOLD_WORKER_MIN_ORDER
         else:
             ds = random_instance(12, n=60)

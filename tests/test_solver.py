@@ -217,7 +217,7 @@ class TestHatDiagnostics:
         ds = separated_instance(5, n=5)
         diag = hat_diagnostics(ds, 0.1)
         assert diag["block_inverse_check"] < 1e-8
-        assert diag["jitter_applied"] == 0.0
+        assert diag["instrument_groups"] == ds.n
 
     def test_bottom_right_block_is_negative_gram_inverse(self):
         ds = random_instance(21, n=6)
@@ -229,14 +229,14 @@ class TestHatDiagnostics:
         assert np.allclose(dense_inverse[ds.n :, ds.n :], -np.linalg.inv(gram), atol=1e-8)
 
     def test_near_duplicate_instruments_keep_conditioning_bounded(self):
-        # two instrument values one ulp apart: not an exact tie, so not grouped, and
-        # jittered; the system in delta = L u never inverts the weight matrix, so
-        # its conditioning does not degrade with the near tie (it reads 14.6)
+        # two instrument values one ulp apart: not an exact tie, so not grouped, but
+        # the factor stops at rank 3; the system in delta = L u never inverts the
+        # weight matrix, so its conditioning does not degrade with the near tie
         z = np.array([0.0, 0.5, 1.0, 1.5])
         w = np.array([0.0, 1.0, 1.0 - 2.0**-53, 2.0])
         ds = ivs.Dataset(y=[0.1, 0.4, 0.5, 0.9], z=z, w=w)
         diag = hat_diagnostics(ds, 0.1)
-        assert diag["jitter_applied"] > 0
+        assert diag["instrument_groups"] == 3
         assert diag["kkt_condition_estimate"] < 1e3
 
 
@@ -305,11 +305,13 @@ class TestRefinement:
     @pytest.mark.parametrize("lam", [1e-5, 1e-2])
     def test_near_ties_leave_the_system_well_conditioned(self, lam):
         # nearly tied instruments made the system in delta, whose block held
-        # lam Omega^-1, read condition 1e11-1e18; in u = L^-1 delta it reads below 1e6
+        # lam Omega^-1, read condition 1e11-1e18; in u, with delta = L u and L of
+        # the weight matrix's numerical rank r, it has order r + 2 (56, not 502)
+        # and reads below 1e6
         ds = paper_draw("g3", 500, seed=0)
         ds = ivs.Dataset(y=ds.y, z=ds.z, w=near_ties(ds.w))
         system = solver._Factored(ds, lam)
-        assert system.omega.jitter_applied > 0
+        assert system.lu[0].shape == (system.omega.rank + 2,) * 2 and system.omega.rank < 100
         assert system.condition < 1e7
         assert smoother_solve(ds, lam)[1] == 0
 
