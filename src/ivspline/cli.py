@@ -9,7 +9,6 @@ needed to regenerate them, and never embed timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import json
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datamodel import _parse_cell, load_csv
+from .datamodel import _read_columns, _write_table, load_csv
 from .errors import (
     DegenerateInstrumentError,
     InfeasibleConstraintsError,
@@ -102,11 +101,7 @@ def _sample_curve(fit_result) -> dict:
 
 
 def _write_curve_csv(path, curve: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CURVE_HEADER)
-        for z, g, gp in zip(curve["z"], curve["ghat"], curve["ghat_prime"]):
-            writer.writerow([format(z, ".17g"), format(g, ".17g"), format(gp, ".17g")])
+    _write_table(path, CURVE_HEADER, np.column_stack([curve[name] for name in CURVE_HEADER]).tolist())
 
 
 def cmd_fit(args) -> int:
@@ -226,25 +221,10 @@ _W, _H, _MARGIN = 800.0, 600.0, 70.0
 
 
 def _read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path}: empty curve file") from None
-        if header[: len(CURVE_HEADER)] != CURVE_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(CURVE_HEADER)}")
-        zs, gs = [], []
-        for row_number, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise ParseError(f"{path}: malformed data row {row_number}", row=row_number)
-            zs.append(_parse_cell(row[0], row_number, CURVE_HEADER[0]))
-            gs.append(_parse_cell(row[1], row_number, CURVE_HEADER[1]))
-    if not zs:
+    zs, gs, _ = _read_columns(path, CURVE_HEADER)
+    if not zs.size:
         raise ParseError(f"{path}: no data rows")
-    return np.array(zs), np.array(gs)
+    return zs, gs
 
 
 def _svg_line(x1, y1, x2, y2, color="#444444", width=1.0) -> str:

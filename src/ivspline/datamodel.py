@@ -1,8 +1,12 @@
-"""Core data containers, CSV ingestion, and instrument standardization.
+"""Core data containers, the package's one CSV format, and instrument standardization.
 
 A :class:`Dataset` bundles the outcome ``y``, the endogenous regressor ``z``,
 and the instrument matrix ``w``.  All downstream modules treat it as
 immutable, so one dataset can back many concurrent fits.
+
+Every table the package reads or writes (datasets, curve files, Monte Carlo
+reports) goes through one reader, :func:`_read_columns`, and one writer,
+:func:`_write_table`, so the CSV format is decided here alone.
 """
 
 from __future__ import annotations
@@ -119,6 +123,56 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     return value
 
 
+def _read_columns(path, names) -> list[np.ndarray]:
+    """One float array per requested header name, from a headed CSV with the package's format.
+
+    The format: UTF-8 (byte-order mark optional), comma-separated, a header
+    row, columns found by name, blank rows skipped, every cell a finite real.
+    A requested name that is missing from the header, or appears in it more
+    than once, raises :class:`SchemaError`; a data row (numbered from 1) with
+    fewer cells than the header, or a cell :func:`_parse_cell` rejects,
+    raises :class:`ParseError`.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected a header row") from None
+        for name in names:
+            if name not in header:
+                raise SchemaError(f"{path}: missing column {name!r}")
+            if header.count(name) > 1:
+                raise SchemaError(f"{path}: column {name!r} appears {header.count(name)} times in the header")
+        index = [header.index(name) for name in names]
+        columns = [[] for _ in names]
+        for row_number, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < len(header):
+                raise ParseError(
+                    f"{path}: data row {row_number} has {len(row)} cells, header has {len(header)}",
+                    row=row_number,
+                )
+            for column, i, name in zip(columns, index, names):
+                column.append(_parse_cell(row[i], row_number, name))
+    return [np.array(column, dtype=float) for column in columns]
+
+
+def _write_table(path, header, rows) -> None:
+    """Write a headed CSV that :func:`_read_columns` reads back: UTF-8, CRLF line ends, minimal quoting.
+
+    Reals are written with 17 significant digits, which read back exactly;
+    string cells (a summary row's tag) are written as they are.  Callers pass
+    Python floats (``ndarray.tolist()``): numpy scalars made the writer up
+    to a third slower.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([cell if isinstance(cell, str) else format(cell, ".17g") for cell in row] for row in rows)
+
+
 def load_csv(path, y: str, z: str, w) -> Dataset:
     """Read a UTF-8 (byte-order mark optional), comma-separated, headed CSV into a :class:`Dataset`.
 
@@ -138,50 +192,25 @@ def load_csv(path, y: str, z: str, w) -> Dataset:
     w_names = [w] if isinstance(w, str) else list(w)
     if not w_names:
         raise SchemaError("at least one instrument column is required")
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        index = {}
-        for name in [y, z, *w_names]:
-            if name not in header:
-                raise SchemaError(f"{path}: missing column {name!r}")
-            if header.count(name) > 1:
-                raise SchemaError(
-                    f"{path}: column {name!r} appears {header.count(name)} times in the header"
-                )
-            index[name] = header.index(name)
-        ys, zs, ws = [], [], []
-        for row_number, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise ParseError(
-                    f"{path}: data row {row_number} has {len(row)} cells, header has {len(header)}",
-                    row=row_number,
-                )
-            ys.append(_parse_cell(row[index[y]], row_number, y))
-            zs.append(_parse_cell(row[index[z]], row_number, z))
-            ws.append([_parse_cell(row[index[name]], row_number, name) for name in w_names])
+    ys, zs, *ws = _read_columns(path, [y, z, *w_names])
     if len(ys) < MIN_ROWS:
         raise SizeError(f"{path}: need at least {MIN_ROWS} data rows, got {len(ys)}")
-    return Dataset(y=np.array(ys), z=np.array(zs), w=np.array(ws))
+    return Dataset(y=ys, z=zs, w=np.column_stack(ws))
 
 
 def write_csv(ds: Dataset, path, y: str = "y", z: str = "z", w_names=None) -> None:
-    """Write a dataset back to CSV with 17-significant-digit reals (lossless round trip)."""
+    """Write a dataset back to CSV with 17-significant-digit reals (lossless round trip).
+
+    Raises :class:`SchemaError`, before the file is opened, if the number of
+    instrument names is not the dataset's instrument count or a column name
+    is repeated.
+    """
     if w_names is None:
         w_names = [f"w{k + 1}" for k in range(ds.p)]
     if len(w_names) != ds.p:
         raise SchemaError(f"expected {ds.p} instrument names, got {len(w_names)}")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([y, z, *w_names])
-        for i in range(ds.n):
-            writer.writerow(
-                [format(ds.y[i], ".17g"), format(ds.z[i], ".17g")]
-                + [format(v, ".17g") for v in ds.w[i]]
-            )
+    header = [y, z, *w_names]
+    for name in header:
+        if header.count(name) > 1:
+            raise SchemaError(f"column {name!r} appears {header.count(name)} times in the header")
+    _write_table(path, header, np.column_stack([ds.y, ds.z, ds.w]).tolist())

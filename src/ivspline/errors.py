@@ -12,10 +12,11 @@ class IvsplineError(Exception):
 class SchemaError(IvsplineError):
     """Column names do not fit the data.
 
-    Raised when a requested column is missing from an input file's header or
-    appears in it more than once, when the file has no header or no
-    instrument column is requested, and when ``write_csv`` gets a number of
-    instrument names other than the dataset's instrument count.
+    Raised when a requested column is missing from the header of a dataset
+    or curve file or appears in it more than once, when the file has no
+    header or no instrument column is requested, and when ``write_csv`` gets
+    a number of instrument names other than the dataset's instrument count,
+    or one column name twice.
     """
 
 

@@ -33,7 +33,6 @@ away.  Omega^-1 is never formed on either route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -105,7 +104,8 @@ class WeightMatrix:
     Held as the (standardized) instrument ``w``, the map ``groups`` of tied
     rows (None when every row is distinct) and a factor Lbar with Lbar Lbar'
     = Omegabar on the m distinct rows, of ``rank`` r columns, whose
-    representation is a subclass's: its ``order`` P, ``_factor_t`` (T'x in
+    representation is a subclass's: its ``order`` P (the permutation of the
+    distinct rows its factor works in, Lbar' = T'P), ``_factor_t`` (T'x in
     place on x's first r rows) and ``_factor_l`` (Lbar m).  The package
     reaches Omega only through ``_apply_lt`` (L'm, n rows in, r out),
     ``_apply_l`` (Lm, r rows in, n out), ``_congruence`` (L'EL for the cubic
@@ -115,9 +115,6 @@ class WeightMatrix:
 
     w: np.ndarray = field(repr=False)
     groups: _Groups | None = field(default=None, repr=False, kw_only=True)
-    # the m rows of Lbar in the order its factor works in: a permutation P of the
-    # distinct rows, with Lbar' = T' P for an m x r lower-trapezoidal T; None for P = I
-    order: ClassVar[np.ndarray | None] = None
 
     @property
     def n(self) -> int:
@@ -126,7 +123,7 @@ class WeightMatrix:
     def _apply_lt(self, m: np.ndarray) -> np.ndarray:
         """L'm = T' P G'm, r rows: G'm (a copy of m without ties) in ``order``, T' in place."""
         x = m if self.groups is None else self.groups.sum(m)
-        x = np.array(x, dtype=float) if self.order is None else np.asarray(x, dtype=float)[self.order]
+        x = np.asarray(x, dtype=float)[self.order]
         self._factor_t(x)
         return x[: self.rank]
 
@@ -155,7 +152,7 @@ class WeightMatrix:
         m = z.shape[0] if groups is None else len(groups)
         full = out if out.shape[0] == m else np.empty((m, m))
         if groups is None:
-            _radial_design(z if self.order is None else z[self.order], 0, full)
+            _radial_design(z[self.order], 0, full)
         else:
             n = z.shape[0]
             grouped_z = z[groups.order]
@@ -165,7 +162,7 @@ class WeightMatrix:
                 columns = _radial(grouped_z, z[start:stop], 0)
                 sums[:, start:stop] = np.add.reduceat(columns, groups.starts, axis=0)
             sums = groups.sum(sums.T)
-            full[...] = sums if self.order is None else sums[np.ix_(self.order, self.order)]
+            full[...] = sums[np.ix_(self.order, self.order)]
         self._factor_t(full)
         self._factor_t(full[: self.rank].T)
         if full is not out:

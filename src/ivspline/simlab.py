@@ -14,7 +14,6 @@ normalized to unit variance against a standard Gaussian regressor.
 
 from __future__ import annotations
 
-import csv
 import functools
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._workers import _map, _worker_pool
-from .datamodel import Dataset
+from .datamodel import Dataset, _write_table
 from .errors import IvsplineError, SizeError
 from .monotone import MonotoneDirection
 from .selection import CvConfig, _fit_selected
@@ -225,24 +224,7 @@ def monte_carlo(
 
 def write_report_csv(report: McReport, path) -> None:
     """Per-grid-point rows under header z,bias_sq,variance,mse plus a summary row tagged ALL."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["z", "bias_sq", "variance", "mse"])
-        pp = report.per_point
-        for i, z in enumerate(report.grid):
-            writer.writerow(
-                [
-                    format(z, ".17g"),
-                    format(pp["bias_sq"][i], ".17g"),
-                    format(pp["variance"][i], ".17g"),
-                    format(pp["mse"][i], ".17g"),
-                ]
-            )
-        writer.writerow(
-            [
-                "ALL",
-                format(report.bias_sq, ".17g"),
-                format(report.variance, ".17g"),
-                format(report.mse, ".17g"),
-            ]
-        )
+    pp = report.per_point
+    rows = np.column_stack([report.grid, pp["bias_sq"], pp["variance"], pp["mse"]]).tolist()
+    rows.append(["ALL", report.bias_sq, report.variance, report.mse])
+    _write_table(path, ["z", "bias_sq", "variance", "mse"], rows)

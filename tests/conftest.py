@@ -177,12 +177,11 @@ def weight_factor(om):
     values = weight_values(om)
     groups = om.groups
     rows = np.arange(om.n) if groups is None else groups.order[groups.starts]  # one row per group
-    order = np.arange(rows.size) if om.order is None else om.order
-    permuted = values[np.ix_(rows[order], rows[order])]
+    permuted = values[np.ix_(rows[om.order], rows[om.order])]
     r = om.rank
     lead = np.linalg.cholesky(permuted[:r, :r])
     factor = np.empty((rows.size, r))
-    factor[order] = np.vstack([lead, scipy.linalg.solve_triangular(lead, permuted[:r, r:], lower=True).T])
+    factor[om.order] = np.vstack([lead, scipy.linalg.solve_triangular(lead, permuted[:r, r:], lower=True).T])
     return factor if groups is None else factor[groups.index]
 
 
