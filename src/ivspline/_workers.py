@@ -50,11 +50,13 @@ def _worker_pool(tasks: int):
     return multiprocessing.get_context("fork").Pool(workers, _one_blas_thread)
 
 
-def _map(function, tasks: int, pool):
-    """``function(0)``, ..., ``function(tasks - 1)`` in task order: in ``pool`` one task at a time, else lazily here.
+def _map(function, tasks: int, parallel: bool = True):
+    """``function(0)``, ..., ``function(tasks - 1)`` in task order: in forked workers one task at a time, else lazily here.
 
-    The pool is closed on return, so no worker outlives the call.
+    The workers run only with ``parallel`` and where :func:`_worker_pool`
+    starts them; they are closed on return, so none outlives the call.
     """
+    pool = _worker_pool(tasks) if parallel else None
     if pool is None:
         return map(function, range(tasks))
     with pool:

@@ -46,22 +46,24 @@ _MMAP_THRESHOLD_BYTES = 4 << 20
 
 
 def _fix_malloc_thresholds() -> None:
-    """Keep the n x n matrices of a command off glibc's heap, so its peak memory is the same every run.
+    """Keep a command's large arrays off glibc's heap, and its allocations in one arena.
 
-    By default glibc raises its mmap threshold to the largest mapped block
-    freed (up to 32 MiB), and from then on those matrices are carved from
-    the heap, whose free holes depend on where small objects happen to lie
-    (hash seeds, address randomization): identical n = 2000 ``fit --cv``
-    calls in one process peaked at 109.8 MB in some runs and 117.6 MB in
-    others, and at 113.6-114.3 MB with these thresholds.  Fixed thresholds
-    also turn the dynamic adjustment off.  The price is fresh pages for
-    every large array: about 0.045 s more system time per such call on a
-    2-core x86-64 machine.  One arena keeps the worker pool's result thread,
-    which unpickles the cross-validation folds' predictions (3.2 MB each at
-    n = 2000), on the one trimmed heap: in an arena of its own the freed
-    blocks stayed resident, and the fit-cv benchmark's peak read 119.3-119.4
-    MB instead of 111.3-111.6 MB.  A no-op off Linux or without glibc's
-    ``mallopt``.
+    The settings serve the two routes cross-validation takes.  Where the
+    folds run in this process (one usable core, or folds too small for the
+    workers), the mmap and trim thresholds keep their n x n matrices off the
+    heap, whose free holes depend on where small objects happen to lie; by
+    default glibc raises its mmap threshold to the largest mapped block freed
+    (up to 32 MiB), and from then on such matrices come from the heap.  On one
+    core of a 2-core x86-64 machine the fit-cv benchmark's peak read
+    116.8-118.3 MB with the thresholds and 133.8-134.0 MB without, for about
+    2% more fit time (fresh pages for every large array).  Where the folds
+    run in forked workers the thresholds do not lower the peak (107.5-109.0
+    MB without, 109.6-112.9 MB with, on both cores), but the one arena does:
+    it keeps the worker pool's result thread, which unpickles the folds'
+    predictions (3.2 MB each at n = 2000), on the one trimmed heap; in an
+    arena of its own the freed blocks stayed resident, and the peak read
+    119.3-119.4 MB instead of 111.3-111.6 MB.  A no-op off Linux or without
+    glibc's ``mallopt``.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -105,7 +107,7 @@ def _write_curve_csv(path, curve: dict) -> None:
 
 
 def cmd_fit(args) -> int:
-    ds = load_csv(args.input, y=args.y, z=args.z, w=[c.strip() for c in args.w.split(",")])
+    ds = load_csv(args.input, y=args.y, z=args.z, w=args.w.split(","))
     doc: dict = {
         "format": "ivspline-fit",
         "version": 1,
@@ -121,14 +123,15 @@ def cmd_fit(args) -> int:
     }
     direction = None if args.monotone == "none" else MonotoneDirection(args.monotone)
     if args.cv:
-        model, result = _fit_selected(ds, CvConfig(seed=args.seed), direction)
+        cfg = CvConfig(seed=args.seed)
+        model, result = _fit_selected(ds, cfg, direction)
         doc["lambda_selected_by"] = "cv"
         doc["cv"] = {
             "lambda_star": result.lambda_star,
             "lambda_star_index": result.lambda_star_index,
             "boundary_hit": result.boundary_hit,
             "invalid_candidates": result.invalid_candidates,
-            "folds": 2,
+            "folds": cfg.folds,
             "criterion_weight_matrix": "full-sample",
         }
     else:

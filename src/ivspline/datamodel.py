@@ -47,8 +47,8 @@ class Dataset:
         w = np.asarray(self.w, dtype=float)
         if w.ndim == 1:
             w = w.reshape(-1, 1)
-        if w.ndim != 2:
-            raise SizeError("instrument array must be a vector or a 2-D matrix")
+        if w.ndim != 2 or w.shape[1] == 0:
+            raise SizeError("instrument array must be a vector or a 2-D matrix of at least one column")
         w = _as_readonly(w)
         if not (y.shape[0] == z.shape[0] == w.shape[0]):
             raise SizeError(
@@ -128,11 +128,13 @@ def _read_columns(path, names) -> list[np.ndarray]:
 
     The format: UTF-8 (byte-order mark optional), comma-separated, a header
     row, columns found by name, blank rows skipped, every cell a finite real.
-    A requested name that is missing from the header, or appears in it more
-    than once, raises :class:`SchemaError`; a data row (numbered from 1) with
-    fewer cells than the header, or a cell :func:`_parse_cell` rejects,
-    raises :class:`ParseError`.
+    Header cells and requested names are compared with surrounding spaces
+    stripped.  A requested name that is missing from the header, or appears
+    in it more than once, raises :class:`SchemaError`; a data row (numbered
+    from 1) with fewer cells than the header, or a cell :func:`_parse_cell`
+    rejects, raises :class:`ParseError`.
     """
+    names = [name.strip() for name in names]
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -203,14 +205,15 @@ def write_csv(ds: Dataset, path, y: str = "y", z: str = "z", w_names=None) -> No
 
     Raises :class:`SchemaError`, before the file is opened, if the number of
     instrument names is not the dataset's instrument count or a column name
-    is repeated.
+    is repeated once surrounding spaces are stripped, as the reader strips them.
     """
     if w_names is None:
         w_names = [f"w{k + 1}" for k in range(ds.p)]
     if len(w_names) != ds.p:
         raise SchemaError(f"expected {ds.p} instrument names, got {len(w_names)}")
     header = [y, z, *w_names]
-    for name in header:
-        if header.count(name) > 1:
-            raise SchemaError(f"column {name!r} appears {header.count(name)} times in the header")
+    stripped = [name.strip() for name in header]
+    for name in stripped:
+        if stripped.count(name) > 1:
+            raise SchemaError(f"column {name!r} appears {stripped.count(name)} times in the header")
     _write_table(path, header, np.column_stack([ds.y, ds.z, ds.w]).tolist())

@@ -38,6 +38,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .datamodel import standardize_instruments
+from .errors import SizeError
 from .spline import _CUBIC_BLOCK, _radial, _radial_design
 
 # Rows per diagonal block where a factor is applied a block at a time.  The
@@ -106,11 +107,12 @@ class WeightMatrix:
     = Omegabar on the m distinct rows, of ``rank`` r columns, whose
     representation is a subclass's: its ``order`` P (the permutation of the
     distinct rows its factor works in, Lbar' = T'P), ``_factor_t`` (T'x in
-    place on x's first r rows) and ``_factor_l`` (Lbar m).  The package
-    reaches Omega only through ``_apply_lt`` (L'm, n rows in, r out),
-    ``_apply_l`` (Lm, r rows in, n out), ``_congruence`` (L'EL for the cubic
-    design E) and ``_quadratic`` (columnwise r' Omega r = ||L'r||^2), with
-    L = G Lbar; neither the dense n x n matrix nor an inverse is ever formed.
+    place on x's first r rows) and ``_factor_l`` (Lbar m).  The rest of the
+    package reads only ``n``, ``m``, ``rank`` and the operations
+    ``_apply_lt`` (L'm, n rows in, r out), ``_apply_l`` (Lm, r rows in, n
+    out), ``_congruence`` (L'EL for the cubic design E) and ``_quadratic``
+    (columnwise r' Omega r = ||L'r||^2), with L = G Lbar; neither the dense
+    n x n matrix nor an inverse is ever formed.
     """
 
     w: np.ndarray = field(repr=False)
@@ -119,6 +121,11 @@ class WeightMatrix:
     @property
     def n(self) -> int:
         return self.w.shape[0]
+
+    @property
+    def m(self) -> int:
+        """The number of distinct instrument rows, the order of Omegabar (n without ties)."""
+        return self.order.shape[0]
 
     def _apply_lt(self, m: np.ndarray) -> np.ndarray:
         """L'm = T' P G'm, r rows: G'm (a copy of m without ties) in ``order``, T' in place."""
@@ -148,8 +155,7 @@ class WeightMatrix:
         written into one m x m scratch array.  ``out`` is L'EL up to
         roundoff, not exactly symmetric.
         """
-        groups = self.groups
-        m = z.shape[0] if groups is None else len(groups)
+        groups, m = self.groups, self.m
         full = out if out.shape[0] == m else np.empty((m, m))
         if groups is None:
             _radial_design(z[self.order], 0, full)
@@ -217,16 +223,16 @@ class _BidiagonalWeightMatrix(WeightMatrix):
     diagonal, row 1 the subdiagonal) and ``order`` the sorting permutation
     P, so Lbar = P'B^-1 is a factor of Omegabar.  B^-1 = sqrt(c) Ls is itself
     a formula, (B^-1)_ij = exp(-(w_i - w_j)/b) / B_jj for i >= j, and
-    ``blocks`` holds its diagonal blocks of ``_FACTOR_BLOCK`` rows, each the
-    inverse of B's block.  A solve with B or B' runs block by block, each
-    block's right-hand side corrected by the one subdiagonal entry that
-    couples it to the block solved before it: O(m) values are kept, and the
-    work is matrix products of ``_FACTOR_BLOCK`` rows.
+    ``blocks`` holds its diagonal blocks of ``_FACTOR_BLOCK`` rows (the last
+    one the rows that remain), each the inverse of B's block.  A solve with B
+    or B' runs block by block, each block's right-hand side corrected by the
+    one subdiagonal entry that couples it to the block solved before it: O(m)
+    values are kept, and the work is matrix products of ``_FACTOR_BLOCK`` rows.
     """
 
     order: np.ndarray = field(repr=False)
     band: np.ndarray = field(repr=False)
-    blocks: np.ndarray = field(repr=False)
+    blocks: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -238,10 +244,10 @@ class _BidiagonalWeightMatrix(WeightMatrix):
         # eigenvectors that took the product from 249 ms to 84 ms
         x = np.array(m, dtype=float, order="C")
         sub = self.band[1]
-        for start, stop, inverse in self._diagonal_blocks():
+        for start, inverse in zip(range(0, self.rank, _FACTOR_BLOCK), self.blocks):
             if start:
                 x[start] -= sub[start - 1] * x[start - 1]
-            x[start:stop] = inverse @ x[start:stop]
+            x[start : start + _FACTOR_BLOCK] = inverse @ x[start : start + _FACTOR_BLOCK]
         out = np.empty_like(x)
         out[self.order] = x
         return out
@@ -249,18 +255,10 @@ class _BidiagonalWeightMatrix(WeightMatrix):
     def _factor_t(self, x: np.ndarray) -> None:
         """x := B^-T x in place, backward by blocks; row i of B^-T x reads rows from i on."""
         sub = self.band[1]
-        m = x.shape[0]
-        for start, stop, inverse in reversed(list(self._diagonal_blocks())):
-            if stop < m:
-                x[stop - 1] -= sub[stop - 1] * x[stop]
-            x[start:stop] = inverse.T @ x[start:stop]
-
-    def _diagonal_blocks(self):
-        """(start, stop, inverse of B[start:stop, start:stop]) for each diagonal block, first to last."""
-        m = self.band.shape[1]
-        for start, inverse in zip(range(0, m, _FACTOR_BLOCK), self.blocks):
-            stop = min(start + _FACTOR_BLOCK, m)
-            yield start, stop, inverse[: stop - start, : stop - start]
+        for start, inverse in zip(reversed(range(0, self.rank, _FACTOR_BLOCK)), reversed(self.blocks)):
+            x[start : start + _FACTOR_BLOCK] = inverse.T @ x[start : start + _FACTOR_BLOCK]
+            if start:
+                x[start - 1] -= sub[start - 1] * x[start]
 
 
 def _pairwise_weights(w: np.ndarray, spec: KernelSpec, n: int | None = None) -> np.ndarray:
@@ -281,19 +279,20 @@ def _pairwise_weights(w: np.ndarray, spec: KernelSpec, n: int | None = None) -> 
     return values
 
 
-def _bidiagonal(rows: np.ndarray, spec: KernelSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _bidiagonal(rows: np.ndarray, spec: KernelSpec, n: int) -> tuple[np.ndarray, np.ndarray, tuple] | None:
     """(order, band, blocks) of the closed-form factor on a scalar instrument's m distinct values.
 
     None where two values nearly tie: 1 - a_i^2 are the Cholesky pivots of K
     in sorted order, so this is the rank test of the dense route's pivoted
     Cholesky factorization (a pivot at most m eps times the largest diagonal
-    entry ends it).  ``blocks`` stacks the inverses of B's diagonal blocks,
-    the last one padded to ``_FACTOR_BLOCK`` rows.
+    entry ends it).  ``blocks`` holds the inverses of B's diagonal blocks, one
+    array each.
     """
     m = rows.shape[0]
     b = spec.scale
     order = np.argsort(rows[:, 0], kind="stable")
-    gaps = np.diff(rows[order, 0])
+    points = rows[order, 0]
+    gaps = np.diff(points)
     pivots = -np.expm1(-2.0 * gaps / b)
     if not np.all(pivots > m * np.finfo(float).eps):
         return None
@@ -303,21 +302,11 @@ def _bidiagonal(rows: np.ndarray, spec: KernelSpec, n: int) -> tuple[np.ndarray,
     band[0, 1:] = 1.0 / s
     band[1, :-1] = -np.exp(-gaps / b) / s
     band *= n * np.sqrt(2.0 * b)  # 1/sqrt(c)
-    count = -(-m // _FACTOR_BLOCK)
-    padded = np.zeros((2, count * _FACTOR_BLOCK))
-    padded[0, :m] = rows[order, 0] / b
-    padded[0, m:] = padded[0, m - 1]
-    padded[1] = 1.0
-    padded[1, :m] = band[0]
-    points, diag = padded.reshape(2, count, _FACTOR_BLOCK)
     # exp(-(w_i - w_j)/b) / B_jj on and below the diagonal, 0 above it, where
     # w_i < w_j and the clipped exponent keeps exp from overflowing
-    blocks = np.subtract(points[:, :, None], points[:, None, :])
-    np.maximum(blocks, 0.0, out=blocks)
-    np.negative(blocks, out=blocks)
-    np.exp(blocks, out=blocks)
-    blocks *= np.tri(_FACTOR_BLOCK)
-    blocks /= diag[:, None, :]
+    edges = range(_FACTOR_BLOCK, m, _FACTOR_BLOCK)
+    blocks = tuple(np.tril(np.exp(-np.maximum(np.subtract.outer(x, x), 0.0))) / diag
+                   for x, diag in zip(np.split(points / b, edges), np.split(band[0], edges)))
     return order, band, blocks
 
 
@@ -354,6 +343,8 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec = KernelSpec()) -> Weigh
     """
     w = np.asarray(w, dtype=float).reshape(len(w), -1)
     n = w.shape[0]
+    if w.shape[1] == 0:
+        raise SizeError("instrument array has no columns")
     if spec.standardize and n >= 2:
         w = standardize_instruments(w)
     rows, groups = _tie_groups(w)

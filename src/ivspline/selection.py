@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._workers import _map, _worker_pool
+from ._workers import _map
 from .datamodel import Dataset
 from .errors import IvsplineError, SelectionError, SizeError
 from .kernel import WeightMatrix, build_weight_matrix
@@ -35,12 +35,12 @@ GRID_P_HIGH = 0.7
 # produce pure-roundoff criteria that must resolve to the smallest lambda).
 TIE_RTOL = 1e-12
 
-# Smallest training-fold system order m (the weight matrix's rank on the distinct
-# instrument rows) at which the folds run in forked workers.  Starting and closing
-# the pool costs about 20 ms.  In three sweeps of two-fold CV on g1 draws (2 cores,
-# one BLAS thread), workers took 3.1 times the serial time at m = 100, 0.94-1.23
-# at m = 400, 0.99-1.18 at 500, 0.90-0.98 at 600 and 0.61-0.68 at 1000
-# (BENCH_fold_workers.json).
+# Smallest bound on the training folds' system order m at which the folds run in
+# forked workers: the full sample's weight matrix rank, or the smallest training
+# fold's row count where that is lower.  Starting and closing the pool costs about
+# 20 ms.  In three sweeps of two-fold CV on g1 draws (2 cores, one BLAS thread),
+# workers took 3.1 times the serial time at m = 100, 0.94-1.23 at m = 400,
+# 0.99-1.18 at 500, 0.90-0.98 at 600 and 0.61-0.68 at 1000 (BENCH_fold_workers.json).
 _FOLD_WORKER_MIN_ORDER = 600
 
 
@@ -100,8 +100,9 @@ def cross_validate(ds: Dataset, cfg: CvConfig = CvConfig()) -> CvResult:
     invalid, or a training fold cannot be fitted at all (the first such fold
     is named), a :class:`SelectionError` is raised.
 
-    When every training fold's system order (see ``_FOLD_WORKER_MIN_ORDER``)
-    is at least that constant, the folds run in forked workers, one per core
+    When the full-sample weight matrix's rank and every training fold's row
+    count, both bounds on a training fold's system order, are at least
+    ``_FOLD_WORKER_MIN_ORDER``, the folds run in forked workers, one per core
     up to the fold count, each with its BLAS pinned to one thread; they run
     in this process instead under the conditions where
     :func:`~ivspline.simlab.monte_carlo` runs serially (a daemonic caller,
@@ -140,16 +141,15 @@ def _cross_validate(ds: Dataset, cfg: CvConfig) -> tuple[CvResult, WeightMatrix]
     assignment = _fold_assignment(ds.n, cfg.folds, cfg.seed)
     omega_full = build_weight_matrix(ds.w)
 
-    # the smallest training fold's system order m: its distinct instrument rows, at
-    # most the full sample's rank (a principal submatrix has no larger rank)
-    rows = np.arange(ds.n) if omega_full.groups is None else omega_full.groups.index
-    order = min(omega_full.rank, *(np.unique(rows[assignment != fold_id]).size for fold_id in range(cfg.folds)))
-    pool = _worker_pool(cfg.folds) if order >= _FOLD_WORKER_MIN_ORDER else None
+    # a bound on the smallest training fold's system order: at most its row count,
+    # and at most the full sample's rank (a principal submatrix has no larger rank)
+    order = min(omega_full.rank, ds.n - np.bincount(assignment).max())
 
     grid = cfg.grid
     tilde = np.zeros((ds.n, grid.size))
     valid = np.ones(grid.size, dtype=bool)
-    folds = _map(functools.partial(_fold_predictions, ds, assignment, grid), cfg.folds, pool)
+    folds = _map(functools.partial(_fold_predictions, ds, assignment, grid), cfg.folds,
+                 parallel=order >= _FOLD_WORKER_MIN_ORDER)
     for fold_id, fold in enumerate(folds):
         if fold is None:
             raise SelectionError(f"fold {fold_id}: training subsample cannot be fitted")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._workers import _map, _worker_pool
+from ._workers import _map
 from .datamodel import Dataset, _write_table
 from .errors import IvsplineError, SizeError
 from .monotone import MonotoneDirection
@@ -177,7 +177,7 @@ def monte_carlo(
 
     replicate = functools.partial(_replicate, cfg, estimator == "constrained", cv, grid)
     # one replication per task, so a slow one (a tilt that falls back to phase-I) holds up no other
-    results = _map(replicate, replications, _worker_pool(replications))
+    results = _map(replicate, replications)
 
     curves = np.empty((replications, grid.size))
     lambda_stars = np.full(replications, np.nan)

@@ -103,9 +103,8 @@ def _assemble(ds: Dataset, omega: WeightMatrix | None, lam: float | None):
     linear = build_design(ds.z)
     omega = build_weight_matrix(ds.w) if omega is None else omega
     lt_linear = omega._apply_lt(linear)
-    rows = omega.n if omega.groups is None else len(omega.groups)
     low, high = scipy.linalg.svdvals(lt_linear / [1.0, np.abs(ds.z).max()])[[-1, 0]]
-    if low <= np.sqrt(rows) * _COLLINEAR_RTOL * high:
+    if low <= np.sqrt(omega.m) * _COLLINEAR_RTOL * high:
         raise CollinearityError(f"linear design is rank deficient on the instrument factor of rank {omega.rank}: "
                                 "L'Z has rank below 2 (the instrument groups have the same mean z)")
     m = lt_linear.shape[0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ivspline as ivs
-from ivspline.cli import _write_curve_csv, main
+from ivspline.cli import _write_curve_csv, main, read_document
 from ivspline.simlab import write_report_csv
 
 # 0.1 and -2.5e-7 need all 17 digits to read back; 1e22 is written with an exponent
@@ -60,6 +60,43 @@ def test_write_csv_rejects_repeated_names(tmp_path):
     with pytest.raises(ivs.SchemaError, match="'y' appears 2 times"):
         ivs.write_csv(ds, path, w_names=["y"])
     assert not path.exists()
+
+
+SMALL = dict(y=[1.0, 2.0, 3.0], z=[0.1, 0.2, 0.4], w=[0.5, 0.7, 0.9])
+
+
+def test_write_csv_rejects_names_repeated_once_stripped(tmp_path):
+    # the reader strips header cells, so the header y,z,"y " would read back as y,z,y
+    path = tmp_path / "dup.csv"
+    with pytest.raises(ivs.SchemaError, match="'y' appears 2 times"):
+        ivs.write_csv(ivs.Dataset(**SMALL), path, w_names=["y "])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("requested", [(" y", "z", "w1"), ("y", "z", "w1"), ("y ", " z ", " w1")])
+def test_names_with_surrounding_spaces_read_back(requested, tmp_path):
+    # requested names are stripped as the header cells are, however either side is spaced
+    ds = ivs.Dataset(**SMALL)
+    path = tmp_path / "spaced.csv"
+    ivs.write_csv(ds, path, y=" y", w_names=["w1 "])
+    assert path.read_bytes().startswith(b" y,z,w1 \r\n")
+    y, z, w = requested
+    back = ivs.load_csv(path, y=y, z=z, w=w)
+    assert (back.y.tobytes(), back.z.tobytes(), back.w.tobytes()) == (ds.y.tobytes(), ds.z.tobytes(), ds.w.tobytes())
+
+
+def test_fit_reads_spaced_column_names(tmp_path):
+    # ivspline fit hands its column names to the reader as given, --y and --z as --w
+    ds = ivs.generate(ivs.DgpConfig(n=40, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=2))["dataset"]
+    csv_in = tmp_path / "d.csv"
+    ivs.write_csv(ds, csv_in)
+    deltas = []
+    for names in (["y", "z", "w1"], [" y", "z ", " w1"]):
+        out = tmp_path / "fit.json"
+        args = ["fit", "--input", str(csv_in), "--y", names[0], "--z", names[1], "--w", names[2]]
+        assert main(args + ["--lambda", "0.01", "--out", str(out)]) == 0
+        deltas.append(read_document(out)["delta"])
+    assert deltas[0] == deltas[1]
 
 
 # ---------------------------------------------------------------------------
@@ -171,3 +208,18 @@ def test_datamodel_alone_holds_the_format():
             if found:
                 holders.add(source.stem)
     assert holders == {"datamodel"}
+
+
+def test_kernel_alone_holds_the_weight_matrix_and_workers_the_pool():
+    """Only kernel reads the tie map ``.groups``, and only _workers names ``_worker_pool``."""
+    package = Path(ivs.__file__).parent
+    readers, namers = set(), set()
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "groups":
+                readers.add(source.stem)
+            # a name read or bound (id), an attribute (attr), a def or an imported name (name)
+            if "_worker_pool" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                namers.add(source.stem)
+    assert readers == {"kernel"}
+    assert namers == {"_workers"}

@@ -135,6 +135,13 @@ class TestDataset:
         with pytest.raises(ivs.ParseError):
             ivs.Dataset(y=[1, np.inf, 3], z=[1, 2, 3], w=[[1], [2], [3]])
 
+    def test_zero_instrument_columns_rejected(self):
+        # an n x 0 instrument array is no instrument: a typed error, not an IndexError
+        with pytest.raises(ivs.SizeError, match="column"):
+            ivs.Dataset(y=np.zeros(10), z=np.arange(10.0), w=np.empty((10, 0)))
+        with pytest.raises(ivs.SizeError, match="column"):
+            ivs.build_weight_matrix(np.empty((10, 0)))
+
     def test_vector_instruments_promoted(self):
         ds = ivs.Dataset(y=[1, 2, 3], z=[1, 2, 3], w=[1, 2, 3])
         assert ds.w.shape == (3, 1)

@@ -339,18 +339,21 @@ class TestClosedFormRoute:
             tracemalloc.stop()
         assert peak < 1e6  # one dense 2000 x 2000 matrix is 32 MB
 
-    def test_operations_match_dense_matrix(self, rng):
-        w = rng.standard_normal((60, 1))
+    # a lone block (short or full), exact multiples of the block size, one-row tails
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 60, 64, 65])
+    def test_operations_match_dense_matrix(self, rng, n):
+        w = rng.standard_normal((n, 1))
         om = ivs.build_weight_matrix(w, ivs.KernelSpec())
+        assert isinstance(om, _BidiagonalWeightMatrix) and om.m == n
         values = weight_values(om)
-        m = rng.standard_normal((60, 4))
+        m = rng.standard_normal((n, 4))
         lt = om._apply_lt(m)
         assert np.allclose(lt.T @ lt, m.T @ values @ m, rtol=1e-10)
-        l_mat = om._apply_l(np.eye(60))
+        l_mat = om._apply_l(np.eye(n))
         assert np.allclose(l_mat @ l_mat.T, values, rtol=1e-10, atol=1e-14 * values.max())
         assert np.allclose(om._quadratic(m), np.einsum("ig,ig->g", values @ m, m), rtol=1e-10)
-        z = rng.standard_normal(60)
-        s_mat = om._congruence(z, np.empty((60, 60)))
+        z = rng.standard_normal(n)
+        s_mat = om._congruence(z, np.empty((n, n)))
         dense = l_mat.T @ cubic_design(z) @ l_mat
         assert np.allclose(s_mat, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
 

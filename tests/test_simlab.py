@@ -177,7 +177,7 @@ class TestMonteCarlo:
         def no_pool(replications):
             raise AssertionError("a worker pool was started before the arguments were checked")
 
-        monkeypatch.setattr(simlab, "_worker_pool", no_pool)
+        monkeypatch.setattr(_workers, "_worker_pool", no_pool)
         with pytest.raises(ValueError):
             ivs.monte_carlo(cfg, "unconstrained", 1)
         with pytest.raises(ValueError, match="replications"):
@@ -272,17 +272,17 @@ def on_cores(monkeypatch, cores, *args, **kwargs):
     """``monte_carlo`` as if this process could use ``cores`` cores; checks that it forked iff cores > 1."""
     monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(cores)))
     pools = []
-    make_pool = simlab._worker_pool
+    make_pool = _workers._worker_pool
 
     def spy(*a):
         pools.append(make_pool(*a))
         return pools[-1]
 
-    monkeypatch.setattr(simlab, "_worker_pool", spy)
+    monkeypatch.setattr(_workers, "_worker_pool", spy)
     try:
         return ivs.monte_carlo(*args, **kwargs)
     finally:
-        monkeypatch.setattr(simlab, "_worker_pool", make_pool)
+        monkeypatch.setattr(_workers, "_worker_pool", make_pool)
         assert [pool is not None for pool in pools] == [cores > 1]
 
 
