@@ -9,7 +9,6 @@ needed to regenerate them, and never embed timestamps.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 from pathlib import Path
@@ -36,43 +35,6 @@ CURVE_SAMPLES = 200
 CURVE_HEADER = ["z", "ghat", "ghat_prime"]
 
 _INPUT_ERRORS = (SchemaError, ParseError, SizeError, DegenerateInstrumentError, ValueError)
-
-# glibc malloc's mmap threshold: blocks of 4 MiB and more (numpy advises huge
-# pages from that size) are mapped on allocation and unmapped on free, and the
-# heap is trimmed once 8 MiB of its top is free (twice that, glibc's own ratio);
-# and its arena count, held at one
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
-_MMAP_THRESHOLD_BYTES = 4 << 20
-
-
-def _fix_malloc_thresholds() -> None:
-    """Keep a command's large arrays off glibc's heap, and its allocations in one arena.
-
-    The settings serve the two routes cross-validation takes.  Where the
-    folds run in this process (one usable core, or folds too small for the
-    workers), the mmap and trim thresholds keep their n x n matrices off the
-    heap, whose free holes depend on where small objects happen to lie; by
-    default glibc raises its mmap threshold to the largest mapped block freed
-    (up to 32 MiB), and from then on such matrices come from the heap.  On one
-    core of a 2-core x86-64 machine the fit-cv benchmark's peak read
-    116.8-118.3 MB with the thresholds and 133.8-134.0 MB without, for about
-    2% more fit time (fresh pages for every large array).  Where the folds
-    run in forked workers the thresholds do not lower the peak (107.5-109.0
-    MB without, 109.6-112.9 MB with, on both cores), but the one arena does:
-    it keeps the worker pool's result thread, which unpickles the folds'
-    predictions (3.2 MB each at n = 2000), on the one trimmed heap; in an
-    arena of its own the freed blocks stayed resident, and the peak read
-    119.3-119.4 MB instead of 111.3-111.6 MB.  A no-op off Linux or without
-    glibc's ``mallopt``.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
-        mallopt(_M_ARENA_MAX, 1)
-
 
 # ---------------------------------------------------------------------------
 # structured text documents: indented JSON with shortest round-trip reals
@@ -332,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _fix_malloc_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

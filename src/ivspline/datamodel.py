@@ -21,10 +21,25 @@ from .errors import DegenerateInstrumentError, ParseError, SchemaError, SizeErro
 MIN_ROWS = 3
 
 
-def _as_readonly(a, dtype=float):
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _checked(values, name: str, matrix: bool = False) -> np.ndarray:
+    """A read-only float copy of ``values``: a vector, or with ``matrix`` an n x p matrix (a vector is one column).
+
+    The raw-array entry points' one input check: SizeError for no rows, no
+    columns or another rank, ParseError for a NaN or inf entry.
+    """
+    a = np.array(values, dtype=float)
+    if not matrix:
+        a = a.reshape(-1)
+    else:
+        a = a.reshape(-1, 1) if a.ndim == 1 else a
+        if a.ndim != 2 or a.shape[1] == 0:
+            raise SizeError(f"{name} must be a vector or a 2-D matrix of at least one column")
+    if a.shape[0] == 0:
+        raise SizeError(f"{name} has no rows")
+    if not np.isfinite(a).all():
+        raise ParseError(f"non-finite entries in {name}")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -42,26 +57,14 @@ class Dataset:
     w: np.ndarray
 
     def __post_init__(self):
-        y = _as_readonly(np.asarray(self.y, dtype=float).reshape(-1))
-        z = _as_readonly(np.asarray(self.z, dtype=float).reshape(-1))
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim == 1:
-            w = w.reshape(-1, 1)
-        if w.ndim != 2 or w.shape[1] == 0:
-            raise SizeError("instrument array must be a vector or a 2-D matrix of at least one column")
-        w = _as_readonly(w)
-        if not (y.shape[0] == z.shape[0] == w.shape[0]):
+        for name in ("y", "z", "w"):
+            object.__setattr__(self, name, _checked(getattr(self, name), name, matrix=name == "w"))
+        if not (self.n == self.z.shape[0] == self.w.shape[0]):
             raise SizeError(
-                f"row mismatch: y has {y.shape[0]}, z has {z.shape[0]}, w has {w.shape[0]}"
+                f"row mismatch: y has {self.n}, z has {self.z.shape[0]}, w has {self.w.shape[0]}"
             )
-        if y.shape[0] < MIN_ROWS:
-            raise SizeError(f"need at least {MIN_ROWS} rows, got {y.shape[0]}")
-        for name, arr in (("y", y), ("z", z), ("w", w)):
-            if not np.all(np.isfinite(arr)):
-                raise ParseError(f"non-finite entries in {name}")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "w", w)
+        if self.n < MIN_ROWS:
+            raise SizeError(f"need at least {MIN_ROWS} rows, got {self.n}")
 
     @property
     def n(self) -> int:
@@ -84,13 +87,13 @@ def standardize_instruments(w: np.ndarray) -> np.ndarray:
     Raises
     ------
     SizeError
-        If there are fewer than two rows.
+        If there are fewer than two rows, or no columns.
+    ParseError
+        If an entry is NaN or infinite.
     DegenerateInstrumentError
         If a column is constant, so no dispersion measure exists.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w.reshape(-1, 1)
+    w = _checked(w, "w", matrix=True)
     if w.shape[0] < 2:
         raise SizeError("standardization needs at least two rows")
     centers = w.mean(axis=0)

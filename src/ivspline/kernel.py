@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .datamodel import standardize_instruments
-from .errors import SizeError
+from .datamodel import _checked, standardize_instruments
 from .spline import _CUBIC_BLOCK, _radial, _radial_design
 
 # Rows per diagonal block where a factor is applied a block at a time.  The
@@ -341,10 +340,8 @@ def build_weight_matrix(w: np.ndarray, spec: KernelSpec = KernelSpec()) -> Weigh
     once every remaining pivot is at most m eps times the largest diagonal
     entry; only the m x r factor at that numerical rank r is kept.
     """
-    w = np.asarray(w, dtype=float).reshape(len(w), -1)
+    w = _checked(w, "w", matrix=True)
     n = w.shape[0]
-    if w.shape[1] == 0:
-        raise SizeError("instrument array has no columns")
     if spec.standardize and n >= 2:
         w = standardize_instruments(w)
     rows, groups = _tie_groups(w)
@@ -370,7 +367,7 @@ def moment_criterion(residuals: np.ndarray, omega: WeightMatrix) -> float:
 
     Computed as ||L'r||^2 with Omega = L L', so it is never negative.
     """
-    r = np.asarray(residuals, dtype=float).reshape(-1)
+    r = _checked(residuals, "residuals")
     if r.shape[0] != omega.n:
         raise ValueError(f"residual length {r.shape[0]} != matrix order {omega.n}")
     return float(omega._quadratic(r))

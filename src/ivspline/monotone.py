@@ -71,8 +71,13 @@ VIOLATION_TOL = 1e-13
 INFEASIBLE_MARGIN = 1e-10
 # The tests' bound on a returned KKT residual; certified answers read below 1e-10.
 KKT_TOL = 1e-8
+# On 258 g1-g3 draws, n in {50, 200, 2000}, lambda in {1e-5, 1e-3}, the ascent took at
+# most 118 iterations (90 Newton steps, the rest working-set additions) and halved a
+# step at most once; 60 halvings take a step below double precision's 2^-53.
 STEP_CAP = 500
 LINE_SEARCH_CAP = 60
+# There, working-set slacks read at most 9.3e-16 of the largest, all others at least
+# 4.5e-9; the few below 1e-6 (11 of 256 certified draws) count as active too.
 ACTIVE_SLACK_RTOL = 1e-6
 # A constraint row whose largest entry is at most this fraction (about 50 eps) of
 # the largest row's is roundoff of a zero row, which normalizing would blow up.

@@ -8,7 +8,7 @@ wins, ties going to the smallest candidate.  Every candidate is handled at
 once: one path solve per fold gives all its coefficient columns, one matrix
 product (by row blocks of the basis) its out-of-fold predictions, and one
 application of the weight matrix's factor scores them all as ||L'r||^2.
-Large folds are solved side by side in forked workers (see
+Large folds are solved in forked child processes (see
 :func:`cross_validate`); the scoring stays in the calling process.
 """
 
@@ -35,13 +35,11 @@ GRID_P_HIGH = 0.7
 # produce pure-roundoff criteria that must resolve to the smallest lambda).
 TIE_RTOL = 1e-12
 
-# Smallest bound on the training folds' system order m at which the folds run in
-# forked workers: the full sample's weight matrix rank, or the smallest training
-# fold's row count where that is lower.  Starting and closing the pool costs about
-# 20 ms.  In three sweeps of two-fold CV on g1 draws (2 cores, one BLAS thread),
-# workers took 3.1 times the serial time at m = 100, 0.94-1.23 at m = 400,
-# 0.99-1.18 at 500, 0.90-0.98 at 600 and 0.61-0.68 at 1000 (BENCH_fold_workers.json).
-_FOLD_WORKER_MIN_ORDER = 600
+# The folds run in children from this bound on the training folds' system order m,
+# the lower of the full sample's weight matrix rank and the smallest training fold's
+# row count.  Forked over in-process two-fold CV time: 0.99-1.02 at m = 300 and
+# 0.80-0.90 at 400 on 2 cores, 1.04-1.21 at 400-1000 on one (BENCH_fork_children.json).
+_FOLD_WORKER_MIN_ORDER = 400
 
 
 def default_grid() -> np.ndarray:
@@ -102,13 +100,11 @@ def cross_validate(ds: Dataset, cfg: CvConfig = CvConfig()) -> CvResult:
 
     When the full-sample weight matrix's rank and every training fold's row
     count, both bounds on a training fold's system order, are at least
-    ``_FOLD_WORKER_MIN_ORDER``, the folds run in forked workers, one per core
-    up to the fold count, each with its BLAS pinned to one thread; they run
-    in this process instead under the conditions where
-    :func:`~ivspline.simlab.monte_carlo` runs serially (a daemonic caller,
-    such as a Monte Carlo worker, among them).  The predictions are
-    gathered in fold order, so the result is bit-identical to a serial run
-    at one BLAS thread.  No worker outlives the call.
+    ``_FOLD_WORKER_MIN_ORDER``, the folds run in forked children as the
+    replications of :func:`~ivspline.simlab.monte_carlo` do, one per usable
+    core up to the fold count; on one core a single child keeps their large
+    arrays out of this process.  Within a replication they run in its child.
+    The result is bit-identical to a run in this process at one BLAS thread.
     """
     return _cross_validate(ds, cfg)[0]
 
@@ -118,7 +114,7 @@ def _fold_predictions(ds: Dataset, assignment: np.ndarray, grid: np.ndarray,
     """Fold ``fold_id``'s held-out predictions at every grid lambda and their validity.
 
     None if the training subsample cannot be fitted.  The fold's solver is
-    built, used and freed here, in a worker when the folds run in workers.
+    built, used and freed here, in a child when the folds run in children.
     """
     held_out = assignment == fold_id
     train = ~held_out

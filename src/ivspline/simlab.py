@@ -155,14 +155,11 @@ def monte_carlo(
     Replication-level fit failures are excluded and counted, by exception
     type in ``failure_types``; more than 5% failures aborts the report.
 
-    The replications run in forked worker processes, one per core this
-    process may use, each with its BLAS pinned to one thread; the results
-    are gathered by replication index, so the report is bit-identical to a
-    serial run.  They run in this process instead in a daemonic process, on
-    one core, without the fork start method, or when numpy's or scipy's BLAS
-    has no OpenBLAS thread setter.  No worker outlives the call.  The
-    workers are daemonic, so each replication's cross-validation runs its
-    folds serially in the worker (see :func:`~ivspline.selection.cross_validate`).
+    The replications run in forked child processes, one per usable core, at
+    one BLAS thread each: child k of w runs replications k, k + w, and so on.
+    Results are gathered by index, so the report is bit-identical to a run in
+    this process, where the replications run without ``os.fork`` or without
+    an OpenBLAS thread setter under numpy's and scipy's BLAS.
     """
     if not isinstance(replications, (int, np.integer)) or replications < 2:
         raise ValueError(f"replications must be an integer of at least 2, got {replications!r}")
@@ -176,7 +173,6 @@ def monte_carlo(
     truth = true_function(cfg.g_id, grid)
 
     replicate = functools.partial(_replicate, cfg, estimator == "constrained", cv, grid)
-    # one replication per task, so a slow one (a tilt that falls back to phase-I) holds up no other
     results = _map(replicate, replications)
 
     curves = np.empty((replications, grid.size))

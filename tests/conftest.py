@@ -1,6 +1,5 @@
 """Shared instance factories and independent oracles used across test modules."""
 
-import multiprocessing
 import os
 from types import SimpleNamespace
 
@@ -16,7 +15,6 @@ import scipy.integrate  # noqa: E402
 import scipy.linalg  # noqa: E402
 
 import ivspline as ivs  # noqa: E402
-from ivspline import _workers  # noqa: E402
 from ivspline.selection import _fold_assignment  # noqa: E402
 
 
@@ -341,23 +339,29 @@ def natural_interpolant(z, values):
     return ivs.SplineFit(a=sol[n:], delta=sol[:n], knots=z, lam=1.0)
 
 
-def cv_on_cores(monkeypatch, cores):
-    """Let cross-validation see ``cores`` usable cores; the returned list records whether each pool it asks for starts.
+_FORK = os.fork
 
-    One entry per call of ``_workers._worker_pool``: none when the folds are
-    too small to ask, False when the folds run serially anyway.
+
+def fork_on_cores(monkeypatch, cores):
+    """Let the package see ``cores`` usable cores, or no ``os.fork`` with ``cores`` None; the returned list gets each child's pid.
+
+    One entry per child forked by this process, so the list stays empty
+    where the tasks run in this process.
     """
-    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(cores)))
-    started = []
-    make_pool = _workers._worker_pool
+    forks = []
+    if cores is None:
+        monkeypatch.delattr(os, "fork", raising=False)
+        return forks
 
-    def spy(tasks):
-        pool = make_pool(tasks)
-        started.append(pool is not None)
-        return pool
+    def fork():
+        pid = _FORK()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(_workers, "_worker_pool", spy)
-    return started
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    return forks
 
 
 @pytest.fixture
@@ -367,6 +371,10 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running, such as a Monte Carlo worker."""
+    """Fail a test that leaves a child process behind, running or unreaped, such as a Monte Carlo worker."""
     yield
-    assert multiprocessing.active_children() == []
+    try:
+        left = os.waitpid(-1, os.WNOHANG)  # (0, 0) for a running child, (pid, status) for an unreaped one
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process was left behind: waitpid read {left}")

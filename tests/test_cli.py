@@ -1,17 +1,10 @@
-import ctypes
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import ivspline as ivs
 from ivspline import selection
 from ivspline.cli import main, read_document
-from conftest import cv_on_cores
+from conftest import fork_on_cores
 
 
 def write_fit_csv(path, n=10, seed=0, noise=0.0, curve=None):
@@ -132,19 +125,19 @@ class TestFitCommand:
 
     def test_fold_workers_leave_the_artifacts_unchanged(self, tmp_path, monkeypatch):
         # n = 1400 distinct instrument rows: training folds of 700, above the
-        # size at which the folds run in workers; one core runs them serially
+        # size at which the folds run in children; without fork they run here
         csv_in = write_fit_csv(tmp_path / "d.csv", n=1400, seed=5, noise=0.3,
                                curve=lambda z: np.sin(3 * z))
         assert 700 >= selection._FOLD_WORKER_MIN_ORDER
         outputs = {}
-        for cores in (1, 2):
-            started = cv_on_cores(monkeypatch, cores)
+        for cores in (None, 1, 2):
+            forks = fork_on_cores(monkeypatch, cores)
             out, curve = tmp_path / f"fit{cores}.json", tmp_path / f"curve{cores}.csv"
             assert main(["fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1", "--cv",
                          "--seed", "3", "--out", str(out), "--grid-out", str(curve)]) == 0
-            assert started == [cores > 1]
+            assert len(forks) == (cores or 0)
             outputs[cores] = (out.read_bytes(), curve.read_bytes())
-        assert outputs[1] == outputs[2]
+        assert outputs[None] == outputs[1] == outputs[2]
 
     def test_cv_artifact_equals_public_cv_then_fit(self, tmp_path):
         # the CLI's fit reuses the weight matrix built by CV; the public route
@@ -326,62 +319,6 @@ class TestFitCommand:
         ])
         assert code == 2
 
-
-class _MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
-
-
-class TestMallocThresholds:
-    def test_large_blocks_stay_mapped_after_a_command(self, tmp_path):
-        # glibc's default would raise its mmap threshold to the 16 MiB block
-        # freed below and carve the 8 MiB one from the heap
-        mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None) if sys.platform.startswith("linux") else None
-        if mallinfo2 is None:
-            pytest.skip("needs glibc's mallinfo2")
-        mallinfo2.restype = _MallInfo2
-        csv_in = write_fit_csv(tmp_path / "d.csv", n=10, noise=0.1)
-        assert main(["fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
-                     "--lambda", "0.1", "--out", str(tmp_path / "fit.json")]) == 0
-        freed = np.ones(2 << 20)
-        del freed
-        before = mallinfo2().hblkhd
-        block = np.ones(1 << 20)
-        assert mallinfo2().hblkhd - before >= block.nbytes
-
-
-    def test_threads_allocate_on_the_one_heap_after_a_command(self, tmp_path):
-        # the worker pool's result thread unpickles the CV folds' predictions;
-        # with one arena its blocks come from the trimmed main heap, and
-        # malloc_info reports a single heap.  A fresh interpreter, since
-        # arenas made by earlier threads would be reused whatever the limit
-        script = textwrap.dedent("""
-            import ctypes, sys, threading
-            import numpy as np
-            from ivspline.cli import main
-
-            assert main(sys.argv[2:]) == 0
-            held = []
-            thread = threading.Thread(target=lambda: held.append(np.ones(1 << 17)))
-            thread.start()
-            thread.join()
-            libc = ctypes.CDLL(None)
-            libc.fopen.restype = ctypes.c_void_p
-            stream = ctypes.c_void_p(libc.fopen(sys.argv[1].encode(), b"w"))
-            libc.malloc_info(0, stream)
-            libc.fclose(stream)
-        """)
-        if getattr(ctypes.CDLL(None), "malloc_info", None) is None or not sys.platform.startswith("linux"):
-            pytest.skip("needs glibc's malloc_info")
-        csv_in = write_fit_csv(tmp_path / "d.csv", n=10, noise=0.1)
-        report = tmp_path / "malloc_info.xml"
-        argv = [str(report), "fit", "--input", str(csv_in), "--y", "y", "--z", "z", "--w", "w1",
-                "--lambda", "0.1", "--out", str(tmp_path / "fit.json")]
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert report.read_text().count("<heap nr=") == 1
 
 class TestSimulateCommand:
     def test_deterministic_byte_identical(self, tmp_path):

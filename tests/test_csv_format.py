@@ -211,15 +211,24 @@ def test_datamodel_alone_holds_the_format():
 
 
 def test_kernel_alone_holds_the_weight_matrix_and_workers_the_pool():
-    """Only kernel reads the tie map ``.groups``, and only _workers names ``_worker_pool``."""
+    """Only kernel reads the tie map ``.groups``, only _workers calls ``os.fork``, and no module
+    imports ``multiprocessing`` or calls glibc's ``mallopt``."""
     package = Path(ivs.__file__).parent
-    readers, namers = set(), set()
+    readers, forkers, pools, mallopts = set(), set(), set(), set()
     for source in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr == "groups":
                 readers.add(source.stem)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "fork":
+                forkers.add(source.stem)
+            if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "multiprocessing"
+                                                    for alias in node.names):
+                pools.add(source.stem)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "multiprocessing":
+                pools.add(source.stem)
             # a name read or bound (id), an attribute (attr), a def or an imported name (name)
-            if "_worker_pool" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
-                namers.add(source.stem)
+            if "mallopt" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                mallopts.add(source.stem)
     assert readers == {"kernel"}
-    assert namers == {"_workers"}
+    assert forkers == {"_workers"}
+    assert pools == set() and mallopts == set()

@@ -142,6 +142,24 @@ class TestDataset:
         with pytest.raises(ivs.SizeError, match="column"):
             ivs.build_weight_matrix(np.empty((10, 0)))
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: ivs.build_weight_matrix([[1.0], [np.nan], [2.0]]), ivs.ParseError),
+        (lambda: ivs.build_weight_matrix([[1.0], [np.inf], [2.0]]), ivs.ParseError),
+        (lambda: ivs.build_weight_matrix(np.empty((0, 1))), ivs.SizeError),
+        (lambda: ivs.standardize_instruments([1.0, np.nan, 2.0]), ivs.ParseError),
+        (lambda: ivs.standardize_instruments(np.empty((0, 2))), ivs.SizeError),
+        (lambda: ivs.moment_criterion([1.0, np.nan, 2.0], ivs.build_weight_matrix([0.0, 1.0, 3.0])), ivs.ParseError),
+        (lambda: ivs.moment_criterion([], ivs.build_weight_matrix([0.0, 1.0, 3.0])), ivs.SizeError),
+        (lambda: ivs.Dataset(y=[], z=[], w=[]), ivs.SizeError),
+    ], ids=["weights-nan", "weights-inf", "weights-empty", "standardize-nan", "standardize-empty",
+            "criterion-nan", "criterion-empty", "dataset-empty"])
+    def test_raw_arrays_get_the_datasets_checks(self, call, error):
+        # the raw-array entry points share Dataset's check: non-finite entries
+        # raise ParseError and empty arrays SizeError, with no warning on the way
+        # (pytest turns RuntimeWarning into an error)
+        with pytest.raises(error):
+            call()
+
     def test_vector_instruments_promoted(self):
         ds = ivs.Dataset(y=[1, 2, 3], z=[1, 2, 3], w=[1, 2, 3])
         assert ds.w.shape == (3, 1)

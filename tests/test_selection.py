@@ -1,13 +1,14 @@
 import dataclasses
-import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 import ivspline as ivs
 import ivspline.selection as selection
+from ivspline import _workers
 import ivspline.spline as spline
-from conftest import cv_on_cores, cv_oracle, near_ties, path_spectrum, random_instance, weight_values
+from conftest import cv_oracle, fork_on_cores, near_ties, path_spectrum, random_instance, weight_values
 
 
 def linear_noise_free(n=12, seed=0):
@@ -204,22 +205,22 @@ def same_cv(a, b):
 
 
 class TestFoldWorkers:
-    """The folds run in forked workers only where they are large enough; the answer is the serial one."""
+    """The folds run in forked children only where they are large enough; the answer is the in-process one."""
 
     def test_workers_equal_serial_bit_for_bit(self, monkeypatch):
-        # one candidate is singular on fold 0, so both routes count an invalid candidate
+        # one candidate is singular on fold 0, so every route counts an invalid candidate
         monkeypatch.setattr(selection, "_FOLD_WORKER_MIN_ORDER", 1)
         ds = random_instance(11, n=30)
         held = selection._fold_assignment(ds.n, 2, 4) == 0
         singular = -path_spectrum(ivs.Dataset(y=ds.y[~held], z=ds.z[~held], w=ds.w[~held])).min()
         cfg = ivs.CvConfig(grid=np.sort(np.append(ivs.default_grid()[::20], singular)), seed=4)
         results = {}
-        for cores in (1, 2):
-            started = cv_on_cores(monkeypatch, cores)
+        for cores in (None, 1, 2):  # None: no fork, so the folds run in this process
+            forks = fork_on_cores(monkeypatch, cores)
             results[cores] = ivs.cross_validate(ds, cfg)
-            assert started == [cores > 1]
-        assert results[1].invalid_candidates == 1
-        assert same_cv(results[1], results[2])
+            assert len(forks) == (cores or 0)
+        assert results[None].invalid_candidates == 1
+        assert same_cv(results[None], results[1]) and same_cv(results[None], results[2])
 
     @pytest.mark.parametrize("ties", [False, True, "near"])
     def test_no_process_starts_below_the_constant(self, monkeypatch, ties):
@@ -233,36 +234,51 @@ class TestFoldWorkers:
             assert ds.n // 2 >= selection._FOLD_WORKER_MIN_ORDER
         else:
             ds = random_instance(12, n=60)
-
-        def no_fork(*args):
-            raise AssertionError("the fork context was touched below the fold-size constant")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        started = cv_on_cores(monkeypatch, 2)
+        forks = fork_on_cores(monkeypatch, 2)
         result = ivs.cross_validate(ds, ivs.CvConfig(seed=2))
-        assert started == []
+        assert forks == []
         assert np.isfinite(result.curve[result.lambda_star_index, 1])
 
-    def test_daemonic_caller_runs_serially(self, monkeypatch):
-        # a daemonic process may not have children: starting a pool in one raises
+    def test_large_folds_leave_the_calling_process_on_one_core(self, monkeypatch, tmp_path):
+        # training folds of the constant's size: on one core a single child
+        # computes both, so their arrays never reach this process
+        ds = random_instance(15, n=2 * selection._FOLD_WORKER_MIN_ORDER + 2)
+        record = tmp_path / "pids"
+        fold_predictions = selection._fold_predictions
+
+        def recording(*args):
+            with open(record, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return fold_predictions(*args)
+
+        monkeypatch.setattr(selection, "_fold_predictions", recording)
+        forks = fork_on_cores(monkeypatch, 1)
+        ivs.cross_validate(ds, ivs.CvConfig(seed=6, grid=ivs.default_grid()[::40]))
+        assert len(forks) == 1
+        assert [int(pid) for pid in record.read_text().split()] == forks * 2
+
+    def test_call_inside_a_child_runs_there(self, monkeypatch):
+        # the cross-validation inside a forked child (a Monte Carlo
+        # replication's) forks no grandchild and gives the in-process answer
         monkeypatch.setattr(selection, "_FOLD_WORKER_MIN_ORDER", 1)
         ds, cfg = random_instance(13, n=40), ivs.CvConfig(seed=3)
-        cv_on_cores(monkeypatch, 1)
+        fork_on_cores(monkeypatch, None)
         serial = ivs.cross_validate(ds, cfg)
-        cv_on_cores(monkeypatch, 2)
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            inner = pool.apply(ivs.cross_validate, (ds, cfg))
+        forks = fork_on_cores(monkeypatch, 2)
+        [(inner, inner_forks)] = _workers._map(lambda task: (ivs.cross_validate(ds, cfg), len(forks)), 1)
+        assert len(forks) == 1 and inner_forks == 0
         assert same_cv(serial, inner)
 
-    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("cores", [None, 1, 2])
     def test_unfittable_fold_raises_the_same_error_on_both_routes(self, monkeypatch, cores):
         # z is constant on each fold, so neither training subsample has two
-        # distinct z values; both routes name the first fold
+        # distinct z values; in this process and in children, the error names
+        # the first fold
         monkeypatch.setattr(selection, "_FOLD_WORKER_MIN_ORDER", 1)
         cfg = ivs.CvConfig(seed=5)
         ds = random_instance(14, n=20)
         ds = ivs.Dataset(y=ds.y, z=selection._fold_assignment(ds.n, 2, 5).astype(float), w=ds.w)
-        started = cv_on_cores(monkeypatch, cores)
+        forks = fork_on_cores(monkeypatch, cores)
         with pytest.raises(ivs.SelectionError, match=r"^fold 0: training subsample cannot be fitted$"):
             ivs.cross_validate(ds, cfg)
-        assert started == [cores > 1]
+        assert len(forks) == (cores or 0)

@@ -1,9 +1,9 @@
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 import ivspline as ivs
 from ivspline import _workers, selection, simlab
 from ivspline.simlab import _rep_cv_seed, _rep_rng
+from conftest import fork_on_cores
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -174,10 +175,10 @@ class TestMonteCarlo:
     def test_replication_validation(self, monkeypatch):
         cfg = ivs.DgpConfig(n=30, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=6)
 
-        def no_pool(replications):
-            raise AssertionError("a worker pool was started before the arguments were checked")
+        def no_fork():
+            raise AssertionError("a child was forked before the arguments were checked")
 
-        monkeypatch.setattr(_workers, "_worker_pool", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         with pytest.raises(ValueError):
             ivs.monte_carlo(cfg, "unconstrained", 1)
         with pytest.raises(ValueError, match="replications"):
@@ -269,21 +270,11 @@ def same_bits(a, b):
 
 
 def on_cores(monkeypatch, cores, *args, **kwargs):
-    """``monte_carlo`` as if this process could use ``cores`` cores; checks that it forked iff cores > 1."""
-    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(cores)))
-    pools = []
-    make_pool = _workers._worker_pool
-
-    def spy(*a):
-        pools.append(make_pool(*a))
-        return pools[-1]
-
-    monkeypatch.setattr(_workers, "_worker_pool", spy)
-    try:
-        return ivs.monte_carlo(*args, **kwargs)
-    finally:
-        monkeypatch.setattr(_workers, "_worker_pool", make_pool)
-        assert [pool is not None for pool in pools] == [cores > 1]
+    """``monte_carlo`` as if this process could use ``cores`` cores (None: no fork); checks that it forked one child per core."""
+    forks = fork_on_cores(monkeypatch, cores)
+    report = ivs.monte_carlo(*args, **kwargs)
+    assert len(forks) == (cores or 0)
+    return report
 
 
 class TestWorkers:
@@ -291,12 +282,12 @@ class TestWorkers:
     def test_workers_report_equals_serial_bit_for_bit(self, monkeypatch, estimator):
         cfg = ivs.DgpConfig(n=60, rho_ev=0.5, rho_wz=0.9, g_id="g3", seed=21)
         cv = ivs.CvConfig(seed=4)
-        serial = on_cores(monkeypatch, 1, cfg, estimator, 6, cv=cv)
-        workers = on_cores(monkeypatch, 2, cfg, estimator, 6, cv=cv)
+        serial = on_cores(monkeypatch, None, cfg, estimator, 6, cv=cv)
         assert serial.failures == 0 and not np.isnan(serial.lambda_stars).any()
-        assert same_bits(serial, workers)
+        for cores in (1, 2):
+            assert same_bits(serial, on_cores(monkeypatch, cores, cfg, estimator, 6, cv=cv))
 
-    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("cores", [None, 1, 2])
     def test_typed_failures_counted_at_their_replications(self, monkeypatch, cores):
         real = simlab._fit_on_grid
 
@@ -326,15 +317,36 @@ class TestWorkers:
         with pytest.raises(ValueError, match="synthetic untyped failure"):
             on_cores(monkeypatch, 2, cfg, "unconstrained", 6, cv=ivs.CvConfig(seed=1, grid=[1e-3, 1e-1]))
 
-    def test_daemonic_caller_runs_serially(self, monkeypatch):
-        # a daemonic process may not have children: monte_carlo must not try
+    def test_call_inside_a_child_runs_there(self, monkeypatch):
+        # monte_carlo called in a forked child forks no grandchild and gives the in-process report
         cfg = ivs.DgpConfig(n=24, rho_ev=0.5, rho_wz=0.9, g_id="g1", seed=24)
         cv = ivs.CvConfig(seed=1, grid=[1e-3, 1e-1])
-        serial = on_cores(monkeypatch, 1, cfg, "unconstrained", 6, cv=cv)
-        monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: {0, 1})
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            inner = pool.apply(ivs.monte_carlo, (cfg, "unconstrained", 6), {"cv": cv})
+        serial = on_cores(monkeypatch, None, cfg, "unconstrained", 6, cv=cv)
+        forks = fork_on_cores(monkeypatch, 2)
+        [(inner, inner_forks)] = _workers._map(
+            lambda task: (ivs.monte_carlo(cfg, "unconstrained", 6, cv=cv), len(forks)), 1)
+        assert len(forks) == 1 and inner_forks == 0
         assert same_bits(serial, inner)
+
+    def test_child_exiting_without_a_result_raises_its_status(self, monkeypatch):
+        fork_on_cores(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match=r"^worker 1 exited with status 7 before sending the result "
+                                                    r"of task 3$"):
+            _workers._map(lambda task: os._exit(7) if task == 3 else task, 6)
+
+    def test_a_failing_parent_kills_its_children(self, monkeypatch):
+        # the parent fails on reading the first result while both children
+        # still sleep; it kills and reaps them instead of waiting out the sleep
+        fork_on_cores(monkeypatch, 2)
+
+        def unreadable(stream):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_workers.pickle, "load", unreadable)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _workers._map(lambda task: time.sleep(60), 2)
+        assert time.monotonic() - start < 30
 
     def test_workers_run_one_blas_thread_whatever_the_environment(self, tmp_path):
         # BLAS reads OPENBLAS_NUM_THREADS when it loads, before any fork, so
@@ -367,7 +379,7 @@ class TestWorkers:
             simlab._fit_on_grid = fit_on_grid
             for setter in _workers._blas_thread_setters():
                 setter(1)
-            os.sched_getaffinity = lambda pid: {0}
+            del os.fork
             serial = ivs.monte_carlo(cfg, "constrained", 4, cv=cv)
             fields = lambda r: [r.mse, r.bias_sq, r.variance, r.lambda_stars.tobytes().hex(),
                                 *(r.per_point[key].tobytes().hex() for key in sorted(r.per_point))]
