@@ -25,10 +25,13 @@ def _checked(values, name: str, matrix: bool = False) -> np.ndarray:
     """A read-only float copy of ``values``: a vector, or with ``matrix`` an n x p matrix (a vector is one column).
 
     The raw-array entry points' one input check: SizeError for no rows, no
-    columns or another rank, ParseError for a NaN or inf entry.
+    columns or another rank (a scalar and an n x 1 column pass as vectors),
+    ParseError for a NaN or inf entry.
     """
     a = np.array(values, dtype=float)
     if not matrix:
+        if a.ndim > 2 or a.ndim == 2 and a.shape[1] != 1:
+            raise SizeError(f"{name} must be a vector or a one-column matrix, got shape {a.shape}")
         a = a.reshape(-1)
     else:
         a = a.reshape(-1, 1) if a.ndim == 1 else a

@@ -75,8 +75,9 @@ class SolverStallError(IvsplineError):
 
     Raised when the dual ascent hits its iteration cap, when its line search
     finds no ascent step, or when its answer's KKT residual exceeds
-    ``monotone.KKT_TOL``.  ``diagnostics`` holds ``newton_steps`` and the
-    knot indices of the ``working_set``.
+    ``monotone.KKT_TOL``; the message then names the largest KKT term.
+    ``diagnostics`` holds ``newton_steps``, the knot indices of the
+    ``working_set`` and their ``multipliers``, in the same order.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -85,9 +85,6 @@ class _Groups:
     order: np.ndarray
     starts: np.ndarray
 
-    def __len__(self) -> int:
-        return self.starts.shape[0]
-
     def sum(self, m: np.ndarray) -> np.ndarray:
         """G'm: the rows of m summed within each group."""
         return np.add.reduceat(m[self.order], self.starts, axis=0)

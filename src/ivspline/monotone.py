@@ -130,13 +130,15 @@ def derivative_smoother_matrix(ds: Dataset, lam: float) -> np.ndarray:
     maps through F' and F), refined until it is accurate to
     ``solver.REFINE_RTOL`` or has made ``solver._REFINEMENT_STEPS``
     corrections; refining the derivative design as right-hand sides makes L
-    reproduce linear outcomes (L 1 = 0, L z = 1).
+    reproduce linear outcomes (L 1 = 0, L z = 1).  A monotone fit reports the
+    solve's corrections and the backward error of the returned L as
+    ``smoother_refinement_steps`` and ``smoother_backward_error``.
     """
     return _smoother(_Factored(ds, lam))[0]
 
 
 def _smoother(system: _Factored) -> tuple[np.ndarray, int, float]:
-    """L, and the refinement steps and backward error of its solve (see :meth:`_Factored.solve`)."""
+    """L, and the refinement steps of its solve and the backward error of L (see :meth:`_Factored.solve`)."""
     delta, _, steps, eta, _ = system.solve(_derivative_rhs(system.knots))
     return delta.T, steps, eta
 
@@ -197,17 +199,18 @@ def _phase_one(a: np.ndarray) -> tuple[float, int]:
 
 
 def _uncertified(a: np.ndarray, kept: np.ndarray, reason: str, steps: int,
-                 work: list[int]) -> InfeasibleConstraintsError | SolverStallError:
-    """The error for an ascent that ended without a certified answer, decided by phase-I.
+                 work: list[int], x: np.ndarray) -> InfeasibleConstraintsError | SolverStallError:
+    """The error for an ascent that ended at the dual point x = (nu, mu_W) uncertified, decided by phase-I.
 
     Infeasible when the phase-I program's best margin is at most
-    ``INFEASIBLE_MARGIN``; otherwise a stall that names ``reason`` and the margin.
+    ``INFEASIBLE_MARGIN``; otherwise a stall that names ``reason`` and the
+    margin, and carries the working set and its multipliers.
     """
     margin, worst = _phase_one(a)
     if margin <= INFEASIBLE_MARGIN:
         return _infeasible("the phase-I program", kept[worst], margin)
-    return SolverStallError(f"{reason}; weights with margin {margin:.3e} exist",
-                            diagnostics={"newton_steps": steps, "working_set": kept[work]})
+    return SolverStallError(f"{reason}; weights with margin {margin:.3e} exist", diagnostics={
+        "newton_steps": steps, "working_set": kept[work], "multipliers": x[1:].copy()})
 
 
 def tilt(ds: Dataset, lam: float,
@@ -246,7 +249,7 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
         try:
             step = np.linalg.solve((basis.T * curvature) @ basis, grad)
         except np.linalg.LinAlgError:
-            raise _uncertified(a_rows, kept, "tilt Newton system is singular", steps, work) from None
+            raise _uncertified(a_rows, kept, "tilt Newton system is singular", steps, work, x) from None
         dec2 = float(grad @ step)
         if dec2 <= DECREMENT_TOL:
             # primal polish: the linearized Newton update of q lands on
@@ -286,7 +289,7 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
             alpha *= 0.5
             leaving = None
         else:
-            raise _uncertified(a_rows, kept, "tilt line search found no ascent step", steps, work)
+            raise _uncertified(a_rows, kept, "tilt line search found no ascent step", steps, work, x)
         steps += 1
         x = cand
         if leaving is not None:
@@ -296,22 +299,24 @@ def _tilt(smoother: np.ndarray, y: np.ndarray, direction: MonotoneDirection) -> 
         if margin <= INFEASIBLE_MARGIN:
             raise _infeasible("the dual certificate", kept[work[int(np.argmax(x[1:]))]], margin)
     else:
-        raise _uncertified(a_rows, kept, "tilt solver hit its iteration cap before converging", steps, work)
+        raise _uncertified(a_rows, kept, "tilt solver hit its iteration cap before converging", steps, work, x)
 
     if not q.min() >= 0.0:
-        raise _uncertified(a_rows, kept, f"tilt polish left a negative weight {q.min():.3e}", steps, work)
+        raise _uncertified(a_rows, kept, f"tilt polish left a negative weight {q.min():.3e}", steps, work, x)
     mu = x[1:]
     objective = float(n - np.sum(np.sqrt(q)))
     dual = float(n - x[0] * n - np.sum(0.25 / d))
-    residual = max(
-        abs(float(q.sum()) - n) / n,
-        -float(slack.min(initial=0.0)),
-        -float(mu.min(initial=0.0)),
-        float(np.abs(mu * slack[work]).max(initial=0.0)),
-        float(np.abs(d - 0.5 / np.sqrt(q)).max()),
-    )
+    terms = {
+        "simplex violation": abs(float(q.sum()) - n) / n,
+        "negative slack": -float(slack.min(initial=0.0)),
+        "negative multiplier": -float(mu.min(initial=0.0)),
+        "complementarity": float(np.abs(mu * slack[work]).max(initial=0.0)),
+        "stationarity": float(np.abs(d - 0.5 / np.sqrt(q)).max()),
+    }
+    term = max(terms, key=terms.get)
+    residual = terms[term]
     if residual > KKT_TOL:
-        raise _uncertified(a_rows, kept, f"tilt stopped at KKT residual {residual:.3e}", steps, work)
+        raise _uncertified(a_rows, kept, f"tilt stopped at KKT residual {residual:.3e} ({term})", steps, work, x)
     return TiltWeights(
         p=q / n,
         objective=objective,

@@ -24,7 +24,7 @@ from .datamodel import Dataset
 from .errors import IvsplineError, SelectionError, SizeError
 from .kernel import WeightMatrix, build_weight_matrix
 from .monotone import MonotoneDirection, _fit_monotone
-from .solver import PathSolver, _Factored
+from .solver import PathSolver, _checked_lambdas, _Factored
 from .spline import SplineFit, _radial_product
 
 GRID_SIZE = 400
@@ -42,6 +42,12 @@ TIE_RTOL = 1e-12
 _FOLD_WORKER_MIN_ORDER = 400
 
 
+def _check_cv_rows(n: int, folds: int, got: str = "") -> None:
+    """SizeError unless n rows split into ``folds`` folds of at least 3 rows; the message reads "got {got}{n}"."""
+    if n < 3 * folds:
+        raise SizeError(f"cross-validation with {folds} folds needs at least {3 * folds} rows, got {got}{n}")
+
+
 def default_grid() -> np.ndarray:
     """The 400-point candidate grid {p/(1-p) : p = 1e-5 + k (0.7 - 1e-5)/399}."""
     p = GRID_P_LOW + np.arange(GRID_SIZE) * (GRID_P_HIGH - GRID_P_LOW) / (GRID_SIZE - 1)
@@ -57,12 +63,7 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).reshape(-1)
-        if grid.size == 0:
-            raise ValueError("candidate grid must be nonempty")
-        if not np.all(np.isfinite(grid) & (grid > 0)):
-            raise ValueError("candidate grid must be strictly positive and finite")
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", _checked_lambdas(self.grid))
         if not isinstance(self.folds, (int, np.integer)):
             raise ValueError(f"fold count must be an integer, got {self.folds!r}")
         if self.folds < 2:
@@ -130,10 +131,7 @@ def _fold_predictions(ds: Dataset, assignment: np.ndarray, grid: np.ndarray,
 
 def _cross_validate(ds: Dataset, cfg: CvConfig) -> tuple[CvResult, WeightMatrix]:
     """:func:`cross_validate`, also handing back the full-sample weight matrix for the fit."""
-    if ds.n < 3 * cfg.folds:
-        raise SizeError(
-            f"cross-validation with {cfg.folds} folds needs at least {3 * cfg.folds} rows, got {ds.n}"
-        )
+    _check_cv_rows(ds.n, cfg.folds)
     assignment = _fold_assignment(ds.n, cfg.folds, cfg.seed)
     omega_full = build_weight_matrix(ds.w)
 

@@ -22,9 +22,9 @@ import numpy as np
 
 from ._workers import _map
 from .datamodel import Dataset, _write_table
-from .errors import IvsplineError, SizeError
+from .errors import IvsplineError
 from .monotone import MonotoneDirection
-from .selection import CvConfig, _fit_selected
+from .selection import CvConfig, _check_cv_rows, _fit_selected
 from .solver import fit  # noqa: F401  (simlab.fit is read by bench/test_bench.py)
 from .spline import evaluate
 
@@ -165,10 +165,7 @@ def monte_carlo(
         raise ValueError(f"replications must be an integer of at least 2, got {replications!r}")
     if estimator not in ("unconstrained", "constrained"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    if cfg.n < 3 * cv.folds:
-        raise SizeError(
-            f"cross-validation with {cv.folds} folds needs at least {3 * cv.folds} rows, got n = {cfg.n}"
-        )
+    _check_cv_rows(cfg.n, cv.folds, "n = ")
     grid = evaluation_grid()
     truth = true_function(cfg.g_id, grid)
 

@@ -65,11 +65,16 @@ _COLLINEAR_RTOL = float(np.sqrt(np.finfo(float).eps))
 _SHIFT_RTOL = 1e-10
 
 
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"regularization parameter must be positive, got {lam}")
-    return lam
+def _checked_lambdas(values) -> np.ndarray:
+    """One lambda or a vector of them as a float vector; ValueError unless non-empty, finite and positive."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim > 1 or grid.size == 0:
+        raise ValueError(f"regularization parameters must be a value or a non-empty vector, got shape {grid.shape}")
+    grid = grid.reshape(-1)
+    bad = grid[~(np.isfinite(grid) & (grid > 0.0))]
+    if bad.size:
+        raise ValueError(f"regularization parameters must be finite and positive, got {bad[0]}")
+    return grid
 
 
 def _significant(value: float) -> float:
@@ -143,7 +148,7 @@ class _Factored:
     """
 
     def __init__(self, ds: Dataset, lam: float, omega: WeightMatrix | None = None):
-        self.lam = _check_lambda(lam)
+        self.lam = _checked_lambdas(lam).item()
         self.knots = ds.z
         # K' is the F-ordered transpose, factored in place; solves pass trans=1 to solve with K.
         # Its 1-norm is K's inf-norm, the norm the backward error reads
@@ -175,54 +180,51 @@ class _Factored:
         resid[:-2] -= self.lam * u
         return resid, delta, e_delta
 
+    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """K^-1 rhs by the LU factors; ConditioningError where it is not finite."""
+        sol = scipy.linalg.lu_solve(self.lu, rhs, trans=1)
+        if not np.all(np.isfinite(sol)):
+            raise ConditioningError(
+                f"block solve produced non-finite values (condition estimate {self.condition:.3e})",
+                condition_estimate=self.condition,
+            )
+        return sol
+
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float, np.ndarray | None]:
         """Solve the bordered system in delta and a, for one or many (n + 2)-row right-hand sides b.
 
         The first n rows of b are mapped through L', the system is solved for
         (u; a) by LU with iterative refinement, and (delta, a, steps, eta,
         e_delta) is returned: delta = L u (n rows) and a (2 rows), with one column per
-        column of b; the number of refinement corrections made; and the
-        normwise backward error max_j |r_j| / (|K| |x_j| + |b_j|)
-        (inf-norms, in the coordinates u) of the last residual r = b - K x
-        formed, rounded to ``CONDITION_DIGITS``; NaN when the step cap is 0
-        and no residual was formed.  Refinement stops once condition *
-        backward error is at most ``REFINE_RTOL``, once a correction is at
-        most ``REFINE_RTOL`` of its column of the solution, or after
-        ``_REFINEMENT_STEPS`` corrections; the residual of the capped answer
-        is not formed.  ``e_delta`` is the last residual's E delta for a
-        vector b when it is of the returned answer, else None.
+        column of b; the number of refinement corrections made; the normwise
+        backward error max_j |r_j| / (|K| |x_j| + |b_j|) (inf-norms, in the
+        coordinates u) of the returned answer x, from its residual r = b - K x,
+        rounded to ``CONDITION_DIGITS``; and, for a vector b, that residual's
+        E delta (None for a matrix).  The residual of every answer is formed,
+        and refinement stops once condition * backward error is at most
+        ``REFINE_RTOL``, once the last correction was at most ``REFINE_RTOL``
+        of its column of the answer, or after ``_REFINEMENT_STEPS`` corrections.
         """
         n = self.knots.shape[0]
         rhs = np.concatenate([self.omega._apply_lt(rhs[:n]), rhs[n:]])
-        sol = scipy.linalg.lu_solve(self.lu, rhs, trans=1)
-        steps, eta, delta, e_delta = 0, np.nan, None, None
+        sol = self._lu_solve(rhs)
         rhs_max, sol_max = _column_max(rhs), _column_max(sol)
-        while steps < _REFINEMENT_STEPS:
+        steps, converged = 0, False
+        while True:
             resid, delta, e_delta = self._residual(rhs, sol)
             with np.errstate(invalid="ignore"):  # 0 / 0 only for a zero column, whose residual is 0
                 eta = float(np.nan_to_num(_column_max(resid) / (self.norm * sol_max + rhs_max)).max())
-            if self.condition * eta <= REFINE_RTOL:
-                break
-            correction = scipy.linalg.lu_solve(self.lu, resid, trans=1)
+            if converged or steps == _REFINEMENT_STEPS or self.condition * eta <= REFINE_RTOL:
+                return delta, sol[-2:], steps, _significant(eta), e_delta
+            correction = self._lu_solve(resid)
             sol += correction
             sol_max = _column_max(sol)
-            steps, delta, e_delta = steps + 1, None, None
-            if np.all(_column_max(correction) <= REFINE_RTOL * sol_max):
-                break
-        if not np.all(np.isfinite(sol)):
-            raise ConditioningError(
-                f"block solve produced non-finite values (condition estimate {self.condition:.3e})",
-                condition_estimate=self.condition,
-            )
-        if delta is None:  # the residual's delta = L u is of an earlier answer, or none was formed
-            delta = self.omega._apply_l(sol[:-2])
-        return delta, sol[-2:], steps, _significant(eta), e_delta
+            steps += 1
+            converged = np.all(_column_max(correction) <= REFINE_RTOL * sol_max)
 
     def fit(self, y: np.ndarray) -> SplineFit:
         """The fitted spline for outcome vector y, with :func:`fit`'s diagnostics."""
         delta, a, steps, eta, e_delta = self.solve(np.concatenate([y, np.zeros(2)]))
-        if e_delta is None:  # a correction was made after the last residual, or none was formed
-            e_delta = _radial_product(self.knots, self.knots, delta)
         residuals = y - self.linear @ a - e_delta
         rough = float(delta @ e_delta)
         crit = moment_criterion(residuals, self.omega)
@@ -301,9 +303,7 @@ class PathSolver:
         numerically zero at that lambda, when its 2 x 2 Gram matrix is
         singular, or when its coefficients are not finite.
         """
-        grid = np.asarray(grid, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(grid) & (grid > 0.0)):
-            raise ValueError("regularization parameters must be positive and finite")
+        grid = _checked_lambdas(grid)
         shifted = self._evals[:, None] + grid
         valid = np.abs(shifted).min(axis=0) > _SHIFT_RTOL * self._scale
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datamodel import _checked
 from .errors import SizeError
 
 
@@ -85,8 +86,8 @@ def _derivative_rhs(z: np.ndarray) -> np.ndarray:
 
 
 def build_design(z: np.ndarray) -> np.ndarray:
-    """The n x 2 linear design, columns (1, z_i), of at least 3 knots."""
-    z = np.asarray(z, dtype=float).reshape(-1)
+    """The n x 2 linear design, columns (1, z_i), of at least 3 finite knots."""
+    z = _checked(z, "z")
     n = z.shape[0]
     if n < 3:
         raise SizeError(f"design matrices need at least 3 knots, got {n}")
@@ -99,13 +100,17 @@ class SplineFit:
 
     ``a`` holds the intercept and slope, ``delta`` the radial coefficients
     (one per knot, satisfying the two natural-spline constraints), ``knots``
-    the z values in dataset order.  ``diagnostics`` records, for the solve
-    that produced the fit, ``criterion``, ``roughness``, ``objective``,
-    ``constraint_residual``, ``instrument_groups`` (the weight matrix's rank
-    on the distinct instrument rows), ``kkt_condition_estimate``,
-    ``refinement_steps`` and ``backward_error``.  A monotone refit adds
-    ``smoother_refinement_steps``, ``smoother_backward_error``,
-    ``tilt_objective``, ``tilt_kkt_residual`` and ``tilt_active_constraints``.
+    the z values in dataset order; all three are checked as a Dataset's
+    vectors are (ParseError for a NaN or inf entry, SizeError for none or a
+    wrong rank), and ``delta`` and ``knots`` must have equal length.  ``diagnostics``
+    records, for the solve that produced the fit, ``criterion``,
+    ``roughness``, ``objective``, ``constraint_residual``,
+    ``instrument_groups`` (the weight matrix's rank on the distinct instrument
+    rows), ``kkt_condition_estimate``, ``refinement_steps`` and the
+    ``backward_error`` of the returned coefficients.  A monotone refit adds
+    ``smoother_refinement_steps``, ``smoother_backward_error`` (of the
+    returned smoother), ``tilt_objective``, ``tilt_kkt_residual`` and
+    ``tilt_active_constraints``.
     """
 
     a: np.ndarray
@@ -115,29 +120,21 @@ class SplineFit:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float).reshape(2)
-        delta = np.asarray(self.delta, dtype=float).reshape(-1)
-        knots = np.asarray(self.knots, dtype=float).reshape(-1)
-        if delta.shape != knots.shape:
+        for name in ("a", "delta", "knots"):
+            object.__setattr__(self, name, _checked(getattr(self, name), name))
+        if self.a.shape != (2,):
+            raise ValueError(f"a must hold an intercept and a slope, got {self.a.shape[0]} values")
+        if self.delta.shape != self.knots.shape:
             raise ValueError("delta and knots must have equal length")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "knots", knots)
 
     @property
     def n(self) -> int:
         return self.knots.shape[0]
 
-    def constraint_residual(self) -> float:
-        """max(|sum delta|, |sum delta * knots|), the natural-spline constraint violation."""
-        return float(
-            max(abs(self.delta.sum()), abs(np.dot(self.delta, self.knots)))
-        )
-
 
 def _evaluate(fit: SplineFit, z, order: int) -> np.ndarray | float:
-    """The fit's order-th derivative at z (scalar or array): the radial sum plus the linear part's."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    """The fit's order-th derivative at finite z (scalar or vector): the radial sum plus the linear part's."""
+    z_arr = _checked(z, "z")
     out = _radial_product(z_arr, fit.knots, fit.delta, order)
     if order == 0:
         out = fit.a[0] + fit.a[1] * z_arr + out
@@ -147,7 +144,7 @@ def _evaluate(fit: SplineFit, z, order: int) -> np.ndarray | float:
 
 
 def evaluate(fit: SplineFit, z) -> np.ndarray | float:
-    """Spline value at z (scalar or array); linear extrapolation beyond the knots."""
+    """Spline value at finite z (scalar or vector); linear extrapolation beyond the knots covers every finite z."""
     return _evaluate(fit, z, 0)
 
 

@@ -326,6 +326,15 @@ def roughness_exact_integral(fit):
     return float(np.sum(h / 3.0 * (f[:-1] ** 2 + f[:-1] * f[1:] + f[1:] ** 2)))
 
 
+def constraint_residual(fit):
+    """max(|sum delta|, |sum delta * knots|), the natural-spline constraint violation.
+
+    A second formula for the fit's ``constraint_residual`` diagnostic, which
+    reads max |Z' delta| off the solver's linear design.
+    """
+    return float(max(abs(fit.delta.sum()), abs(np.dot(fit.delta, fit.knots))))
+
+
 def natural_interpolant(z, values):
     """Natural cubic spline through (z_i, values_i) via the unpenalized bordered system."""
     z = np.asarray(z, float)

@@ -287,8 +287,13 @@ class TestTilt:
         a_rows, _ = monotone._normalized_constraints(DEC.sign * ivs.derivative_smoother_matrix(ds, 1e-5) * ds.y)
         margin, _ = monotone._phase_one(a_rows)
         assert margin > 1e-7
-        with pytest.raises(ivs.SolverStallError, match="KKT residual"):
+        with pytest.raises(ivs.SolverStallError, match="KKT residual") as stall:
             ivs.tilt(ds, 1e-5, direction=DEC)
+        # the largest KKT term is a multiplier the certificate's final dual step drove negative
+        assert "(negative multiplier)" in str(stall.value)
+        diagnostics = stall.value.diagnostics
+        assert diagnostics["multipliers"].shape == diagnostics["working_set"].shape
+        assert diagnostics["multipliers"].min() < -monotone.KKT_TOL
 
     @pytest.mark.parametrize("g_id, seed, direction", [("g3", 1015, DEC), ("g2", 1011, INC), ("g2", 1015, DEC)])
     def test_tied_knots_near_the_edge_of_feasibility_fail_typed(self, g_id, seed, direction):
